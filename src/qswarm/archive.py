@@ -16,6 +16,10 @@ Two deliberate filtering rules beyond plain top-k selection:
 Positions are stored as handed in and must not be mutated by the caller
 afterwards. The store is not synchronized; each optimization run owns its own
 instance.
+
+``version`` counts stored observations, so two reads with equal versions see
+the same stored set. Consumers that derive data from that set (the surrogate
+proposal) cache it in ``memo`` keyed on the version.
 """
 
 from __future__ import annotations
@@ -64,6 +68,8 @@ class Archive:
         self.sense = sense
         self.duplicate_eps = float(duplicate_eps)
         self.comparisons = 0
+        self.version = 0  # bumped on every stored observation, never otherwise
+        self.memo = None  # consumer-owned cache, valid only for the version it names
         self._heap: list[_Node] = []
         self._seq = 0
 
@@ -105,6 +111,7 @@ class Archive:
                 return False
             heap.append(self._make_node(priority, fx, x))
             self._sift_up(len(heap) - 1)
+        self.version += 1
         return True
 
     def best(self) -> ArchiveEntry:

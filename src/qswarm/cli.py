@@ -352,7 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--config", help="JSON config file (flags override its values)")
     run_p.add_argument("--out", help="output directory (default: $QSWARM_OUT/<timestamp>)")
     run_p.add_argument("--jobs", type=int, default=1, help="worker processes (default 1)")
-    run_p.add_argument("--emit-traces", action="store_true", help="accepted for symmetry; traces are always written")
     run_p.add_argument("--no-timing", action="store_true", help="zero wall-time columns for byte-stable output")
     run_p.set_defaults(func=cmd_run)
 

@@ -190,14 +190,20 @@ def objective_names() -> tuple[str, ...]:
     return tuple(sorted(_REGISTRY))
 
 
-def default_bounds(name: str, dimension: int) -> Bounds:
-    """The default symmetric box for a registered objective."""
+def _lookup(name: str) -> tuple[str, Callable, float]:
+    """Registry key, evaluator and default box limit for ``name``."""
     key = name.lower()
     if key not in _REGISTRY:
         raise UnknownObjectiveError(
             f"unknown objective {name!r}; valid names: {', '.join(objective_names())}"
         )
-    return Bounds.symmetric(_REGISTRY[key][1], dimension)
+    return (key, *_REGISTRY[key])
+
+
+def default_bounds(name: str, dimension: int) -> Bounds:
+    """The default symmetric box for a registered objective."""
+    _, _, limit = _lookup(name)
+    return Bounds.symmetric(limit, dimension)
 
 
 def make_objective(name: str, dimension: int, bounds: Optional[Bounds] = None) -> Objective:
@@ -206,14 +212,9 @@ def make_objective(name: str, dimension: int, bounds: Optional[Bounds] = None) -
     Unknown names raise :class:`UnknownObjectiveError` rather than silently
     defaulting. When ``bounds`` is omitted the registry default box is used.
     """
-    key = name.lower()
-    if key not in _REGISTRY:
-        raise UnknownObjectiveError(
-            f"unknown objective {name!r}; valid names: {', '.join(objective_names())}"
-        )
-    evaluate, _ = _REGISTRY[key]
+    key, evaluate, limit = _lookup(name)
     if bounds is None:
-        bounds = default_bounds(key, dimension)
+        bounds = Bounds.symmetric(limit, dimension)
     return Objective(
         name=key,
         dimension=dimension,

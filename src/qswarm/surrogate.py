@@ -20,12 +20,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 from scipy.linalg import lapack
 
 from .archive import Archive, ArchiveEntry, EmptyArchiveError
-from .objectives import Objective, clip_to_bounds
+from .objectives import Bounds, Objective, clip_to_bounds
 
 # Scaled pivot threshold for declaring a matrix singular.
 PIVOT_RTOL = 1e-10
@@ -57,14 +58,13 @@ def solve_pivoted(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     degenerate geometry deterministically.
     """
     a = np.array(matrix, dtype=float, order="F")
-    scale = float(np.max(np.abs(a))) if a.size else 0.0
+    scale = float(np.abs(a).max()) if a.size else 0.0
     if scale == 0.0 or not math.isfinite(scale):
         raise SingularMatrixError("matrix is zero or non-finite")
     lu, piv, info = lapack.dgetrf(a, overwrite_a=True)
     if info < 0:
         raise ValueError(f"illegal value in LU factorization argument {-info}")
-    pivots = np.abs(np.diagonal(lu))
-    if info > 0 or float(pivots.min()) < PIVOT_RTOL * scale:
+    if info > 0 or np.abs(lu.diagonal()).min() < PIVOT_RTOL * scale:
         raise SingularMatrixError("pivot below threshold; system is singular")
     x, info = lapack.dgetrs(lu, piv, np.asarray(rhs, dtype=float))
     if info != 0:
@@ -121,6 +121,18 @@ class SurrogateResult:
             raise ValueError("used_fallback must mirror fallback_reason")
 
 
+@cache
+def _product_pairs(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Index pairs (i, j), i <= j, of the cross-product columns in column
+    order, plus the weight that maps each fitted coefficient to a symmetric
+    matrix entry (1 on the diagonal, 0.5 on the two mirrored entries)."""
+    rows, cols = np.triu_indices(dim)
+    weights = np.where(rows == cols, 1.0, 0.5)
+    for arr in (rows, cols, weights):
+        arr.flags.writeable = False
+    return rows, cols, weights
+
+
 def build_design_matrix(points) -> np.ndarray:
     """Square interpolation matrix, one row per sample point.
 
@@ -135,11 +147,8 @@ def build_design_matrix(points) -> np.ndarray:
     m = np.empty((count, need))
     m[:, 0] = 1.0
     m[:, 1 : dim + 1] = pts
-    col = dim + 1
-    for i in range(dim):
-        for j in range(i, dim):
-            np.multiply(pts[:, i], pts[:, j], out=m[:, col])
-            col += 1
+    rows, cols, _ = _product_pairs(dim)
+    np.multiply(pts[:, rows], pts[:, cols], out=m[:, dim + 1 :])
     return m
 
 
@@ -164,22 +173,19 @@ def fit(points, values) -> QuadraticModel:
     # z = W (x - center); exactly degenerate directions map to zero columns,
     # which the pivot test flags.
     center = pts.mean(axis=0)
-    _, sigma, vt = np.linalg.svd(pts - center, full_matrices=False)
-    sigma = np.where(sigma > sigma.max() * 1e-15, sigma, 1.0) if sigma.max() > 0 else np.ones(dim)
+    centered = pts - center
+    _, sigma, vt = np.linalg.svd(centered, full_matrices=False)
+    top = sigma.max()
+    sigma = np.where(sigma > top * 1e-15, sigma, 1.0) if top > 0 else np.ones(dim)
     w = vt / sigma[:, None]  # rows: principal directions over their extents
-    matrix = build_design_matrix((pts - center) @ w.T)
+    matrix = build_design_matrix(centered @ w.T)
     theta = solve_pivoted(matrix, vals)
     lin_z = theta[1 : dim + 1]
+    rows, cols, weights = _product_pairs(dim)
+    entries = weights * theta[dim + 1 :]
     quad_z = np.empty((dim, dim))
-    idx = dim + 1
-    for i in range(dim):
-        quad_z[i, i] = theta[idx]
-        idx += 1
-        for j in range(i + 1, dim):
-            half = 0.5 * theta[idx]
-            quad_z[i, j] = half
-            quad_z[j, i] = half
-            idx += 1
+    quad_z[rows, cols] = entries
+    quad_z[cols, rows] = entries
     # Map q(z) = theta0 + lin_z.z + z.quad_z@z back to raw coordinates.
     lin_w = w.T @ lin_z
     quad = w.T @ quad_z @ w
@@ -211,6 +217,12 @@ def surrogate_attractor(
     only when its actual value strictly improves on ``global_best``;
     otherwise, and on any degeneracy, the result falls back to a known best
     point. Fallbacks are ordinary results, never errors.
+
+    The proposal (clipped minimizer or degeneracy reason) is a function of
+    the stored set and the bounds alone, so it is refit only when the archive
+    has stored a point since the last call or the bounds differ. Every call
+    still evaluates the proposal and offers it to the archive, so results are
+    identical to refitting every call. A proposal ``x_min`` is read-only.
     """
     if archive.size == 0:
         raise EmptyArchiveError("surrogate_attractor requires a nonempty archive")
@@ -223,16 +235,9 @@ def surrogate_attractor(
             used_fallback=True,
             fallback_reason=FALLBACK_TOO_FEW_POINTS,
         )
-    points, values = archive.sorted_points()
-    try:
-        model = fit(np.stack(points[:need]), values[:need])
-    except SingularMatrixError:
-        return _archive_fallback(archive, FALLBACK_SINGULAR_SYSTEM)
-    try:
-        x_min = minimize(model)
-    except SingularMatrixError:
-        return _archive_fallback(archive, FALLBACK_SINGULAR_QUADRATIC)
-    x_min = clip_to_bounds(x_min, objective.bounds)
+    x_min = _proposal(archive, objective.bounds, need)
+    if isinstance(x_min, str):
+        return _archive_fallback(archive, x_min)
     f_min = float(objective.evaluate(x_min))
     archive.observe(x_min, f_min)  # rejects non-finite values itself
     if f_min < global_best.value:
@@ -240,6 +245,32 @@ def surrogate_attractor(
             x_min=x_min, f_min=f_min, used_fallback=False, fallback_reason=FALLBACK_NONE
         )
     return _archive_fallback(archive, FALLBACK_NON_IMPROVING)
+
+
+def _proposal(archive: Archive, bounds: Bounds, need: int):
+    """Clipped surrogate minimizer, or the fallback reason when degenerate.
+
+    Cached in ``archive.memo`` under the archive version and the bounds
+    object; a hit skips the sort, the fit and the solve.
+    """
+    memo = archive.memo
+    if memo is not None and memo[0] == archive.version and memo[1] is bounds:
+        return memo[2]
+    points, values = archive.sorted_points()
+    try:
+        model = fit(np.stack(points[:need]), values[:need])
+    except SingularMatrixError:
+        proposal = FALLBACK_SINGULAR_SYSTEM
+    else:
+        try:
+            x_min = minimize(model)
+        except SingularMatrixError:
+            proposal = FALLBACK_SINGULAR_QUADRATIC
+        else:
+            proposal = clip_to_bounds(x_min, bounds)
+            proposal.flags.writeable = False  # shared by every hit
+    archive.memo = (archive.version, bounds, proposal)
+    return proposal
 
 
 def _archive_fallback(archive: Archive, reason: str) -> SurrogateResult:

@@ -67,6 +67,32 @@ class TestObserve:
             Archive(3, sense="other")
 
 
+class TestVersion:
+    def test_counts_stored_offers_while_filling_and_replacing(self):
+        archive = Archive(3)
+        assert archive.version == 0
+        for i, v in enumerate([5.0, 4.0, 3.0, 2.0, 1.0]):
+            assert archive.observe((float(i), 0.0), v)
+            assert archive.version == i + 1
+
+    def test_rejected_offers_leave_it_unchanged(self):
+        archive = fill(Archive(3), [1.0, 2.0, 3.0])
+        assert archive.version == 3
+        assert not archive.observe((9.0, 9.0), 3.0)  # ties the worst
+        assert not archive.observe((9.0, 9.0), 7.0)  # worse than the worst
+        for bad in (math.nan, math.inf, -math.inf):
+            assert not archive.observe((9.0, 9.0), bad)
+        assert not archive.observe((0.0, 1e-13), 0.5)  # near-duplicate of (0, 0)
+        assert archive.version == 3
+
+    def test_near_duplicate_rejected_while_filling(self):
+        archive = Archive(3)
+        archive.observe((1.0, 1.0), 5.0)
+        assert not archive.observe((1.0, 1.0), 0.5)
+        assert not archive.observe((2.0, 2.0), math.nan)
+        assert archive.version == 1
+
+
 class TestBest:
     def test_returns_minimum(self):
         archive = Archive(4)

@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from qswarm import surrogate
 from qswarm.archive import Archive, ArchiveEntry, EmptyArchiveError
-from qswarm.objectives import make_objective
+from qswarm.objectives import Bounds, Objective, clip_to_bounds, make_objective
 from qswarm.surrogate import (
     FALLBACK_NON_IMPROVING,
     FALLBACK_NONE,
@@ -342,3 +343,98 @@ class TestResultValidation:
             SurrogateResult(np.zeros(2), 0.0, False, FALLBACK_NON_IMPROVING)
         with pytest.raises(ValueError):
             SurrogateResult(np.zeros(2), 0.0, True, "because")
+
+
+class TestProposalMemo:
+    """The proposal is refit only when the archive stores a point or the
+    bounds change; hits must reproduce a fresh fit bit for bit."""
+
+    @staticmethod
+    def bowl_archive():
+        # samples of a bowl centered at (1, 2), inside the [-10, 10]^2 box
+        rng = np.random.default_rng(80)
+        pts = sample_points(rng, 2, 6)
+        center = np.array([1.0, 2.0])
+        return archive_from(pts, [float((p - center) @ (p - center)) for p in pts], 6)
+
+    @staticmethod
+    def flat_objective(bounds, evaluations):
+        # a probe value far above every archived value is never stored
+        def evaluate(x):
+            evaluations.append(np.array(x))
+            return 1e6
+
+        return Objective("flat", bounds.dimension, bounds, evaluate)
+
+    @staticmethod
+    def counting_fit(monkeypatch):
+        calls = []
+        real = surrogate.fit
+
+        def wrapped(points, values):
+            calls.append(1)
+            return real(points, values)
+
+        monkeypatch.setattr(surrogate, "fit", wrapped)
+        return calls
+
+    @staticmethod
+    def fresh_proposal(archive, bounds):
+        points, values = archive.sorted_points()
+        return clip_to_bounds(minimize(fit(np.stack(points), values)), bounds)
+
+    def test_hit_skips_fit_and_matches_fresh_fit(self, monkeypatch):
+        archive = self.bowl_archive()
+        evaluations = []
+        objective = self.flat_objective(Bounds.symmetric(10.0, 2), evaluations)
+        fits = self.counting_fit(monkeypatch)
+        weak_best = ArchiveEntry(1e9, np.zeros(2))
+        first = surrogate_attractor(archive, objective, weak_best)
+        version = archive.version
+        second = surrogate_attractor(archive, objective, weak_best)
+        assert archive.version == version
+        assert len(fits) == 1
+        assert len(evaluations) == 2  # a hit still evaluates the proposal
+        assert not second.used_fallback
+        assert second.f_min == 1e6
+        assert np.array_equal(second.x_min, first.x_min)
+        assert np.array_equal(second.x_min, self.fresh_proposal(archive, objective.bounds))
+        assert not second.x_min.flags.writeable
+
+    def test_stored_observation_invalidates(self, monkeypatch):
+        archive = self.bowl_archive()
+        objective = self.flat_objective(Bounds.symmetric(10.0, 2), [])
+        fits = self.counting_fit(monkeypatch)
+        weak_best = ArchiveEntry(1e9, np.zeros(2))
+        first = surrogate_attractor(archive, objective, weak_best)
+        assert archive.observe(np.array([1.5, 2.5]), 0.0)
+        second = surrogate_attractor(archive, objective, weak_best)
+        assert len(fits) == 2
+        assert np.array_equal(second.x_min, self.fresh_proposal(archive, objective.bounds))
+        assert not np.array_equal(second.x_min, first.x_min)
+
+    def test_different_bounds_recompute(self, monkeypatch):
+        archive = self.bowl_archive()
+        wide = self.flat_objective(Bounds.symmetric(10.0, 2), [])
+        narrow = self.flat_objective(Bounds.symmetric(1.5, 2), [])
+        fits = self.counting_fit(monkeypatch)
+        weak_best = ArchiveEntry(1e9, np.zeros(2))
+        surrogate_attractor(archive, wide, weak_best)
+        clipped = surrogate_attractor(archive, narrow, weak_best)
+        assert len(fits) == 2
+        assert clipped.x_min[1] == 1.5
+        assert np.array_equal(clipped.x_min, self.fresh_proposal(archive, narrow.bounds))
+
+    def test_cached_singular_reason_returns_archive_best(self, monkeypatch):
+        objective = make_objective("sphere", 2)
+        t = np.linspace(0.1, 1.0, 6)
+        pts = np.column_stack([t, t])  # collinear
+        archive = archive_from(pts, [objective.evaluate(p) for p in pts], 6)
+        fits = self.counting_fit(monkeypatch)
+        results = [surrogate_attractor(archive, objective, archive.best()) for _ in range(2)]
+        assert len(fits) == 1
+        best = archive.best()
+        for result in results:
+            assert result.fallback_reason == FALLBACK_SINGULAR_SYSTEM
+            np.testing.assert_array_equal(result.x_min, best.position)
+            assert result.f_min == best.value
