@@ -49,15 +49,12 @@ from .swarm import (
     VARIANT_STANDARD,
     VARIANT_SURROGATE,
     VARIANTS,
-    Particle,
     RunRecord,
     ScheduleState,
     Swarm,
     SwarmConfig,
     run,
-    safeguard,
     schedule,
-    update_velocity,
 )
 
 __version__ = "0.1.0"

@@ -19,6 +19,7 @@ the wall-clock columns when byte-stable output is required.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -37,22 +38,26 @@ from .experiments import (
 )
 from .objectives import Bounds, UnknownObjectiveError, default_bounds, objective_names
 from .surrogate import required_points
-from .swarm import VARIANT_STANDARD, VARIANT_SURROGATE
+from .swarm import VARIANT_STANDARD, VARIANT_SURROGATE, SwarmConfig
 
 
 class ConfigError(Exception):
     """Invalid configuration; the message names the offending key."""
 
 
-DEFAULT_PARAMS = {
-    "omega0": 0.72984,
-    "c1_0": 2.8,
-    "c2_0": 2.05,
-    "vmax0": 2.0,
-    "S": 52,
-    "tau": 1.2,
-    "gamma_floor": 1e-12,
+# Config-file parameter key -> SwarmConfig field ("S" is the paper's name for
+# the stagnation lookback). Defaults come from the SwarmConfig fields.
+_PARAM_FIELDS = {
+    "omega0": "omega0",
+    "c1_0": "c1_0",
+    "c2_0": "c2_0",
+    "vmax0": "vmax0",
+    "S": "lookback",
+    "tau": "tau",
+    "gamma_floor": "gamma_floor",
 }
+_FIELD_DEFAULTS = {f.name: f.default for f in dataclasses.fields(SwarmConfig)}
+DEFAULT_PARAMS = {key: _FIELD_DEFAULTS[name] for key, name in _PARAM_FIELDS.items()}
 
 CONFIG_KEYS = (
     "objective",
@@ -160,7 +165,9 @@ def effective_config(file_cfg: dict, overrides: dict) -> dict:
 
     params = dict(DEFAULT_PARAMS)
     params.update(cfg.get("params", {}))
-    for key in ("omega0", "c1_0", "c2_0", "vmax0", "tau", "gamma_floor"):
+    for key in _PARAM_FIELDS:
+        if key == "S":
+            continue
         value = params[key]
         _require(isinstance(value, (int, float)), f"params.{key}", "need a number")
         params[key] = float(value)
@@ -192,15 +199,7 @@ def _variants(label: str) -> tuple[str, ...]:
 
 
 def _swarm_params(params: dict) -> dict:
-    return {
-        "omega0": params["omega0"],
-        "c1_0": params["c1_0"],
-        "c2_0": params["c2_0"],
-        "vmax0": params["vmax0"],
-        "lookback": params["S"],
-        "tau": params["tau"],
-        "gamma_floor": params["gamma_floor"],
-    }
+    return {name: params[key] for key, name in _PARAM_FIELDS.items()}
 
 
 def resolve_out_dir(out_flag) -> Path:

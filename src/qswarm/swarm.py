@@ -37,8 +37,7 @@ from __future__ import annotations
 
 import math
 import time
-from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -139,72 +138,6 @@ def schedule(k: int, config: SwarmConfig) -> ScheduleState:
     )
 
 
-@dataclass
-class Particle:
-    """Per-particle state.
-
-    ``value_history`` keeps the last ``lookback + 1`` objective values so the
-    stagnation safeguard can reach the value from ``lookback`` iterations
-    ago. ``omega_scale`` is the inertia multiplier currently in effect for
-    this particle.
-    """
-
-    position: np.ndarray
-    velocity: np.ndarray
-    best_position: np.ndarray
-    best_value: float
-    value_history: deque = field(default_factory=deque)
-    omega_scale: float = 1.0
-
-
-def safeguard(particle: Particle, k: int, config: SwarmConfig) -> float:
-    """Stagnation test: the inertia multiplier for this iteration.
-
-    Compares the particle's current objective value with the one from
-    ``lookback`` iterations earlier. When the relative change
-
-        gamma = |f_now - f_then| / max(|f_then|, gamma_floor)
-
-    is below 0.5 the particle is considered stagnant and ``tau`` is
-    returned; otherwise 1. Before iteration ``lookback`` (no history yet)
-    the multiplier is 1. Non-finite history values never signal stagnation.
-    """
-    history = particle.value_history
-    if k < config.lookback or len(history) < config.lookback + 1:
-        return 1.0
-    f_now = history[-1]
-    f_then = history[0]
-    if not (math.isfinite(f_now) and math.isfinite(f_then)):
-        return 1.0
-    gamma = abs(f_now - f_then) / max(abs(f_then), config.gamma_floor)
-    return config.tau if gamma < 0.5 else 1.0
-
-
-def update_velocity(
-    particle: Particle,
-    attractor: np.ndarray,
-    sched: ScheduleState,
-    rng,
-    per_dimension: bool = False,
-) -> np.ndarray:
-    """New velocity for one particle, clipped to the current speed cap.
-
-    Draws r1 then r2 from ``rng``: one shared U[0,1] value each by default,
-    or one per dimension with ``per_dimension=True``. The inertia term uses
-    ``particle.omega_scale``, which carries the safeguard result.
-    """
-    x = particle.position
-    n = x.size if per_dimension else 1
-    r1 = rng.uniform(size=n)
-    r2 = rng.uniform(size=n)
-    v = (
-        sched.omega * particle.omega_scale * particle.velocity
-        + sched.c1 * r1 * (particle.best_position - x)
-        + sched.c2 * r2 * (np.asarray(attractor, dtype=float) - x)
-    )
-    return np.clip(v, -sched.vmax, sched.vmax)
-
-
 @dataclass(eq=False)
 class RunRecord:
     """Outcome of one run.
@@ -225,8 +158,10 @@ class RunRecord:
 
 
 def _stagnation_multipliers(current, past, tau, floor):
-    # Vectorized safeguard(); non-finite pairs yield gamma of inf or nan,
-    # and nan/inf both land in the "no stagnation" branch of np.where.
+    # The stagnation safeguard for every particle at once, with
+    # gamma = |f_now - f_then| / max(|f_then|, floor). Non-finite pairs yield
+    # a gamma of inf or nan, and both land in the "no stagnation" branch of
+    # np.where.
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         gamma = np.abs(current - past) / np.maximum(np.abs(past), floor)
         return np.where(gamma < 0.5, tau, 1.0)
@@ -235,9 +170,7 @@ def _stagnation_multipliers(current, past, tau, floor):
 class Swarm:
     """Mutable engine state for one run; ``step()`` advances one iteration.
 
-    State arrays are row-per-particle. The per-particle view of the same
-    semantics is available through :meth:`particle` and the module-level
-    ``safeguard``/``update_velocity`` operations.
+    State arrays are row-per-particle.
     """
 
     def __init__(self, config: SwarmConfig, objective: Objective):
@@ -277,24 +210,6 @@ class Swarm:
     def _evaluate(self, x) -> float:
         self.evaluations += 1
         return float(self.objective.evaluate(x))
-
-    def particle(self, i: int) -> Particle:
-        """Snapshot of particle ``i`` in per-particle form."""
-        lookback = self.config.lookback
-        k = self.iteration
-        depth = min(k, lookback + 1)
-        history = deque(
-            (self._history[j % (lookback + 1), i] for j in range(k - depth, k)),
-            maxlen=lookback + 1,
-        )
-        return Particle(
-            position=self.positions[i].copy(),
-            velocity=self.velocities[i].copy(),
-            best_position=self.pbest_positions[i].copy(),
-            best_value=float(self.pbest_values[i]),
-            value_history=history,
-            omega_scale=float(self.omega_scale[i]),
-        )
 
     def step(self):
         """One full iteration: evaluate, update bests, attract, move."""

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from qswarm.archive import Archive
+from qswarm.cli import BENCHMARK_ROWS
 from qswarm.cli import main as cli_main
 from qswarm.experiments import BatchSpec, run_batch
 from qswarm.objectives import Bounds, make_objective
@@ -31,16 +32,6 @@ from qswarm.swarm import (
     schedule,
 )
 
-BENCHMARK_GATES = (
-    # objective, dim, particles, box limit, gate op, gate ratio
-    ("ackley", 2, 6, 32.768, "lt", 0.1),
-    ("griewank", 2, 6, 600.0, "lt", 1.0),
-    ("sphere", 2, 6, 10.0, "le", 2.0),
-    ("sphere", 3, 10, 10.0, "lt", 0.1),
-    ("flower", 2, 6, 100.0, "lt", 0.01),
-    ("flower", 3, 10, 100.0, "lt", 0.01),
-)
-
 N_RUNS = 200  # seeds 0..199
 
 
@@ -54,7 +45,7 @@ def report(criterion, ok, detail=""):
 def benchmark_batches():
     """All six configurations, both variants, 200 runs each."""
     batches = {}
-    for name, dim, particles, limit, _, _ in BENCHMARK_GATES:
+    for name, dim, particles, limit, _, _ in BENCHMARK_ROWS:
         spec = BatchSpec(
             objective=name,
             dimension=dim,
@@ -173,7 +164,7 @@ class TestCriterion4ScheduleSpotValues:
 
 
 class TestCriterion5DirectionalReproduction:
-    @pytest.mark.parametrize("row", BENCHMARK_GATES, ids=lambda r: f"{r[0]}_{r[1]}d")
+    @pytest.mark.parametrize("row", BENCHMARK_ROWS, ids=lambda r: f"{r[0]}_{r[1]}d")
     def test_median_gate(self, benchmark_batches, row):
         name, dim, particles, limit, op, ratio = row
         batch = benchmark_batches[(name, dim)]

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qswarm.archive import Archive, ArchiveEntry, EmptyArchiveError
 
@@ -63,8 +65,6 @@ class TestObserve:
     def test_capacity_validation(self):
         with pytest.raises(ValueError):
             Archive(0)
-        with pytest.raises(ValueError):
-            Archive(3, sense="other")
 
 
 class TestVersion:
@@ -162,48 +162,89 @@ class TestSortedPoints:
         assert tuple(points[0]) == tuple(best.position)
 
 
-class TestMaximization:
-    def test_negation_equivalence(self):
-        rng = np.random.default_rng(41)
-        stream = rng.uniform(-10, 10, size=300)
-        max_archive = Archive(6, sense="max")
-        min_archive = Archive(6, sense="min")
-        for i, v in enumerate(stream):
-            max_archive.observe((float(i),), v)
-            min_archive.observe((float(i),), -v)
-        assert sorted(max_archive.values()) == sorted(-v for v in min_archive.values())
-        assert max_archive.best().value == -min_archive.best().value
-        _, max_values = max_archive.sorted_points()
-        assert max_values == sorted(max_values, reverse=True)
-
-    def test_max_keeps_largest(self):
-        archive = Archive(3, sense="max")
-        for i, v in enumerate([5.0, 1.0, 9.0, 7.0, 2.0]):
+class TestTieOrder:
+    def test_earliest_of_tied_worst_entries_is_evicted(self):
+        archive = Archive(3)
+        for i, v in enumerate([2.0, 5.0, 5.0]):
             archive.observe((float(i),), v)
-        assert sorted(archive.values()) == [5.0, 7.0, 9.0]
-        assert archive.worst.value == 5.0
+        assert tuple(archive.worst.position) == (1.0,)
+        assert archive.observe((3.0,), 1.0)
+        points, values = archive.sorted_points()
+        assert values == [1.0, 2.0, 5.0]
+        assert [tuple(p) for p in points] == [(3.0,), (0.0,), (2.0,)]
+
+    def test_ties_are_ordered_by_observation(self):
+        archive = Archive(4)
+        for i, v in enumerate([3.0, 1.0, 3.0, 1.0]):
+            archive.observe((float(i),), v)
+        points, values = archive.sorted_points()
+        assert values == [1.0, 1.0, 3.0, 3.0]
+        assert [tuple(p) for p in points] == [(1.0,), (3.0,), (0.0,), (2.0,)]
+        assert tuple(archive.best().position) == (1.0,)
 
 
-class TestComparisonCost:
-    def test_observe_comparisons_stay_logarithmic(self):
-        # Adversarial stream: strictly decreasing, every observation replaces
-        # the worst and sifts the full heap depth.
-        capacity = 64
+class _OracleArchive:
+    """Brute-force reference: keep stored entries unordered, sort on demand."""
+
+    def __init__(self, capacity):
+        self.capacity = capacity
+        self.entries = []  # (value, observation number, position)
+        self.observed = 0
+        self.version = 0
+
+    def worst(self):
+        return max(self.entries, key=lambda e: (e[0], -e[1]))
+
+    def ordered(self):
+        return sorted(self.entries, key=lambda e: e[:2])
+
+    def observe(self, x, fx):
+        full = len(self.entries) == self.capacity
+        if not math.isfinite(fx) or (full and not fx < self.worst()[0]):
+            return False
+        if any(math.dist(x, e[2]) <= 1e-12 for e in self.entries):
+            return False
+        if full:
+            self.entries.remove(self.worst())
+        self.observed += 1
+        self.entries.append((fx, self.observed, x))
+        self.version += 1
+        return True
+
+
+# Few distinct positions and values, so ties and near-duplicates are common.
+_offers = st.lists(
+    st.tuples(
+        st.tuples(st.integers(0, 3).map(float), st.integers(0, 3).map(float)),
+        st.one_of(
+            st.integers(-3, 3).map(float),
+            st.sampled_from([math.nan, math.inf, -math.inf]),
+        ),
+    ),
+    max_size=60,
+)
+
+
+class TestAgainstOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(capacity=st.integers(1, 8), offers=_offers)
+    def test_tie_heavy_streams_match_brute_force(self, capacity, offers):
         archive = Archive(capacity)
-        for i in range(capacity):
-            archive.observe((float(i),), float(10_000 - i))
-        archive.comparisons = 0
-        extra = 2000
-        for i in range(extra):
-            archive.observe((float(capacity + i),), float(5000 - i))
-        per_observe = archive.comparisons / extra
-        assert per_observe <= 4 * math.log2(capacity) + 4
-
-    def test_rejection_is_a_single_comparison(self):
-        archive = fill(Archive(8), range(8))
-        archive.comparisons = 0
-        archive.observe((99.0, 99.0), 1e9)
-        assert archive.comparisons == 1
+        oracle = _OracleArchive(capacity)
+        for x, fx in offers:
+            assert archive.observe(x, fx) == oracle.observe(x, fx)
+            assert archive.version == oracle.version
+            if not oracle.entries:
+                with pytest.raises(EmptyArchiveError):
+                    archive.best()
+                continue
+            ordered = oracle.ordered()
+            points, values = archive.sorted_points()
+            assert values == [e[0] for e in ordered]
+            assert [tuple(p) for p in points] == [e[2] for e in ordered]
+            assert archive.best() == (ordered[0][0], ordered[0][2])
+            worst = oracle.worst()
+            assert archive.worst == (worst[0], worst[2])
 
 
 class TestEntry:

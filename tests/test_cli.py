@@ -271,15 +271,15 @@ class TestBenchmarkCommand:
 
 class TestDefaults:
     def test_benchmark_rows_cover_the_six_configurations(self):
-        rows = [(name, dim, particles) for name, dim, particles, *_ in BENCHMARK_ROWS]
-        assert rows == [
-            ("ackley", 2, 6),
-            ("griewank", 2, 6),
-            ("sphere", 2, 6),
-            ("sphere", 3, 10),
-            ("flower", 2, 6),
-            ("flower", 3, 10),
-        ]
+        # objective, dim, particles, box limit, gate op, gate ratio
+        assert BENCHMARK_ROWS == (
+            ("ackley", 2, 6, 32.768, "lt", 0.1),
+            ("griewank", 2, 6, 600.0, "lt", 1.0),
+            ("sphere", 2, 6, 10.0, "le", 2.0),
+            ("sphere", 3, 10, 10.0, "lt", 0.1),
+            ("flower", 2, 6, 100.0, "lt", 0.01),
+            ("flower", 3, 10, 100.0, "lt", 0.01),
+        )
 
     def test_default_params_table(self):
         assert DEFAULT_PARAMS["omega0"] == 0.72984

@@ -1,7 +1,12 @@
-"""Engine semantics: schedules, safeguard, velocity rule, steps, runs."""
+"""Engine semantics: schedules, safeguard, velocity rule, steps, runs.
+
+The vectorized engine is checked against a per-particle transcription of the
+update rules (``Particle``, ``safeguard``, ``update_velocity``) defined here.
+"""
 
 import math
 from collections import deque
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
@@ -12,16 +17,98 @@ from qswarm.surrogate import required_points, surrogate_attractor
 from qswarm.swarm import (
     VARIANT_STANDARD,
     VARIANT_SURROGATE,
-    Particle,
     ScheduleState,
     Swarm,
     SwarmConfig,
     _stagnation_multipliers,
     run,
-    safeguard,
     schedule,
-    update_velocity,
 )
+
+
+@dataclass
+class Particle:
+    """Per-particle state.
+
+    ``value_history`` keeps the last ``lookback + 1`` objective values so the
+    stagnation safeguard can reach the value from ``lookback`` iterations
+    ago. ``omega_scale`` is the inertia multiplier currently in effect for
+    this particle.
+    """
+
+    position: np.ndarray
+    velocity: np.ndarray
+    best_position: np.ndarray
+    best_value: float
+    value_history: deque = field(default_factory=deque)
+    omega_scale: float = 1.0
+
+
+def safeguard(particle: Particle, k: int, config: SwarmConfig) -> float:
+    """Stagnation test: the inertia multiplier for this iteration.
+
+    Compares the particle's current objective value with the one from
+    ``lookback`` iterations earlier. When the relative change
+
+        gamma = |f_now - f_then| / max(|f_then|, gamma_floor)
+
+    is below 0.5 the particle is considered stagnant and ``tau`` is
+    returned; otherwise 1. Before iteration ``lookback`` (no history yet)
+    the multiplier is 1. Non-finite history values never signal stagnation.
+    """
+    history = particle.value_history
+    if k < config.lookback or len(history) < config.lookback + 1:
+        return 1.0
+    f_now = history[-1]
+    f_then = history[0]
+    if not (math.isfinite(f_now) and math.isfinite(f_then)):
+        return 1.0
+    gamma = abs(f_now - f_then) / max(abs(f_then), config.gamma_floor)
+    return config.tau if gamma < 0.5 else 1.0
+
+
+def update_velocity(
+    particle: Particle,
+    attractor: np.ndarray,
+    sched: ScheduleState,
+    rng,
+    per_dimension: bool = False,
+) -> np.ndarray:
+    """New velocity for one particle, clipped to the current speed cap.
+
+    Draws r1 then r2 from ``rng``: one shared U[0,1] value each by default,
+    or one per dimension with ``per_dimension=True``. The inertia term uses
+    ``particle.omega_scale``, which carries the safeguard result.
+    """
+    x = particle.position
+    n = x.size if per_dimension else 1
+    r1 = rng.uniform(size=n)
+    r2 = rng.uniform(size=n)
+    v = (
+        sched.omega * particle.omega_scale * particle.velocity
+        + sched.c1 * r1 * (particle.best_position - x)
+        + sched.c2 * r2 * (np.asarray(attractor, dtype=float) - x)
+    )
+    return np.clip(v, -sched.vmax, sched.vmax)
+
+
+def particle_view(swarm: Swarm, i: int) -> Particle:
+    """Snapshot of particle ``i`` of the engine in per-particle form."""
+    lookback = swarm.config.lookback
+    k = swarm.iteration
+    depth = min(k, lookback + 1)
+    history = deque(
+        (swarm._history[j % (lookback + 1), i] for j in range(k - depth, k)),
+        maxlen=lookback + 1,
+    )
+    return Particle(
+        position=swarm.positions[i].copy(),
+        velocity=swarm.velocities[i].copy(),
+        best_position=swarm.pbest_positions[i].copy(),
+        best_value=float(swarm.pbest_values[i]),
+        value_history=history,
+        omega_scale=float(swarm.omega_scale[i]),
+    )
 
 
 def sphere_config(**overrides):
@@ -283,7 +370,7 @@ class TestParticleView:
         swarm = Swarm(config, objective)
         for _ in range(7):
             swarm.step()
-        particle = swarm.particle(3)
+        particle = particle_view(swarm, 3)
         np.testing.assert_array_equal(particle.position, swarm.positions[3])
         np.testing.assert_array_equal(particle.velocity, swarm.velocities[3])
         np.testing.assert_array_equal(particle.best_position, swarm.pbest_positions[3])
