@@ -151,7 +151,7 @@ def effective_config(file_cfg: dict, overrides: dict) -> dict:
         particles = required_points(dimension)
     _require(isinstance(particles, int) and particles >= 1, "particles", "need an int >= 1")
 
-    iterations = cfg.get("iterations", 200)
+    iterations = cfg.get("iterations", _FIELD_DEFAULTS["iterations"])
     _require(isinstance(iterations, int) and iterations >= 1, "iterations", "need an int >= 1")
 
     runs = cfg.get("runs", 1)
@@ -298,7 +298,7 @@ def cmd_benchmark(args) -> int:
             n_particles=particles,
             n_runs=args.runs,
             bounds=Bounds.symmetric(limit, dimension),
-            iterations=200,
+            iterations=_FIELD_DEFAULTS["iterations"],
             base_seed=args.seed,
             jobs=args.jobs,
         )
@@ -344,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--objective", help=f"one of: {', '.join(objective_names())}")
     run_p.add_argument("--dim", type=int, help="problem dimension (default 2)")
     run_p.add_argument("--particles", type=int, help="swarm size (default: interpolation point count)")
-    run_p.add_argument("--iterations", type=int, help="iterations per run (default 200)")
+    run_p.add_argument("--iterations", type=int, help=f"iterations per run (default {_FIELD_DEFAULTS['iterations']})")
     run_p.add_argument("--runs", type=int, help="independent runs per variant (default 1)")
     run_p.add_argument("--seed", type=int, help="base seed; run j uses base XOR j (default 0)")
     run_p.add_argument("--variant", choices=VARIANT_CHOICES, help="default: both")

@@ -53,7 +53,7 @@ class BatchSpec:
     n_runs: int
     variants: tuple[str, ...] = (VARIANT_STANDARD, VARIANT_SURROGATE)
     bounds: Optional[Bounds] = None
-    iterations: int = 200
+    iterations: int = SwarmConfig.iterations  # the class attribute is the field default
     base_seed: int = 0
     jobs: int = 1
     params: dict = field(default_factory=dict)

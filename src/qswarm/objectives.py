@@ -86,7 +86,8 @@ def clip_to_bounds(x, bounds: Bounds) -> np.ndarray:
     Identity on feasible points. Accepts a single point of shape (n,) or a
     batch of shape (m, n).
     """
-    return np.clip(np.asarray(x, dtype=float), bounds.lo, bounds.hi)
+    out = np.maximum(np.asarray(x, dtype=float), bounds.lo)
+    return np.minimum(out, bounds.hi, out=out)
 
 
 @dataclass(frozen=True, eq=False)

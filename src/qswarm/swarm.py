@@ -25,26 +25,35 @@ when the relative change falls below 0.5.
 
 Randomness comes from one counter-based Philox stream per run, keyed by the
 run seed. Draws happen in a fixed documented order: initial positions
-(n_particles x dimension), initial velocities (same shape), then one block
-per iteration holding r1 and r2 for all particles, of shape
-(2, n_particles, 1) in shared-draw mode or (2, n_particles, dimension) in
-per-dimension mode. Run records are therefore a pure function of
-(config, objective), and independent runs are reproducible regardless of
-batch scheduling.
+(n_particles x dimension), initial velocities (same shape), then the r1/r2
+blocks of all iterations in one call, of shape
+(iterations, 2, n_particles, 1) in shared-draw mode or
+(iterations, 2, n_particles, dimension) in per-dimension mode. The stream
+yields the same values whether that block is drawn in one call or one
+iteration at a time, so block k is exactly what a per-iteration draw would
+give. Run records are therefore a pure function of (config, objective), and
+independent runs are reproducible regardless of batch scheduling.
+
+Everything that does not depend on the swarm's state (the coefficient ramps
+of every iteration and the products c1 * r1 and c2 * r2) is computed once
+when the run starts, so an iteration does only the work that needs its
+evaluations.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .archive import Archive, ArchiveEntry
-from .objectives import Bounds, Objective, clip_to_bounds
+from .objectives import Bounds, Objective
 from .surrogate import (
+    FALLBACK_NON_IMPROVING,
+    FALLBACK_NONE,
     FALLBACK_REASONS,
     FALLBACK_TOO_FEW_POINTS,
     required_points,
@@ -129,13 +138,17 @@ def schedule(k: int, config: SwarmConfig) -> ScheduleState:
     big_k = config.iterations
     if not 0 <= k <= big_k:
         raise ValueError(f"iteration {k} outside [0, {big_k}]")
-    frac = k / big_k
-    return ScheduleState(
-        omega=config.omega0 - 0.5 * frac,
-        c1=config.c1_0 - frac,
-        c2=config.c2_0 + frac,
-        vmax=config.vmax0 * math.exp(1.0 - frac),
-    )
+    omega, c1, c2, vmax = _ramps(np.array([k]), config)
+    return ScheduleState(float(omega[0]), float(c1[0]), float(c2[0]), vmax[0])
+
+
+def _ramps(ks: np.ndarray, config: SwarmConfig):
+    # omega, c1 and c2 (arrays) and vmax (a list) at the iterations ks: the
+    # one formula behind schedule() and the engine's per-run tables. The
+    # speed cap uses math.exp, whose results np.exp does not always match.
+    frac = ks / config.iterations
+    vmax = [config.vmax0 * math.exp(1.0 - f) for f in frac.tolist()]
+    return config.omega0 - 0.5 * frac, config.c1_0 - frac, config.c2_0 + frac, vmax
 
 
 @dataclass(eq=False)
@@ -157,20 +170,22 @@ class RunRecord:
     wall_time: float
 
 
-def _stagnation_multipliers(current, past, tau, floor):
-    # The stagnation safeguard for every particle at once, with
+def _stagnation_multipliers(current, past, tau, floor) -> list[float]:
+    # The stagnation safeguard for every particle, with
     # gamma = |f_now - f_then| / max(|f_then|, floor). Non-finite pairs yield
-    # a gamma of inf or nan, and both land in the "no stagnation" branch of
-    # np.where.
-    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        gamma = np.abs(current - past) / np.maximum(np.abs(past), floor)
-        return np.where(gamma < 0.5, tau, 1.0)
+    # a gamma of inf or nan, and both land in the "no stagnation" branch.
+    # The denominator is at least floor > 0, so the division never raises.
+    return [
+        tau if abs(now - then) / max(abs(then), floor) < 0.5 else 1.0
+        for now, then in zip(current, past)
+    ]
 
 
 class Swarm:
     """Mutable engine state for one run; ``step()`` advances one iteration.
 
-    State arrays are row-per-particle.
+    State arrays are row-per-particle. ``step()`` may be called
+    ``config.iterations`` times.
     """
 
     def __init__(self, config: SwarmConfig, objective: Objective):
@@ -182,11 +197,23 @@ class Swarm:
 
         n, n_particles = config.dimension, config.n_particles
         bounds = config.bounds
+        omega, c1, c2, vmax = _ramps(np.arange(config.iterations), config)
+        self._omega = omega.tolist()
+        self._vmax = vmax
         self.positions = self.rng.uniform(bounds.lo, bounds.hi, size=(n_particles, n))
-        v0 = schedule(0, config).vmax
-        self.velocities = self.rng.uniform(-v0, v0, size=(n_particles, n))
+        self.velocities = self.rng.uniform(-vmax[0], vmax[0], size=(n_particles, n))
+        r_dims = n if config.per_dimension_draws else 1
+        draws = self.rng.uniform(size=(config.iterations, 2, n_particles, r_dims))
+        # Block k holds c1_k * r1 and c2_k * r2 of iteration k, spread over
+        # the dimensions (as are the bounds) so that each step works on
+        # arrays of one shape.
+        self._pulls = np.empty((config.iterations, 2, n_particles, n))
+        np.multiply(c1[:, None, None], draws[:, 0], out=self._pulls[:, 0])
+        np.multiply(c2[:, None, None], draws[:, 1], out=self._pulls[:, 1])
+        self._lo = np.full((n_particles, n), bounds.lo)
+        self._hi = np.full((n_particles, n), bounds.hi)
         self.pbest_positions = self.positions.copy()
-        self.pbest_values = np.full(n_particles, math.inf)
+        self.pbest_values = [math.inf] * n_particles
         self.omega_scale = np.ones(n_particles)
         self.gbest_position = self.positions[0].copy()
         self.gbest_value = math.inf
@@ -205,71 +232,80 @@ class Swarm:
         self.trace: list[float] = []
         self.fallback_counts = {reason: 0 for reason in FALLBACK_REASONS}
         self.nonfinite_iterations: list[int] = []
-        self._counting_objective = replace(objective, evaluate=self._evaluate)
-
-    def _evaluate(self, x) -> float:
-        self.evaluations += 1
-        return float(self.objective.evaluate(x))
 
     def step(self):
         """One full iteration: evaluate, update bests, attract, move."""
         config = self.config
         k = self.iteration
-        sched = schedule(k, config)
+        if k >= config.iterations:
+            raise ValueError(f"the run has {config.iterations} iterations")
         positions = self.positions
-        n_particles = config.n_particles
+        archive = self.archive
+        evaluate = self.objective.evaluate
 
-        values = np.empty(n_particles)
+        pbest_values = self.pbest_values
+        pbest_positions = self.pbest_positions
+        # Positions are offered to the archive as row views, so the positions
+        # array must never be written in place; every step makes a new one.
+        values = []
         saw_nonfinite = False
-        for i in range(n_particles):
-            value = self._evaluate(positions[i])
+        for i, x in enumerate(positions):
+            value = float(evaluate(x))
             if not math.isfinite(value):
                 value = math.inf
                 saw_nonfinite = True
-            values[i] = value
-            if self.archive is not None:
-                self.archive.observe(positions[i], value)
+            values.append(value)
+            if value < pbest_values[i]:
+                pbest_values[i] = value
+                pbest_positions[i] = x
+            if archive is not None:
+                archive.observe(x, value)
+        self.evaluations += len(values)
         if saw_nonfinite:
             self.nonfinite_iterations.append(k)
 
-        improved = values < self.pbest_values
-        if improved.any():
-            self.pbest_positions[improved] = positions[improved]
-            self.pbest_values[improved] = values[improved]
-        best_idx = int(np.argmin(values))
-        if values[best_idx] < self.gbest_value:
-            self.gbest_value = float(values[best_idx])
-            self.gbest_position = positions[best_idx].copy()
+        best = min(values)
+        if best < self.gbest_value:
+            self.gbest_value = best
+            self.gbest_position = positions[values.index(best)].copy()
 
-        self._history[k % (config.lookback + 1)] = values
+        lookback = config.lookback
+        self._history[k % (lookback + 1)] = values
 
-        if config.variant == VARIANT_SURROGATE:
+        if archive is not None:
             attractor = self._surrogate_attractor()
         else:
             attractor = self.gbest_position
 
-        if k >= config.lookback:
-            past = self._history[(k - config.lookback) % (config.lookback + 1)]
+        # Before k reaches the lookback the inertia scale stays all ones.
+        if k >= lookback:
+            past = self._history[(k - lookback) % (lookback + 1)].tolist()
             multipliers = _stagnation_multipliers(
                 values, past, config.tau, config.gamma_floor
             )
             if config.compound_safeguard:
                 self.omega_scale = self.omega_scale * multipliers
             else:
-                self.omega_scale = multipliers
-        elif not config.compound_safeguard:
-            self.omega_scale = np.ones(n_particles)
+                self.omega_scale = np.array(multipliers)
 
-        r_dims = config.dimension if config.per_dimension_draws else 1
-        r = self.rng.uniform(size=(2, n_particles, r_dims))
-        velocities = (
-            (sched.omega * self.omega_scale)[:, None] * self.velocities
-            + sched.c1 * r[0] * (self.pbest_positions - positions)
-            + sched.c2 * r[1] * (attractor - positions)
-        )
-        np.clip(velocities, -sched.vmax, sched.vmax, out=velocities)
+        # omega_k * scale * v + (c1_k * r1) * (pbest - x) + (c2_k * r2) * (a - x),
+        # with the same operations in the same order as the formula.
+        pulls = self._pulls[k]
+        velocities = (self._omega[k] * self.omega_scale)[:, None] * self.velocities
+        pull = pbest_positions - positions
+        pull *= pulls[0]
+        velocities += pull
+        np.subtract(attractor, positions, out=pull)
+        pull *= pulls[1]
+        velocities += pull
+        vmax = self._vmax[k]
+        np.maximum(velocities, -vmax, out=velocities)
+        np.minimum(velocities, vmax, out=velocities)
         self.velocities = velocities
-        self.positions = clip_to_bounds(positions + velocities, config.bounds)
+        positions = positions + velocities
+        np.maximum(positions, self._lo, out=positions)
+        np.minimum(positions, self._hi, out=positions)
+        self.positions = positions
 
         self.trace.append(self.gbest_value)
         self.iteration += 1
@@ -282,9 +318,15 @@ class Swarm:
             return self.gbest_position
         result = surrogate_attractor(
             self.archive,
-            self._counting_objective,
+            self.objective,
             ArchiveEntry(self.gbest_value, self.gbest_position),
         )
+        # The proposal was evaluated once unless the fit fell back before
+        # proposing. Counting here rather than through a wrapper that refers
+        # back to the swarm keeps the swarm free of reference cycles, so its
+        # per-run tables are freed as soon as the run ends.
+        if result.fallback_reason in (FALLBACK_NONE, FALLBACK_NON_IMPROVING):
+            self.evaluations += 1
         self.fallback_counts[result.fallback_reason] += 1
         if not result.used_fallback:
             self.gbest_value = result.f_min

@@ -1,10 +1,14 @@
 """Command-line surface: flags, config files, artifacts, exit codes."""
 
 import csv
+import inspect
 import json
+import re
 
 import pytest
 
+import qswarm.cli
+import qswarm.experiments
 from qswarm.cli import (
     BENCHMARK_ROWS,
     DEFAULT_PARAMS,
@@ -13,6 +17,8 @@ from qswarm.cli import (
     load_config_file,
     main,
 )
+from qswarm.experiments import BatchSpec
+from qswarm.swarm import SwarmConfig
 
 
 def run_cli(*argv):
@@ -289,3 +295,12 @@ class TestDefaults:
         assert DEFAULT_PARAMS["S"] == 52
         assert DEFAULT_PARAMS["tau"] == 1.2
         assert DEFAULT_PARAMS["gamma_floor"] == 1e-12
+
+    def test_iteration_default_is_read_from_swarm_config(self):
+        # SwarmConfig.iterations is the one place the default is written out.
+        literal = re.compile(rf"\b{SwarmConfig.iterations}\b")
+        for module in (qswarm.cli, qswarm.experiments):
+            assert not literal.search(inspect.getsource(module)), module.__name__
+        assert BatchSpec("sphere", 2, 6, 1).iterations == SwarmConfig.iterations
+        cfg = effective_config({}, {"objective": "sphere"})
+        assert cfg["iterations"] == SwarmConfig.iterations

@@ -201,10 +201,14 @@ class TestSafeguard:
         current = rng.uniform(-2, 2, size=200)
         past = rng.uniform(-2, 2, size=200)
         past[::17] = 0.0
+        # every pair of non-finite, zero and extreme values as well
+        edge = [math.inf, -math.inf, math.nan, 0.0, 1.0, -2.5, 1e308, -1e308]
+        current = current.tolist() + [now for now in edge for _ in edge]
+        past = past.tolist() + [then for _ in edge for then in edge]
         vector = _stagnation_multipliers(current, past, config.tau, config.gamma_floor)
         for now, then, got in zip(current, past, vector):
             particle = particle_with_history([then, now], lookback=1)
-            assert got == safeguard(particle, 1, config)
+            assert got == safeguard(particle, 1, config), (now, then)
 
 
 class _StubRng:
@@ -361,6 +365,49 @@ class TestStep:
         assert 0 in record.nonfinite_iterations
         assert record.fallback_counts["too_few_points"] >= 1
         assert math.isfinite(record.final_value)
+
+
+class TestRunTables:
+    """The per-run tables built at start-up equal the per-iteration forms."""
+
+    @pytest.mark.parametrize("per_dimension", [False, True])
+    def test_tables_equal_schedule_and_per_iteration_draws(self, per_dimension):
+        objective = make_objective("sphere", 3)
+        config = SwarmConfig(
+            dimension=3,
+            n_particles=5,
+            bounds=objective.bounds,
+            iterations=37,
+            seed=2**64 + 8,
+            per_dimension_draws=per_dimension,
+        )
+        swarm = Swarm(config, objective)
+        rng = np.random.Generator(np.random.Philox(key=8))
+        shape = (config.n_particles, 3)
+        positions = rng.uniform(config.bounds.lo, config.bounds.hi, size=shape)
+        v0 = schedule(0, config).vmax
+        velocities = rng.uniform(-v0, v0, size=shape)
+        assert swarm.positions.tobytes() == positions.tobytes()
+        assert swarm.velocities.tobytes() == velocities.tobytes()
+        r_dims = 3 if per_dimension else 1
+        assert len(swarm._omega) == len(swarm._vmax) == len(swarm._pulls) == 37
+        for k in range(config.iterations):
+            sched = schedule(k, config)
+            assert swarm._omega[k] == sched.omega
+            assert swarm._vmax[k] == sched.vmax
+            r = rng.uniform(size=(2, config.n_particles, r_dims))
+            # The tables spread a shared draw over the dimensions.
+            for table, expected in zip(swarm._pulls[k], (sched.c1 * r[0], sched.c2 * r[1])):
+                expected = np.broadcast_to(expected, shape)
+                assert table.tobytes() == np.ascontiguousarray(expected).tobytes()
+
+    def test_step_past_the_last_iteration_is_rejected(self):
+        swarm = Swarm(sphere_config(iterations=2), make_objective("sphere", 2))
+        swarm.step()
+        swarm.step()
+        with pytest.raises(ValueError):
+            swarm.step()
+        assert swarm.evaluations == 12
 
 
 class TestParticleView:
