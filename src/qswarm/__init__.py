@@ -7,13 +7,8 @@ from .experiments import (
     BatchError,
     BatchResult,
     BatchSpec,
-    ComparisonRow,
     StatsSummary,
-    compare,
-    log_median,
-    relative_difference_pct,
     run_batch,
-    summarize,
     summarize_records,
 )
 from .objectives import (
@@ -39,7 +34,6 @@ from .surrogate import (
     QuadraticModel,
     SingularMatrixError,
     SurrogateResult,
-    build_design_matrix,
     fit,
     minimize,
     required_points,

@@ -60,12 +60,6 @@ class Archive:
     def size(self) -> int:
         return len(self._values)
 
-    @property
-    def worst(self) -> ArchiveEntry:
-        """The entry that the next improving observation would displace."""
-        i = self._worst_index()
-        return ArchiveEntry(self._values[i], self._positions[i])
-
     def observe(self, x, fx: float) -> bool:
         """Offer one (position, value) observation; returns True if stored.
 
@@ -82,7 +76,8 @@ class Archive:
             if math.dist(point, other) <= DUPLICATE_EPS:
                 return False
         if full:
-            i = self._worst_index()
+            # The earliest observed of the tied worst entries.
+            i = bisect_left(values, values[-1])
             del values[i], self._positions[i], self._points[i]
         i = bisect_right(values, fx)
         values.insert(i, fx)
@@ -106,8 +101,3 @@ class Archive:
     def values(self) -> list[float]:
         """Stored values, best first."""
         return list(self._values)
-
-    def _worst_index(self) -> int:
-        if not self._values:
-            raise EmptyArchiveError("archive is empty")
-        return bisect_left(self._values, self._values[-1])

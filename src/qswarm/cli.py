@@ -91,6 +91,16 @@ def _require(condition: bool, key: str, message: str):
         raise ConfigError(f"invalid value for {key!r}: {message}")
 
 
+# JSON true and false load as bool, a subclass of int; neither is a count or
+# a coefficient.
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def load_config_file(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -130,7 +140,7 @@ def effective_config(file_cfg: dict, overrides: dict) -> dict:
         )
 
     dimension = cfg.get("dimension", 2)
-    _require(isinstance(dimension, int) and dimension >= 1, "dimension", "need an int >= 1")
+    _require(_is_int(dimension) and dimension >= 1, "dimension", "need an int >= 1")
 
     bounds_pairs = cfg.get("bounds")
     if bounds_pairs is None:
@@ -140,6 +150,8 @@ def effective_config(file_cfg: dict, overrides: dict) -> dict:
             bounds = Bounds.from_pairs(bounds_pairs)
         except (ValueError, TypeError) as err:
             raise ConfigError(f"invalid value for 'bounds': {err}") from err
+        numbers = all(_is_number(v) for pair in bounds_pairs for v in pair)
+        _require(numbers, "bounds", "need numbers")
         _require(
             bounds.dimension == dimension,
             "bounds",
@@ -149,16 +161,16 @@ def effective_config(file_cfg: dict, overrides: dict) -> dict:
     particles = cfg.get("particles")
     if particles is None:
         particles = required_points(dimension)
-    _require(isinstance(particles, int) and particles >= 1, "particles", "need an int >= 1")
+    _require(_is_int(particles) and particles >= 1, "particles", "need an int >= 1")
 
     iterations = cfg.get("iterations", _FIELD_DEFAULTS["iterations"])
-    _require(isinstance(iterations, int) and iterations >= 1, "iterations", "need an int >= 1")
+    _require(_is_int(iterations) and iterations >= 1, "iterations", "need an int >= 1")
 
     runs = cfg.get("runs", 1)
-    _require(isinstance(runs, int) and runs >= 1, "runs", "need an int >= 1")
+    _require(_is_int(runs) and runs >= 1, "runs", "need an int >= 1")
 
     seed = cfg.get("seed", 0)
-    _require(isinstance(seed, int), "seed", "need an int")
+    _require(_is_int(seed), "seed", "need an int")
 
     variant = cfg.get("variant", "both")
     _require(variant in VARIANT_CHOICES, "variant", f"must be one of {VARIANT_CHOICES}")
@@ -169,10 +181,10 @@ def effective_config(file_cfg: dict, overrides: dict) -> dict:
         if key == "S":
             continue
         value = params[key]
-        _require(isinstance(value, (int, float)), f"params.{key}", "need a number")
+        _require(_is_number(value), f"params.{key}", "need a number")
         params[key] = float(value)
     _require(
-        isinstance(params["S"], int) and params["S"] >= 1, "params.S", "need an int >= 1"
+        _is_int(params["S"]) and params["S"] >= 1, "params.S", "need an int >= 1"
     )
     _require(params["tau"] > 0, "params.tau", "must be positive")
     _require(params["gamma_floor"] > 0, "params.gamma_floor", "must be positive")
@@ -214,6 +226,7 @@ def resolve_out_dir(out_flag) -> Path:
 
 
 def cmd_run(args) -> int:
+    _require(args.jobs >= 1, "--jobs", "need an int >= 1")
     file_cfg = load_config_file(args.config) if args.config else {}
     overrides = {
         "objective": args.objective,
@@ -286,6 +299,8 @@ def _gate_text(op: str, ratio: float) -> str:
 
 
 def cmd_benchmark(args) -> int:
+    _require(args.runs >= 1, "--runs", "need an int >= 1")
+    _require(args.jobs >= 1, "--jobs", "need an int >= 1")
     out_dir = resolve_out_dir(args.out)
     if args.runs != 400:
         print(f"note: {args.runs} runs per variant (reduced statistical power; reference protocol is 400)")

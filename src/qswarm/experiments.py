@@ -16,7 +16,9 @@ byte-comparable.
 from __future__ import annotations
 
 import csv
+import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -43,7 +45,7 @@ class BatchSpec:
 
     ``params`` holds optional :class:`SwarmConfig` keyword overrides
     (``omega0``, ``c1_0``, ``c2_0``, ``vmax0``, ``lookback``, ``tau``,
-    ``gamma_floor``, ``compound_safeguard``, ``archive_capacity``).
+    ``gamma_floor``, ``archive_capacity``).
     ``bounds=None`` selects the registry default box for the objective.
     """
 
@@ -137,33 +139,28 @@ def summarize_records(records: list[RunRecord]) -> StatsSummary:
 
 def _run_one(args):
     config, objective, timing = args
+    # ``run`` is looked up when called, so a replacement installed on this
+    # module reaches the runs, in forked workers too.
     return run(config, objective, timing)
 
 
 def _execute(configs, objective, timing, jobs):
-    if jobs <= 1 or len(configs) == 1:
+    # A pool starts all its workers at once, so it gets no more than there
+    # are runs or cores. Workers receive (config, objective, timing) pickled,
+    # so custom objectives must be picklable then; registry objectives are.
+    workers = min(jobs, len(configs), os.cpu_count() or 1)
+    tasks = [(config, objective, timing) for config in configs]
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        results = map(_run_one, tasks) if pool is None else pool.map(_run_one, tasks)
         records = []
         for config in configs:
             try:
-                records.append(run(config, objective, timing))
+                records.append(next(results))
             except Exception as err:
                 raise BatchError(
                     f"run failed (seed={config.seed}, variant={config.variant}): {err}"
                 ) from err
-        return records
-    # Workers receive (config, objective, timing) pickled, so custom
-    # objectives must be picklable when jobs > 1; registry objectives are.
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(_run_one, (config, objective, timing)) for config in configs]
-        records = []
-        for config, future in zip(configs, futures):
-            try:
-                records.append(future.result())
-            except Exception as err:
-                raise BatchError(
-                    f"run failed (seed={config.seed}, variant={config.variant}): {err}"
-                ) from err
-        return records
+    return records
 
 
 def run_batch(

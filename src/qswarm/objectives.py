@@ -95,27 +95,19 @@ class Objective:
     """A named minimization problem on a box domain.
 
     ``evaluate`` maps a point in R^n to a scalar and must be deterministic.
-    ``known_minimum``, when present, is a (point, value) pair inside the
-    bounds, used for testing.
+    The box may be any box; it need not hold the minimum.
     """
 
     name: str
     dimension: int
     bounds: Bounds
     evaluate: Callable[[np.ndarray], float]
-    known_minimum: Optional[tuple[np.ndarray, float]] = None
 
     def __post_init__(self):
         if self.dimension < 1:
             raise ValueError("dimension must be >= 1")
         if self.bounds.dimension != self.dimension:
             raise ValueError("bounds dimension does not match objective dimension")
-        if self.known_minimum is not None:
-            point, value = self.known_minimum
-            point = np.asarray(point, dtype=float)
-            if not self.bounds.contains(point):
-                raise ValueError("known minimum lies outside the bounds")
-            object.__setattr__(self, "known_minimum", (point, float(value)))
 
 
 def eval_sphere(x) -> float:
@@ -221,5 +213,4 @@ def make_objective(name: str, dimension: int, bounds: Optional[Bounds] = None) -
         dimension=dimension,
         bounds=bounds,
         evaluate=evaluate,
-        known_minimum=(np.zeros(dimension), 0.0),
     )

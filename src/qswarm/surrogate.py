@@ -25,7 +25,7 @@ from functools import cache
 import numpy as np
 from scipy.linalg import lapack
 
-from .archive import Archive, ArchiveEntry, EmptyArchiveError
+from .archive import Archive, ArchiveEntry
 from .objectives import Bounds, Objective, clip_to_bounds
 
 # Scaled pivot threshold for declaring a matrix singular.
@@ -91,10 +91,6 @@ class QuadraticModel:
     linear: np.ndarray
     quad: np.ndarray
 
-    @property
-    def dimension(self) -> int:
-        return self.linear.size
-
     def __call__(self, x) -> float:
         x = np.asarray(x, dtype=float)
         return float(self.const + self.linear @ x + x @ self.quad @ x)
@@ -105,20 +101,27 @@ class SurrogateResult:
     """Attractor proposed for the swarm, with fallback diagnostics.
 
     ``f_min`` is the actual objective value at ``x_min``, never the surrogate
-    prediction. ``used_fallback`` is true exactly when ``fallback_reason`` is
-    not ``"none"``.
+    prediction.
     """
 
     x_min: np.ndarray
     f_min: float
-    used_fallback: bool
     fallback_reason: str
 
     def __post_init__(self):
         if self.fallback_reason not in FALLBACK_REASONS:
             raise ValueError(f"unknown fallback reason {self.fallback_reason!r}")
-        if self.used_fallback != (self.fallback_reason != FALLBACK_NONE):
-            raise ValueError("used_fallback must mirror fallback_reason")
+
+    @property
+    def used_fallback(self) -> bool:
+        """True unless the surrogate minimizer was accepted."""
+        return self.fallback_reason != FALLBACK_NONE
+
+    @property
+    def evaluated(self) -> bool:
+        """True when the call evaluated the objective once, at its proposal:
+        every call that gets as far as a proposal does, accepted or not."""
+        return self.fallback_reason in (FALLBACK_NONE, FALLBACK_NON_IMPROVING)
 
 
 @cache
@@ -216,7 +219,9 @@ def surrogate_attractor(
     evaluated point is offered back to the archive. The minimizer is accepted
     only when its actual value strictly improves on ``global_best``;
     otherwise, and on any degeneracy, the result falls back to a known best
-    point. Fallbacks are ordinary results, never errors.
+    point. Fallbacks are ordinary results, never errors: an archive holding
+    fewer points than the fit needs, an empty one included, falls back to
+    ``global_best`` as ``too_few_points``.
 
     The proposal (clipped minimizer or degeneracy reason) is a function of
     the stored set and the bounds alone, so it is refit only when the archive
@@ -224,15 +229,12 @@ def surrogate_attractor(
     still evaluates the proposal and offers it to the archive, so results are
     identical to refitting every call. A proposal ``x_min`` is read-only.
     """
-    if archive.size == 0:
-        raise EmptyArchiveError("surrogate_attractor requires a nonempty archive")
     need = required_points(objective.dimension)
     if archive.size < need or archive.size < archive.capacity:
         # Not enough material yet: fall back to the overall best solution.
         return SurrogateResult(
             x_min=np.asarray(global_best.position, dtype=float),
             f_min=float(global_best.value),
-            used_fallback=True,
             fallback_reason=FALLBACK_TOO_FEW_POINTS,
         )
     x_min = _proposal(archive, objective.bounds, need)
@@ -241,9 +243,7 @@ def surrogate_attractor(
     f_min = float(objective.evaluate(x_min))
     archive.observe(x_min, f_min)  # rejects non-finite values itself
     if f_min < global_best.value:
-        return SurrogateResult(
-            x_min=x_min, f_min=f_min, used_fallback=False, fallback_reason=FALLBACK_NONE
-        )
+        return SurrogateResult(x_min=x_min, f_min=f_min, fallback_reason=FALLBACK_NONE)
     return _archive_fallback(archive, FALLBACK_NON_IMPROVING)
 
 
@@ -278,6 +278,5 @@ def _archive_fallback(archive: Archive, reason: str) -> SurrogateResult:
     return SurrogateResult(
         x_min=np.asarray(best.position, dtype=float),
         f_min=float(best.value),
-        used_fallback=True,
         fallback_reason=reason,
     )

@@ -51,14 +51,7 @@ import numpy as np
 
 from .archive import Archive, ArchiveEntry
 from .objectives import Bounds, Objective
-from .surrogate import (
-    FALLBACK_NON_IMPROVING,
-    FALLBACK_NONE,
-    FALLBACK_REASONS,
-    FALLBACK_TOO_FEW_POINTS,
-    required_points,
-    surrogate_attractor,
-)
+from .surrogate import FALLBACK_REASONS, required_points, surrogate_attractor
 
 VARIANT_STANDARD = "standard"
 VARIANT_SURROGATE = "quadratic_surrogate"
@@ -93,7 +86,6 @@ class SwarmConfig:
     gamma_floor: float = 1e-12
     variant: str = VARIANT_STANDARD
     seed: int = 0
-    compound_safeguard: bool = False
     per_dimension_draws: bool = False
     archive_capacity: Optional[int] = None
 
@@ -189,8 +181,13 @@ class Swarm:
     """
 
     def __init__(self, config: SwarmConfig, objective: Objective):
-        if objective.dimension != config.dimension:
-            raise ValueError("objective dimension does not match config dimension")
+        # Particles are clipped to the config box and proposals to the
+        # objective's, so the two must be one box.
+        if not (
+            np.array_equal(config.bounds.lo, objective.bounds.lo)
+            and np.array_equal(config.bounds.hi, objective.bounds.hi)
+        ):
+            raise ValueError("config and objective bounds differ")
         self.config = config
         self.objective = objective
         self.rng = np.random.Generator(np.random.Philox(key=config.seed & _SEED_MASK))
@@ -283,10 +280,7 @@ class Swarm:
             multipliers = _stagnation_multipliers(
                 values, past, config.tau, config.gamma_floor
             )
-            if config.compound_safeguard:
-                self.omega_scale = self.omega_scale * multipliers
-            else:
-                self.omega_scale = np.array(multipliers)
+            self.omega_scale = np.array(multipliers)
 
         # omega_k * scale * v + (c1_k * r1) * (pbest - x) + (c2_k * r2) * (a - x),
         # with the same operations in the same order as the formula.
@@ -311,21 +305,15 @@ class Swarm:
         self.iteration += 1
 
     def _surrogate_attractor(self) -> np.ndarray:
-        # All-nonfinite pathologies can leave the archive empty; treat that
-        # as the have-too-few-points case and keep the run going.
-        if self.archive.size == 0:
-            self.fallback_counts[FALLBACK_TOO_FEW_POINTS] += 1
-            return self.gbest_position
         result = surrogate_attractor(
             self.archive,
             self.objective,
             ArchiveEntry(self.gbest_value, self.gbest_position),
         )
-        # The proposal was evaluated once unless the fit fell back before
-        # proposing. Counting here rather than through a wrapper that refers
-        # back to the swarm keeps the swarm free of reference cycles, so its
-        # per-run tables are freed as soon as the run ends.
-        if result.fallback_reason in (FALLBACK_NONE, FALLBACK_NON_IMPROVING):
+        # Counting here rather than through a wrapper that refers back to the
+        # swarm keeps the swarm free of reference cycles, so its per-run
+        # tables are freed as soon as the run ends.
+        if result.evaluated:
             self.evaluations += 1
         self.fallback_counts[result.fallback_reason] += 1
         if not result.used_fallback:

@@ -59,7 +59,7 @@ class TestObserve:
         for i, v in enumerate(rng.uniform(0, 100, size=500)):
             archive.observe((float(i), -float(i)), v)
             if archive.size == archive.capacity:
-                worst_values.append(archive.worst.value)
+                worst_values.append(archive.sorted_points()[1][-1])
         assert all(b <= a for a, b in zip(worst_values, worst_values[1:]))
 
     def test_capacity_validation(self):
@@ -121,8 +121,6 @@ class TestBest:
             Archive(3).best()
         with pytest.raises(EmptyArchiveError):
             Archive(3).sorted_points()
-        with pytest.raises(EmptyArchiveError):
-            Archive(3).worst
 
 
 class TestSortedPoints:
@@ -167,7 +165,6 @@ class TestTieOrder:
         archive = Archive(3)
         for i, v in enumerate([2.0, 5.0, 5.0]):
             archive.observe((float(i),), v)
-        assert tuple(archive.worst.position) == (1.0,)
         assert archive.observe((3.0,), 1.0)
         points, values = archive.sorted_points()
         assert values == [1.0, 2.0, 5.0]
@@ -243,8 +240,6 @@ class TestAgainstOracle:
             assert values == [e[0] for e in ordered]
             assert [tuple(p) for p in points] == [e[2] for e in ordered]
             assert archive.best() == (ordered[0][0], ordered[0][2])
-            worst = oracle.worst()
-            assert archive.worst == (worst[0], worst[2])
 
 
 class TestEntry:

@@ -67,15 +67,24 @@ class TestEffectiveConfig:
             )
 
     def test_bad_values_name_the_key(self):
-        for key, value in [
-            ("dimension", 0),
-            ("particles", -1),
-            ("iterations", 0),
-            ("runs", 0),
-            ("variant", "mixed"),
+        for key, cfg in [
+            ("dimension", {"dimension": 0}),
+            ("particles", {"particles": -1}),
+            ("iterations", {"iterations": 0}),
+            ("runs", {"runs": 0}),
+            ("variant", {"variant": "mixed"}),
+            # JSON booleans are ints to isinstance, but no count or number.
+            ("dimension", {"dimension": True}),
+            ("particles", {"particles": True}),
+            ("iterations", {"iterations": True}),
+            ("runs", {"runs": True}),
+            ("seed", {"seed": False}),
+            ("bounds", {"bounds": [[True, 5], [2, 5]]}),
+            ("params.S", {"params": {"S": True}}),
+            ("params.tau", {"params": {"tau": True}}),
         ]:
-            with pytest.raises(ConfigError, match=key):
-                effective_config({"objective": "sphere", key: value}, {})
+            with pytest.raises(ConfigError, match=re.escape(key)):
+                effective_config({"objective": "sphere", **cfg}, {})
 
 
 class TestConfigFile:
@@ -145,6 +154,17 @@ class TestRunCommand:
             rows = list(csv.DictReader(handle))
         assert len(rows) == 4  # 2 runs x 2 variants
         assert "Rel.Diff" in capsys.readouterr().out
+
+    def test_box_without_the_origin_runs(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        config = {"objective": "sphere", "bounds": [[2, 5], [2, 5]], "runs": 3, "iterations": 40}
+        path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert run_cli("run", "--config", str(path), "--out", str(out), "--no-timing") == 0
+        with open(out / "runs.csv", newline="") as handle:
+            finals = [float(row["final_value"]) for row in csv.DictReader(handle)]
+        assert len(finals) == 6
+        assert all(value >= 8.0 for value in finals)  # sphere's least value on the box
 
     def test_unknown_objective_exits_2_listing_names(self, tmp_path, capsys):
         code = run_cli("run", "--objective", "rosenbrok", "--out", str(tmp_path / "x"))
@@ -273,6 +293,24 @@ class TestBenchmarkCommand:
         for name, dimension, *_ in BENCHMARK_ROWS:
             for label in ("standard", "qs"):
                 assert (out / f"trace_{name}_{dimension}d_{label}.csv").exists()
+
+
+class TestFlagValidation:
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (("benchmark", "--runs", "0"), "--runs"),
+            (("benchmark", "--jobs", "0"), "--jobs"),
+            (("run", "--objective", "sphere", "--jobs", "0"), "--jobs"),
+        ],
+    )
+    def test_bad_flag_exits_2_before_any_output(self, tmp_path, capsys, argv, flag):
+        out = tmp_path / "out"
+        assert run_cli(*argv, "--out", str(out)) == 2
+        captured = capsys.readouterr()
+        assert flag in captured.err
+        assert captured.out == ""
+        assert not out.exists()
 
 
 class TestDefaults:

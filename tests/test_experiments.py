@@ -1,11 +1,14 @@
 """Batch running, statistics, comparison rows, and CSV artifacts."""
 
 import csv
+import dataclasses
 import math
+import os
 
 import numpy as np
 import pytest
 
+import qswarm.experiments
 from qswarm.experiments import (
     BatchError,
     BatchSpec,
@@ -201,6 +204,73 @@ class TestRunBatch:
             BatchSpec(
                 objective="sphere", dimension=2, n_particles=4, n_runs=1, variants=("x",)
             )
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Pool sizes asked of a stand-in executor that runs every task in this
+    process, so no worker starts; the host reports 4 cores."""
+    sizes = []
+
+    class RecordingExecutor:
+        def __init__(self, max_workers=None):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(qswarm.experiments, "ProcessPoolExecutor", RecordingExecutor)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    return sizes
+
+
+class TestPoolSize:
+    @pytest.mark.parametrize(
+        "jobs,n_runs,expected",
+        [(64, 3, [3]), (64, 6, [4]), (2, 6, [2]), (8, 1, [])],
+    )
+    def test_no_more_workers_than_runs_or_cores(self, pool_sizes, jobs, n_runs, expected):
+        spec = BatchSpec(
+            objective="sphere",
+            dimension=2,
+            n_particles=6,
+            n_runs=n_runs,
+            variants=(VARIANT_STANDARD,),
+            iterations=5,
+            jobs=jobs,
+        )
+        pooled = run_batch(spec, timing=False)[VARIANT_STANDARD].records
+        assert pool_sizes == expected
+        serial = run_batch(dataclasses.replace(spec, jobs=1), timing=False)
+        assert pool_sizes == expected
+        for a, b in zip(pooled, serial[VARIANT_STANDARD].records, strict=True):
+            np.testing.assert_array_equal(a.best_value_trace, b.best_value_trace)
+
+    def test_unknown_core_count_runs_in_process(self, pool_sizes, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        spec = BatchSpec("sphere", 2, 6, 4, variants=(VARIANT_STANDARD,), iterations=5, jobs=4)
+        assert len(run_batch(spec, timing=False)[VARIANT_STANDARD].records) == 4
+        assert pool_sizes == []
+
+    def test_failure_in_the_pool_names_the_seed(self, pool_sizes):
+        def explode(_x):
+            raise RuntimeError("bad objective")
+
+        stub = Objective(
+            name="stub", dimension=2, bounds=Bounds.symmetric(1.0, 2), evaluate=explode
+        )
+        spec = BatchSpec(
+            "stub", 2, 2, 2, variants=(VARIANT_STANDARD,), iterations=2, base_seed=9, jobs=2
+        )
+        with pytest.raises(BatchError, match="seed=9"):
+            run_batch(spec, objective=stub, timing=False)
+        assert pool_sizes == [2]
 
 
 class TestSummaryTraces:

@@ -11,7 +11,6 @@ import pytest
 
 from qswarm.objectives import (
     Bounds,
-    Objective,
     UnknownObjectiveError,
     clip_to_bounds,
     default_bounds,
@@ -221,19 +220,9 @@ class TestRegistry:
         for name in objective_names():
             assert name in message
 
-    def test_known_minimum_inside_bounds(self):
-        obj = make_objective("ackley", 3)
-        point, value = obj.known_minimum
-        assert obj.bounds.contains(point)
-        assert value == 0.0
-        assert obj.evaluate(point) == pytest.approx(0.0, abs=1e-12)
-
-    def test_objective_rejects_minimum_outside_bounds(self):
-        with pytest.raises(ValueError):
-            Objective(
-                name="bad",
-                dimension=1,
-                bounds=Bounds.symmetric(1.0, 1),
-                evaluate=eval_sphere,
-                known_minimum=(np.array([5.0]), 25.0),
-            )
+    def test_box_without_the_origin_is_allowed(self):
+        bounds = Bounds.from_pairs([[2.0, 5.0], [2.0, 5.0]])
+        obj = make_objective("sphere", 2, bounds)
+        assert obj.bounds is bounds
+        assert not bounds.contains(np.zeros(2))
+        assert obj.evaluate(np.array([2.0, 3.0])) == 13.0

@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 from qswarm import surrogate
-from qswarm.archive import Archive, ArchiveEntry, EmptyArchiveError
+from qswarm.archive import Archive, ArchiveEntry
 from qswarm.objectives import Bounds, Objective, clip_to_bounds, make_objective
 from qswarm.surrogate import (
     FALLBACK_NON_IMPROVING,
     FALLBACK_NONE,
+    FALLBACK_REASONS,
     FALLBACK_SINGULAR_QUADRATIC,
     FALLBACK_SINGULAR_SYSTEM,
     FALLBACK_TOO_FEW_POINTS,
@@ -313,10 +314,44 @@ class TestSurrogateAttractor:
             assert isinstance(result, SurrogateResult)
             assert np.all(np.isfinite(result.x_min))
 
-    def test_empty_archive_is_a_precondition_violation(self):
+    def test_empty_archive_falls_back_to_global_best(self):
         objective = make_objective("sphere", 2)
-        with pytest.raises(EmptyArchiveError):
-            surrogate_attractor(Archive(6), objective, ArchiveEntry(0.0, np.zeros(2)))
+        global_best = ArchiveEntry(3.0, np.array([1.0, 1.0]))
+        archive = Archive(6)
+        result = surrogate_attractor(archive, objective, global_best)
+        assert result.fallback_reason == FALLBACK_TOO_FEW_POINTS
+        assert not result.evaluated
+        np.testing.assert_array_equal(result.x_min, global_best.position)
+        assert result.f_min == global_best.value
+        assert archive.size == 0
+
+    def test_evaluated_matches_the_objective_calls(self):
+        rng = np.random.default_rng(77)
+        calls = []
+
+        def counting(x):
+            calls.append(1)
+            return float(x @ x)
+
+        objective = Objective("probe", 2, Bounds.symmetric(10.0, 2), evaluate=counting)
+        seen = set()
+        for trial in range(200):
+            count = int(rng.integers(0, 9))
+            # Collinear layouts make the fit singular; the rest propose.
+            pts = rng.uniform(-5, 5, size=(count, 2)) * (1.0, trial % 3 != 0)
+            archive = archive_from(pts, [p @ p for p in pts], 6)
+            # The sphere fit is exact, so only a negative best rejects it.
+            best = ArchiveEntry(float(rng.uniform(-5, 50)), np.zeros(2))
+            calls.clear()
+            result = surrogate_attractor(archive, objective, best)
+            assert len(calls) == result.evaluated
+            seen.add(result.fallback_reason)
+        assert seen >= {
+            FALLBACK_NONE,
+            FALLBACK_TOO_FEW_POINTS,
+            FALLBACK_SINGULAR_SYSTEM,
+            FALLBACK_NON_IMPROVING,
+        }
 
     def test_out_of_bounds_minimizer_is_clipped_before_evaluation(self):
         # data from a bowl centered outside the box: the proposal lands on
@@ -337,12 +372,13 @@ class TestSurrogateAttractor:
 
 class TestResultValidation:
     def test_flag_must_mirror_reason(self):
+        for reason in FALLBACK_REASONS:
+            result = SurrogateResult(np.zeros(2), 0.0, reason)
+            assert result.used_fallback == (reason != FALLBACK_NONE)
+            proposed = reason in (FALLBACK_NONE, FALLBACK_NON_IMPROVING)
+            assert result.evaluated == proposed
         with pytest.raises(ValueError):
-            SurrogateResult(np.zeros(2), 0.0, True, FALLBACK_NONE)
-        with pytest.raises(ValueError):
-            SurrogateResult(np.zeros(2), 0.0, False, FALLBACK_NON_IMPROVING)
-        with pytest.raises(ValueError):
-            SurrogateResult(np.zeros(2), 0.0, True, "because")
+            SurrogateResult(np.zeros(2), 0.0, "because")
 
 
 class TestProposalMemo:

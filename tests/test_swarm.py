@@ -462,6 +462,20 @@ class TestRun:
         assert calls["count"] == 0
         del objective
 
+    def test_config_box_must_equal_objective_box(self):
+        # Particles are clipped to the config box and proposals to the
+        # objective's, so two different boxes would let a run leave the first.
+        box = Bounds.from_pairs([[2.0, 5.0], [2.0, 5.0]])
+        with pytest.raises(ValueError, match="bounds"):
+            Swarm(sphere_config(bounds=box), make_objective("sphere", 2))
+        # Equal values are enough; the objects need not be the same.
+        objective = make_objective("sphere", 2, Bounds.from_pairs(box.to_pairs()))
+        for seed in range(5):
+            config = sphere_config(
+                bounds=box, variant=VARIANT_SURROGATE, iterations=60, seed=seed
+            )
+            assert box.contains(run(config, objective, timing=False).final_position)
+
     def test_single_iteration_counts(self):
         objective = make_objective("sphere", 2)
         standard = run(
