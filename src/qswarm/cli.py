@@ -32,13 +32,14 @@ from .experiments import (
     compare,
     comparison_table_text,
     run_batch,
+    shared_pool,
     write_comparison_csv,
     write_runs_csv,
     write_trace_csv,
 )
 from .objectives import Bounds, UnknownObjectiveError, default_bounds, objective_names
 from .surrogate import required_points
-from .swarm import VARIANT_STANDARD, VARIANT_SURROGATE, SwarmConfig
+from .swarm import VARIANT_STANDARD, VARIANT_SURROGATE, VARIANTS, SwarmConfig
 
 
 class ConfigError(Exception):
@@ -306,32 +307,34 @@ def cmd_benchmark(args) -> int:
         print(f"note: {args.runs} runs per variant (reduced statistical power; reference protocol is 400)")
     rows = []
     gates = []
-    for name, dimension, particles, limit, op, ratio in BENCHMARK_ROWS:
-        spec = BatchSpec(
-            objective=name,
-            dimension=dimension,
-            n_particles=particles,
-            n_runs=args.runs,
-            bounds=Bounds.symmetric(limit, dimension),
-            iterations=_FIELD_DEFAULTS["iterations"],
-            base_seed=args.seed,
-            jobs=args.jobs,
-        )
-        results = run_batch(spec, timing=not args.no_timing)
-        qs = results[VARIANT_SURROGATE].summary
-        std = results[VARIANT_STANDARD].summary
-        row = compare(qs, std, name, dimension, particles, spec.bounds)
-        rows.append(row)
-        gates.append(_gate_passes(qs.q50, std.q50, op, ratio))
+    # One worker pool for the whole suite; every row runs both variants.
+    with shared_pool(args.jobs, len(VARIANTS) * args.runs):
+        for name, dimension, particles, limit, op, ratio in BENCHMARK_ROWS:
+            spec = BatchSpec(
+                objective=name,
+                dimension=dimension,
+                n_particles=particles,
+                n_runs=args.runs,
+                bounds=Bounds.symmetric(limit, dimension),
+                iterations=_FIELD_DEFAULTS["iterations"],
+                base_seed=args.seed,
+                jobs=args.jobs,
+            )
+            results = run_batch(spec, timing=not args.no_timing)
+            qs = results[VARIANT_SURROGATE].summary
+            std = results[VARIANT_STANDARD].summary
+            row = compare(qs, std, name, dimension, particles, spec.bounds)
+            rows.append(row)
+            gates.append(_gate_passes(qs.q50, std.q50, op, ratio))
 
-        slug = f"{name}_{dimension}d"
-        write_runs_csv(out_dir / f"runs_{slug}.csv", collect_run_rows(spec, results))
-        if args.emit_traces:
-            for variant in spec.variants:
-                label = VARIANT_LABELS[variant]
-                write_trace_csv(
-                    out_dir / f"trace_{slug}_{label}.csv", results[variant].summary
-                )
+            slug = f"{name}_{dimension}d"
+            write_runs_csv(out_dir / f"runs_{slug}.csv", collect_run_rows(spec, results))
+            if args.emit_traces:
+                for variant in spec.variants:
+                    label = VARIANT_LABELS[variant]
+                    write_trace_csv(
+                        out_dir / f"trace_{slug}_{label}.csv", results[variant].summary
+                    )
 
     write_comparison_csv(out_dir / "comparison.csv", rows)
     table = comparison_table_text(rows)

@@ -18,7 +18,7 @@ from __future__ import annotations
 import csv
 import os
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -144,13 +144,50 @@ def _run_one(args):
     return run(config, objective, timing)
 
 
-def _execute(configs, objective, timing, jobs):
+# The pool of the open ``shared_pool`` block, if any.
+_shared = None
+
+
+def _workers(jobs: int, tasks: int) -> int:
     # A pool starts all its workers at once, so it gets no more than there
-    # are runs or cores. Workers receive (config, objective, timing) pickled,
-    # so custom objectives must be picklable then; registry objectives are.
-    workers = min(jobs, len(configs), os.cpu_count() or 1)
+    # are tasks or cores.
+    return min(jobs, tasks, os.cpu_count() or 1)
+
+
+@contextmanager
+def shared_pool(jobs: int, tasks: int):
+    """Run every pooled batch inside the block on one process pool.
+
+    ``tasks`` is the largest number of runs one batch in the block holds.
+    The pool gets ``min(jobs, tasks, cores)`` workers, and none when that is
+    1; it is shut down when the block exits, also on error. Its workers fork
+    at the first batch, so they see whatever the parent replaced before it.
+    """
+    global _shared
+    workers = _workers(jobs, tasks)
+    if workers <= 1:
+        yield
+        return
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        _shared = pool
+        try:
+            yield
+        finally:
+            _shared = None
+
+
+def _execute(configs, objective, timing, jobs):
+    # Workers receive (config, objective, timing) pickled, so custom
+    # objectives must be picklable then; registry objectives are.
+    workers = _workers(jobs, len(configs))
     tasks = [(config, objective, timing) for config in configs]
-    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+    if workers <= 1:
+        context = nullcontext()
+    elif _shared is not None:
+        context = nullcontext(_shared)
+    else:
+        context = ProcessPoolExecutor(max_workers=workers)
+    with context as pool:
         results = map(_run_one, tasks) if pool is None else pool.map(_run_one, tasks)
         records = []
         for config in configs:
@@ -170,27 +207,31 @@ def run_batch(
 
     ``objective`` overrides the registry lookup, e.g. to inject a stub.
     Returns one :class:`BatchResult` per variant, keyed by variant name.
+    Pooled runs of all variants share one process pool: the one of an open
+    :func:`shared_pool` block, else a pool of this call's own.
     """
     if objective is None:
         objective = make_objective(spec.objective, spec.dimension, spec.bounds)
     if objective.dimension != spec.dimension:
         raise ValueError("objective dimension does not match batch spec")
+    configs = [
+        SwarmConfig(
+            dimension=spec.dimension,
+            n_particles=spec.n_particles,
+            bounds=objective.bounds,
+            iterations=spec.iterations,
+            variant=variant,
+            seed=spec.base_seed ^ j,
+            **spec.params,
+        )
+        for variant in spec.variants
+        for j in range(spec.n_runs)
+    ]
+    records = _execute(configs, objective, timing, spec.jobs)
     results: dict[str, BatchResult] = {}
-    for variant in spec.variants:
-        configs = [
-            SwarmConfig(
-                dimension=spec.dimension,
-                n_particles=spec.n_particles,
-                bounds=objective.bounds,
-                iterations=spec.iterations,
-                variant=variant,
-                seed=spec.base_seed ^ j,
-                **spec.params,
-            )
-            for j in range(spec.n_runs)
-        ]
-        records = _execute(configs, objective, timing, spec.jobs)
-        results[variant] = BatchResult(records=records, summary=summarize_records(records))
+    for k, variant in enumerate(spec.variants):
+        chunk = records[k * spec.n_runs : (k + 1) * spec.n_runs]
+        results[variant] = BatchResult(records=chunk, summary=summarize_records(chunk))
     return results
 
 

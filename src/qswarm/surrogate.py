@@ -14,6 +14,9 @@ Linear systems are solved by dense LU factorization with partial pivoting
 (LAPACK ``getrf``/``getrs``). Singularity is declared deterministically: the
 solve fails when any pivot magnitude drops below ``PIVOT_RTOL`` times the
 largest absolute entry of the matrix. No explicit inverse is ever formed.
+SciPy, which supplies the LAPACK routines, is imported when the first
+system is factorized, so importing the package, and any run of the standard
+variant, never loads it.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .archive import Archive, ArchiveEntry
 from .objectives import Bounds, Objective, clip_to_bounds
@@ -50,6 +52,14 @@ class SingularMatrixError(ArithmeticError):
     """A pivot of the LU factorization fell below the scaled threshold."""
 
 
+@cache
+def _lapack():
+    """(dgetrf, dgetrs), importing scipy.linalg on the first call."""
+    from scipy.linalg import lapack
+
+    return lapack.dgetrf, lapack.dgetrs
+
+
 def solve_pivoted(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve ``matrix @ x = rhs`` by partially pivoted LU.
 
@@ -61,12 +71,13 @@ def solve_pivoted(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     scale = float(np.abs(a).max()) if a.size else 0.0
     if scale == 0.0 or not math.isfinite(scale):
         raise SingularMatrixError("matrix is zero or non-finite")
-    lu, piv, info = lapack.dgetrf(a, overwrite_a=True)
+    dgetrf, dgetrs = _lapack()
+    lu, piv, info = dgetrf(a, overwrite_a=True)
     if info < 0:
         raise ValueError(f"illegal value in LU factorization argument {-info}")
     if info > 0 or np.abs(lu.diagonal()).min() < PIVOT_RTOL * scale:
         raise SingularMatrixError("pivot below threshold; system is singular")
-    x, info = lapack.dgetrs(lu, piv, np.asarray(rhs, dtype=float))
+    x, info = dgetrs(lu, piv, np.asarray(rhs, dtype=float))
     if info != 0:
         raise ValueError(f"illegal value in triangular solve argument {-info}")
     return x

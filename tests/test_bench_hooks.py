@@ -5,6 +5,8 @@ the package, so a rename there shows up only as a failed benchmark run.
 """
 
 import importlib.util
+import inspect
+import os
 from pathlib import Path
 
 import qswarm
@@ -45,3 +47,42 @@ def test_names_the_benchmark_driver_uses_exist():
         (qswarm.experiments, "RUNS_HEADER"),
     ]:
         assert hasattr(module, attr), f"{module.__name__}.{attr}"
+
+
+def test_run_batch_keeps_the_signature_the_benchmark_wraps():
+    # perfbench replaces qswarm.cli.run_batch with a wrapper of this
+    # signature that passes all three arguments on by position.
+    params = inspect.signature(qswarm.cli.run_batch).parameters.values()
+    assert [(p.name, p.kind, p.default) for p in params] == [
+        ("spec", inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.empty),
+        ("objective", inspect.Parameter.POSITIONAL_OR_KEYWORD, None),
+        ("timing", inspect.Parameter.POSITIONAL_OR_KEYWORD, True),
+    ]
+
+
+def test_a_run_replaced_before_main_reaches_every_pooled_run(tmp_path, monkeypatch):
+    """perfbench installs its traced ``run`` and ``run_batch`` and then calls
+    ``cli.main``; the pool workers must fork after that. One real pool of 2
+    workers serves the whole invocation."""
+    real_run, real_batch = qswarm.experiments.run, qswarm.cli.run_batch
+    records = []
+
+    def tagged_run(config, objective, timing=True):
+        record = real_run(config, objective, timing)
+        record.worker_pid = os.getpid()
+        return record
+
+    def recording_batch(spec, objective=None, timing=True):
+        results = real_batch(spec, objective, timing)
+        records.extend(r for result in results.values() for r in result.records)
+        return results
+
+    monkeypatch.setattr(qswarm.experiments, "run", tagged_run)
+    monkeypatch.setattr(qswarm.cli, "run_batch", recording_batch)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    argv = ["benchmark", "--runs", "1", "--jobs", "2", "--no-timing", "--out", str(tmp_path)]
+    assert qswarm.cli.main(argv) == 0
+    assert len(records) == 2 * len(qswarm.cli.BENCHMARK_ROWS)
+    pids = {vars(record).get("worker_pid") for record in records}
+    assert None not in pids and os.getpid() not in pids
+    assert len(pids) <= 2

@@ -8,6 +8,7 @@ import os
 import numpy as np
 import pytest
 
+import qswarm.cli
 import qswarm.experiments
 from qswarm.experiments import (
     BatchError,
@@ -271,6 +272,57 @@ class TestPoolSize:
         with pytest.raises(BatchError, match="seed=9"):
             run_batch(spec, objective=stub, timing=False)
         assert pool_sizes == [2]
+
+
+    def test_both_variants_share_one_pool(self, pool_sizes):
+        spec = BatchSpec("sphere", 2, 6, 3, iterations=5, jobs=8)
+        results = run_batch(spec, timing=False)
+        assert pool_sizes == [4]  # six runs, four cores
+        assert [len(result.records) for result in results.values()] == [3, 3]
+
+    @pytest.mark.parametrize(
+        "jobs,runs,expected", [(2, 2, [2]), (64, 1, [2]), (64, 2, [4]), (1, 2, [])]
+    )
+    def test_benchmark_invocation_asks_for_one_pool(
+        self, pool_sizes, tmp_path, jobs, runs, expected
+    ):
+        argv = ["benchmark", "--runs", str(runs), "--jobs", str(jobs), "--no-timing"]
+        assert qswarm.cli.main([*argv, "--out", str(tmp_path)]) == 0
+        assert pool_sizes == expected
+
+
+# Set at import, so a forked pool worker sees its parent's pid here.
+_TEST_PID = os.getpid()
+
+
+def _exit_in_worker(config, objective, timing=True):
+    """Stand-in for ``run`` that kills the pool worker executing it."""
+    if os.getpid() == _TEST_PID:
+        raise RuntimeError("expected to run in a pool worker")
+    os._exit(3)
+
+
+class TestWorkerDeath:
+    """A worker process that dies fails the batch; nothing hangs. Each case
+    starts one real pool of 2 workers."""
+
+    @pytest.fixture(autouse=True)
+    def dying_workers(self, monkeypatch):
+        monkeypatch.setattr(qswarm.experiments, "run", _exit_in_worker)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+
+    def test_batch_error_names_a_seed(self):
+        spec = BatchSpec(
+            "sphere", 2, 6, 2, variants=(VARIANT_STANDARD,), iterations=5, base_seed=9, jobs=2
+        )
+        with pytest.raises(BatchError, match=r"seed=(9|8)\b"):
+            run_batch(spec, timing=False)
+
+    def test_benchmark_exits_1_with_an_error_line(self, tmp_path, capsys):
+        argv = ["benchmark", "--runs", "1", "--jobs", "2", "--no-timing", "--out", str(tmp_path)]
+        assert qswarm.cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: run failed (seed=0, ")
 
 
 class TestSummaryTraces:

@@ -1,6 +1,10 @@
 """Quadratic fitting, analytic minimization, and the attractor policy."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +12,7 @@ import pytest
 from qswarm import surrogate
 from qswarm.archive import Archive, ArchiveEntry
 from qswarm.objectives import Bounds, Objective, clip_to_bounds, make_objective
+from qswarm.swarm import VARIANT_STANDARD, VARIANT_SURROGATE
 from qswarm.surrogate import (
     FALLBACK_NON_IMPROVING,
     FALLBACK_NONE,
@@ -87,6 +92,37 @@ class TestDesignMatrix:
     def test_wrong_point_count_is_an_error(self):
         with pytest.raises(ValueError):
             build_design_matrix([[0.0, 0.0], [1.0, 1.0]])
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+SCIPY_PROBE = """
+import sys
+import qswarm.cli
+from qswarm import VARIANT_STANDARD, VARIANT_SURROGATE, SwarmConfig, make_objective, run
+print("import", "scipy" in sys.modules)
+objective = make_objective("sphere", 2)
+for variant in (VARIANT_STANDARD, VARIANT_SURROGATE):
+    config = SwarmConfig(
+        dimension=2, n_particles=6, bounds=objective.bounds, iterations=20, variant=variant
+    )
+    run(config, objective)
+    print(variant, "scipy" in sys.modules)
+"""
+
+
+def test_scipy_loads_at_the_first_surrogate_fit():
+    # A fresh interpreter: this one has long loaded scipy through other tests.
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    out = subprocess.run(
+        [sys.executable, "-c", SCIPY_PROBE], capture_output=True, text=True, env=env, check=True
+    ).stdout
+    assert out.split() == [
+        "import", "False",
+        VARIANT_STANDARD, "False",
+        VARIANT_SURROGATE, "True",
+    ]
 
 
 class TestSolvePivoted:
