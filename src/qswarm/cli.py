@@ -39,7 +39,7 @@ from .experiments import (
 )
 from .objectives import Bounds, UnknownObjectiveError, default_bounds, objective_names
 from .surrogate import required_points
-from .swarm import VARIANT_STANDARD, VARIANT_SURROGATE, VARIANTS, SwarmConfig
+from .swarm import VARIANT_STANDARD, VARIANT_SURROGATE, SwarmConfig
 
 
 class ConfigError(Exception):
@@ -307,8 +307,8 @@ def cmd_benchmark(args) -> int:
         print(f"note: {args.runs} runs per variant (reduced statistical power; reference protocol is 400)")
     rows = []
     gates = []
-    # One worker pool for the whole suite; every row runs both variants.
-    with shared_pool(args.jobs, len(VARIANTS) * args.runs):
+    # Every row asks for the same number of workers, so one pool runs the suite.
+    with shared_pool():
         for name, dimension, particles, limit, op, ratio in BENCHMARK_ROWS:
             spec = BatchSpec(
                 objective=name,

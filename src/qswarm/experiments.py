@@ -18,7 +18,8 @@ from __future__ import annotations
 import csv
 import os
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager, nullcontext
+from concurrent.futures.process import BrokenProcessPool
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -144,8 +145,8 @@ def _run_one(args):
     return run(config, objective, timing)
 
 
-# The pool of the open ``shared_pool`` block, if any.
-_shared = None
+# The pools of the open ``shared_pool`` block by worker count; None outside.
+_pools: Optional[dict[int, ProcessPoolExecutor]] = None
 
 
 def _workers(jobs: int, tasks: int) -> int:
@@ -155,25 +156,27 @@ def _workers(jobs: int, tasks: int) -> int:
 
 
 @contextmanager
-def shared_pool(jobs: int, tasks: int):
-    """Run every pooled batch inside the block on one process pool.
+def shared_pool():
+    """Let the pooled batches inside the block share their process pools.
 
-    ``tasks`` is the largest number of runs one batch in the block holds.
-    The pool gets ``min(jobs, tasks, cores)`` workers, and none when that is
-    1; it is shut down when the block exits, also on error. Its workers fork
-    at the first batch, so they see whatever the parent replaced before it.
+    A batch that needs more than one worker uses the block's pool of that
+    many workers, opening it if no earlier batch did, so batches of one size
+    all run on one pool. The pools are shut down when the block exits, also
+    on error. A block opened inside another one adds nothing: the outer
+    block keeps the pools. Workers fork at the first batch that needs them,
+    so they see whatever the parent replaced before it.
     """
-    global _shared
-    workers = _workers(jobs, tasks)
-    if workers <= 1:
+    global _pools
+    if _pools is not None:
         yield
         return
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        _shared = pool
-        try:
-            yield
-        finally:
-            _shared = None
+    _pools = {}
+    try:
+        yield
+    finally:
+        pools, _pools = _pools, None
+        for pool in pools.values():
+            pool.shutdown()
 
 
 def _execute(configs, objective, timing, jobs):
@@ -181,22 +184,24 @@ def _execute(configs, objective, timing, jobs):
     # objectives must be picklable then; registry objectives are.
     workers = _workers(jobs, len(configs))
     tasks = [(config, objective, timing) for config in configs]
-    if workers <= 1:
-        context = nullcontext()
-    elif _shared is not None:
-        context = nullcontext(_shared)
-    else:
-        context = ProcessPoolExecutor(max_workers=workers)
-    with context as pool:
-        results = map(_run_one, tasks) if pool is None else pool.map(_run_one, tasks)
+    with shared_pool():
+        if workers > 1 and workers not in _pools:
+            _pools[workers] = ProcessPoolExecutor(max_workers=workers)
+        pool = _pools.get(workers)
         records = []
-        for config in configs:
-            try:
-                records.append(next(results))
-            except Exception as err:
-                raise BatchError(
-                    f"run failed (seed={config.seed}, variant={config.variant}): {err}"
-                ) from err
+        try:
+            for record in map(_run_one, tasks) if pool is None else pool.map(_run_one, tasks):
+                records.append(record)
+        except Exception as err:
+            if isinstance(err, BrokenProcessPool):
+                # A worker died and took the pool with it; a later batch of
+                # the block opens a new one.
+                del _pools[workers]
+                pool.shutdown()
+            config = configs[len(records)]
+            raise BatchError(
+                f"run failed (seed={config.seed}, variant={config.variant}): {err}"
+            ) from err
     return records
 
 
@@ -207,8 +212,8 @@ def run_batch(
 
     ``objective`` overrides the registry lookup, e.g. to inject a stub.
     Returns one :class:`BatchResult` per variant, keyed by variant name.
-    Pooled runs of all variants share one process pool: the one of an open
-    :func:`shared_pool` block, else a pool of this call's own.
+    Pooled runs of all variants share one process pool, which an enclosing
+    :func:`shared_pool` block keeps open for later batches.
     """
     if objective is None:
         objective = make_objective(spec.objective, spec.dimension, spec.bounds)

@@ -14,9 +14,10 @@ Linear systems are solved by dense LU factorization with partial pivoting
 (LAPACK ``getrf``/``getrs``). Singularity is declared deterministically: the
 solve fails when any pivot magnitude drops below ``PIVOT_RTOL`` times the
 largest absolute entry of the matrix. No explicit inverse is ever formed.
-SciPy, which supplies the LAPACK routines, is imported when the first
-system is factorized, so importing the package, and any run of the standard
-variant, never loads it.
+SciPy, which supplies the LAPACK routines, is imported by
+:func:`load_lapack` on first use: a surrogate run calls it before its clock
+starts, so importing the package, and any run of the standard variant, never
+loads it.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ class SingularMatrixError(ArithmeticError):
 
 
 @cache
-def _lapack():
+def load_lapack():
     """(dgetrf, dgetrs), importing scipy.linalg on the first call."""
     from scipy.linalg import lapack
 
@@ -71,7 +72,7 @@ def solve_pivoted(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     scale = float(np.abs(a).max()) if a.size else 0.0
     if scale == 0.0 or not math.isfinite(scale):
         raise SingularMatrixError("matrix is zero or non-finite")
-    dgetrf, dgetrs = _lapack()
+    dgetrf, dgetrs = load_lapack()
     lu, piv, info = dgetrf(a, overwrite_a=True)
     if info < 0:
         raise ValueError(f"illegal value in LU factorization argument {-info}")

@@ -19,6 +19,7 @@ from qswarm.experiments import (
     log_median,
     relative_difference_pct,
     run_batch,
+    shared_pool,
     summarize,
     summarize_records,
     write_comparison_csv,
@@ -210,18 +211,19 @@ class TestRunBatch:
 @pytest.fixture
 def pool_sizes(monkeypatch):
     """Pool sizes asked of a stand-in executor that runs every task in this
-    process, so no worker starts; the host reports 4 cores."""
+    process, so no worker starts; the host reports 4 cores. The stand-in
+    class lists the sizes of the pools shut down in ``shut``."""
     sizes = []
 
     class RecordingExecutor:
+        shut = []
+
         def __init__(self, max_workers=None):
             sizes.append(max_workers)
+            self.max_workers = max_workers
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
+        def shutdown(self):
+            self.shut.append(self.max_workers)
 
         def map(self, fn, *iterables):
             return map(fn, *iterables)
@@ -274,6 +276,28 @@ class TestPoolSize:
         assert pool_sizes == [2]
 
 
+    def test_a_block_keeps_one_pool_per_size_until_it_exits(self, pool_sizes):
+        spec = BatchSpec("sphere", 2, 6, 3, variants=(VARIANT_STANDARD,), iterations=5)
+        shut = qswarm.experiments.ProcessPoolExecutor.shut
+        with shared_pool():
+            for jobs in (2, 8, 2):
+                run_batch(dataclasses.replace(spec, jobs=jobs), timing=False)
+            with shared_pool():
+                run_batch(dataclasses.replace(spec, jobs=2), timing=False)
+            run_batch(dataclasses.replace(spec, jobs=8), timing=False)
+            assert shut == []
+        assert pool_sizes == [2, 3]  # three runs: jobs=8 gets three workers
+        assert sorted(shut) == [2, 3]
+
+    def test_a_block_shuts_its_pools_down_on_error(self, pool_sizes):
+        spec = BatchSpec("sphere", 2, 6, 3, variants=(VARIANT_STANDARD,), iterations=5, jobs=2)
+        with pytest.raises(KeyError), shared_pool():
+            run_batch(spec, timing=False)
+            raise KeyError("after the batch")
+        assert qswarm.experiments.ProcessPoolExecutor.shut == [2]
+        run_batch(spec, timing=False)
+        assert pool_sizes == [2, 2]
+
     def test_both_variants_share_one_pool(self, pool_sizes):
         spec = BatchSpec("sphere", 2, 6, 3, iterations=5, jobs=8)
         results = run_batch(spec, timing=False)
@@ -304,7 +328,7 @@ def _exit_in_worker(config, objective, timing=True):
 
 class TestWorkerDeath:
     """A worker process that dies fails the batch; nothing hangs. Each case
-    starts one real pool of 2 workers."""
+    starts real pools of 2 workers, one at a time."""
 
     @pytest.fixture(autouse=True)
     def dying_workers(self, monkeypatch):
@@ -317,6 +341,15 @@ class TestWorkerDeath:
         )
         with pytest.raises(BatchError, match=r"seed=(9|8)\b"):
             run_batch(spec, timing=False)
+
+    def test_a_block_replaces_a_broken_pool(self, monkeypatch):
+        spec = BatchSpec("sphere", 2, 6, 2, variants=(VARIANT_STANDARD,), iterations=5, jobs=2)
+        with shared_pool():
+            with pytest.raises(BatchError, match=r"seed=(0|1)\b"):
+                run_batch(spec, timing=False)
+            monkeypatch.setattr(qswarm.experiments, "run", qswarm.swarm.run)
+            records = run_batch(spec, timing=False)[VARIANT_STANDARD].records
+        assert len(records) == 2
 
     def test_benchmark_exits_1_with_an_error_line(self, tmp_path, capsys):
         argv = ["benchmark", "--runs", "1", "--jobs", "2", "--no-timing", "--out", str(tmp_path)]

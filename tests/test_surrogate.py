@@ -111,18 +111,51 @@ for variant in (VARIANT_STANDARD, VARIANT_SURROGATE):
 """
 
 
-def test_scipy_loads_at_the_first_surrogate_fit():
-    # A fresh interpreter: this one has long loaded scipy through other tests.
+def _fresh_python(code: str) -> list[str]:
+    """Words a fresh interpreter prints; this one has long loaded scipy
+    through other tests."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
-    out = subprocess.run(
-        [sys.executable, "-c", SCIPY_PROBE], capture_output=True, text=True, env=env, check=True
-    ).stdout
-    assert out.split() == [
+    return subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    ).stdout.split()
+
+
+def test_scipy_loads_at_the_first_surrogate_fit():
+    assert _fresh_python(SCIPY_PROBE) == [
         "import", "False",
         VARIANT_STANDARD, "False",
         VARIANT_SURROGATE, "True",
     ]
+
+
+FIRST_RUN_PROBE = """
+import sys, time, types
+import qswarm.swarm
+from qswarm import VARIANT_SURROGATE, SwarmConfig, make_objective, run
+
+def watched_clock():
+    print("clock", "scipy" in sys.modules)
+    return time.perf_counter()
+
+qswarm.swarm.time = types.SimpleNamespace(perf_counter=watched_clock)
+objective = make_objective("ackley", 2)
+config = SwarmConfig(
+    dimension=2, n_particles=20, bounds=objective.bounds, variant=VARIANT_SURROGATE
+)
+first = run(config, objective).wall_time
+second = run(config, objective).wall_time
+print("walls", first, second)
+"""
+
+
+def test_first_timed_surrogate_run_does_not_time_the_scipy_import():
+    words = _fresh_python(FIRST_RUN_PROBE)
+    # Each timed run reads the clock twice; scipy is in place at the first read.
+    assert words[:8] == ["clock", "True"] * 4
+    first, second = (float(w) for w in words[9:])
+    # The import takes some 0.3 s; a run of this size some 0.05 s.
+    assert first < 2 * second + 0.1
 
 
 class TestSolvePivoted:
