@@ -28,7 +28,6 @@ from pathlib import Path
 
 from .experiments import (
     BatchSpec,
-    collect_run_rows,
     compare,
     comparison_table_text,
     run_batch,
@@ -226,6 +225,16 @@ def resolve_out_dir(out_flag) -> Path:
     return path
 
 
+def _write_batch(out_dir: Path, spec: BatchSpec, results, suffix: str = "", traces: bool = True):
+    """Write ``runs<suffix>.csv`` and, with ``traces``, one
+    ``trace<suffix>_<label>.csv`` per variant."""
+    write_runs_csv(out_dir / f"runs{suffix}.csv", spec, results)
+    if traces:
+        for variant in spec.variants:
+            label = VARIANT_LABELS[variant]
+            write_trace_csv(out_dir / f"trace{suffix}_{label}.csv", results[variant].summary)
+
+
 def cmd_run(args) -> int:
     _require(args.jobs >= 1, "--jobs", "need an int >= 1")
     file_cfg = load_config_file(args.config) if args.config else {}
@@ -259,10 +268,7 @@ def cmd_run(args) -> int:
     )
     results = run_batch(spec, timing=not args.no_timing)
 
-    write_runs_csv(out_dir / "runs.csv", collect_run_rows(spec, results))
-    for variant in spec.variants:
-        label = VARIANT_LABELS[variant]
-        write_trace_csv(out_dir / f"trace_{label}.csv", results[variant].summary)
+    _write_batch(out_dir, spec, results)
 
     for variant in spec.variants:
         summary = results[variant].summary
@@ -272,14 +278,7 @@ def cmd_run(args) -> int:
             f"log_median={summary.log_median:.6e}"
         )
     if len(spec.variants) == 2:
-        row = compare(
-            results[VARIANT_SURROGATE].summary,
-            results[VARIANT_STANDARD].summary,
-            cfg["objective"],
-            cfg["dimension"],
-            cfg["particles"],
-            spec.bounds,
-        )
+        row = compare(spec, results)
         write_comparison_csv(out_dir / "comparison.csv", [row])
         print()
         print(comparison_table_text([row]), end="")
@@ -306,10 +305,9 @@ def cmd_benchmark(args) -> int:
     if args.runs != 400:
         print(f"note: {args.runs} runs per variant (reduced statistical power; reference protocol is 400)")
     rows = []
-    gates = []
     # Every row asks for the same number of workers, so one pool runs the suite.
     with shared_pool():
-        for name, dimension, particles, limit, op, ratio in BENCHMARK_ROWS:
+        for name, dimension, particles, limit, *_ in BENCHMARK_ROWS:
             spec = BatchSpec(
                 objective=name,
                 dimension=dimension,
@@ -321,28 +319,16 @@ def cmd_benchmark(args) -> int:
                 jobs=args.jobs,
             )
             results = run_batch(spec, timing=not args.no_timing)
-            qs = results[VARIANT_SURROGATE].summary
-            std = results[VARIANT_STANDARD].summary
-            row = compare(qs, std, name, dimension, particles, spec.bounds)
-            rows.append(row)
-            gates.append(_gate_passes(qs.q50, std.q50, op, ratio))
-
-            slug = f"{name}_{dimension}d"
-            write_runs_csv(out_dir / f"runs_{slug}.csv", collect_run_rows(spec, results))
-            if args.emit_traces:
-                for variant in spec.variants:
-                    label = VARIANT_LABELS[variant]
-                    write_trace_csv(
-                        out_dir / f"trace_{slug}_{label}.csv", results[variant].summary
-                    )
+            rows.append(compare(spec, results))
+            _write_batch(out_dir, spec, results, f"_{name}_{dimension}d", args.emit_traces)
 
     write_comparison_csv(out_dir / "comparison.csv", rows)
     table = comparison_table_text(rows)
     with open(out_dir / "comparison.txt", "w", encoding="utf-8") as handle:
         handle.write(table)
     print(table)
-    for (name, dimension, _, _, op, ratio), row, passed in zip(BENCHMARK_ROWS, rows, gates):
-        verdict = "PASS" if passed else "FAIL"
+    for (name, dimension, _, _, op, ratio), row in zip(BENCHMARK_ROWS, rows):
+        verdict = "PASS" if _gate_passes(row.median_qs, row.median_std, op, ratio) else "FAIL"
         print(
             f"{verdict}: {name} {dimension}D: {_gate_text(op, ratio)} "
             f"[median qs={row.median_qs:.3e}, std={row.median_std:.3e}]"

@@ -20,12 +20,12 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 from typing import Optional
 
 import numpy as np
 
-from .objectives import Bounds, Objective, make_objective
+from .objectives import Bounds, Objective, default_bounds, make_objective
 from .swarm import (
     VARIANT_STANDARD,
     VARIANT_SURROGATE,
@@ -245,19 +245,22 @@ def run_batch(
 
 @dataclass(eq=False)
 class ComparisonRow:
-    """One line of the two-variant comparison table."""
+    """One line of the two-variant comparison table.
+
+    The fields are the columns of ``comparison.csv``, in order.
+    """
 
     objective: str
     dimension: int
-    n_particles: int
-    bounds_text: str
+    particles: int
+    bounds: str
     mean_qs: float
     mean_std: float
     rel_diff_pct: Optional[float]
     median_qs: float
     median_std: float
-    time_qs: float
-    time_std: float
+    time_qs_s: float
+    time_std_s: float
     time_rel_diff_pct: Optional[float]
     iqr_qs: str
     iqr_std: str
@@ -277,27 +280,25 @@ def _iqr_text(summary: StatsSummary) -> str:
     return f"({summary.q25:.3e})-({summary.q75:.3e})"
 
 
-def compare(
-    qs: StatsSummary,
-    std: StatsSummary,
-    objective: str,
-    dimension: int,
-    n_particles: int,
-    bounds: Bounds,
-) -> ComparisonRow:
-    """Build the comparison row for two summaries of an identical spec."""
+def compare(spec: BatchSpec, results: dict[str, BatchResult]) -> ComparisonRow:
+    """Build the comparison row of a batch that ran both variants."""
+    qs = results[VARIANT_SURROGATE].summary
+    std = results[VARIANT_STANDARD].summary
+    bounds = spec.bounds
+    if bounds is None:
+        bounds = default_bounds(spec.objective, spec.dimension)
     return ComparisonRow(
-        objective=objective,
-        dimension=dimension,
-        n_particles=n_particles,
-        bounds_text=str(bounds.to_pairs()),
+        objective=spec.objective,
+        dimension=spec.dimension,
+        particles=spec.n_particles,
+        bounds=str(bounds.to_pairs()),
         mean_qs=qs.mean,
         mean_std=std.mean,
         rel_diff_pct=relative_difference_pct(qs.mean, std.mean),
         median_qs=qs.q50,
         median_std=std.q50,
-        time_qs=qs.mean_wall_time,
-        time_std=std.mean_wall_time,
+        time_qs_s=qs.mean_wall_time,
+        time_std_s=std.mean_wall_time,
         time_rel_diff_pct=relative_difference_pct(qs.mean_wall_time, std.mean_wall_time),
         iqr_qs=_iqr_text(qs),
         iqr_std=_iqr_text(std),
@@ -318,100 +319,44 @@ RUNS_HEADER = (
     "wall_time_s",
 )
 
-COMPARISON_HEADER = (
-    "objective",
-    "dimension",
-    "particles",
-    "bounds",
-    "mean_qs",
-    "mean_std",
-    "rel_diff_pct",
-    "median_qs",
-    "median_std",
-    "time_qs_s",
-    "time_std_s",
-    "time_rel_diff_pct",
-    "iqr_qs",
-    "iqr_std",
-)
+COMPARISON_HEADER = tuple(f.name for f in fields(ComparisonRow))
 
 
-def _fmt(x: float) -> str:
-    # 17 significant digits round-trips doubles exactly.
-    return format(float(x), ".17e")
+def _cell(value):
+    if value is None:
+        return UNDEFINED
+    if isinstance(value, float):
+        # 17 significant digits round-trips doubles exactly.
+        return format(float(value), ".17e")
+    return value
 
 
-def _fmt_opt(x: Optional[float]) -> str:
-    return UNDEFINED if x is None else _fmt(x)
-
-
-def _open_csv(path):
-    return open(path, "w", newline="", encoding="utf-8")
-
-
-def collect_run_rows(spec: BatchSpec, results: dict[str, BatchResult]) -> list[tuple]:
-    """Flatten batch results into runs.csv rows, variant-major."""
-    rows = []
-    for variant in spec.variants:
-        for j, record in enumerate(results[variant].records):
-            rows.append(
-                (
-                    j,
-                    spec.base_seed ^ j,
-                    variant,
-                    spec.objective,
-                    record.final_value,
-                    record.evaluations,
-                    record.wall_time,
-                )
-            )
-    return rows
-
-
-def write_runs_csv(path, rows):
-    with _open_csv(path) as handle:
+def _write_csv(path, header, rows):
+    """Write the header and rows; floats as 17-digit text, None as undefined."""
+    with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(RUNS_HEADER)
-        for run_index, seed, variant, objective, final_value, evaluations, wall in rows:
-            writer.writerow(
-                (run_index, seed, variant, objective, _fmt(final_value), evaluations, _fmt(wall))
-            )
+        writer.writerow(header)
+        writer.writerows([_cell(value) for value in row] for row in rows)
+
+
+def write_runs_csv(path, spec: BatchSpec, results: dict[str, BatchResult]):
+    """One row per run, variant-major; run ``j`` has seed ``base_seed ^ j``."""
+    rows = (
+        (j, spec.base_seed ^ j, variant, spec.objective, r.final_value, r.evaluations, r.wall_time)
+        for variant in spec.variants
+        for j, r in enumerate(results[variant].records)
+    )
+    _write_csv(path, RUNS_HEADER, rows)
 
 
 def write_trace_csv(path, summary: StatsSummary):
     """Per-iteration mean and interquartile band of the best-value traces."""
-    with _open_csv(path) as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(("iteration", "mean", "q25", "q75"))
-        for k in range(summary.mean_trace.size):
-            writer.writerow(
-                (k, _fmt(summary.mean_trace[k]), _fmt(summary.q25_trace[k]), _fmt(summary.q75_trace[k]))
-            )
+    traces = (summary.mean_trace, summary.q25_trace, summary.q75_trace)
+    _write_csv(path, ("iteration", "mean", "q25", "q75"), zip(range(summary.mean_trace.size), *traces))
 
 
 def write_comparison_csv(path, rows: list[ComparisonRow]):
-    with _open_csv(path) as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(COMPARISON_HEADER)
-        for row in rows:
-            writer.writerow(
-                (
-                    row.objective,
-                    row.dimension,
-                    row.n_particles,
-                    row.bounds_text,
-                    _fmt(row.mean_qs),
-                    _fmt(row.mean_std),
-                    _fmt_opt(row.rel_diff_pct),
-                    _fmt(row.median_qs),
-                    _fmt(row.median_std),
-                    _fmt(row.time_qs),
-                    _fmt(row.time_std),
-                    _fmt_opt(row.time_rel_diff_pct),
-                    row.iqr_qs,
-                    row.iqr_std,
-                )
-            )
+    _write_csv(path, COMPARISON_HEADER, map(astuple, rows))
 
 
 def comparison_table_text(rows: list[ComparisonRow]) -> str:
@@ -440,13 +385,13 @@ def comparison_table_text(rows: list[ComparisonRow]) -> str:
         cells.append(
             (
                 f"{row.objective} {row.dimension}D",
-                str(row.n_particles),
-                row.bounds_text,
+                str(row.particles),
+                row.bounds,
                 f"{row.mean_qs:.3e}",
                 f"{row.mean_std:.3e}",
                 rel,
-                f"{row.time_qs:.2f}",
-                f"{row.time_std:.2f}",
+                f"{row.time_qs_s:.2f}",
+                f"{row.time_std_s:.2f}",
                 trel,
                 row.iqr_qs,
                 row.iqr_std,

@@ -32,7 +32,8 @@ def _coords(x) -> list[float]:
 class Bounds:
     """Per-dimension box bounds.
 
-    ``lo`` and ``hi`` are length-n arrays with ``lo[j] < hi[j]`` everywhere.
+    ``lo`` and ``hi`` are length-n arrays with ``lo[j] < hi[j]`` everywhere,
+    and every width ``hi[j] - lo[j]`` is a finite double.
     """
 
     lo: np.ndarray
@@ -45,8 +46,12 @@ class Bounds:
             raise ValueError("lo and hi must be 1-D arrays of equal length")
         if lo.size < 1:
             raise ValueError("bounds need at least one dimension")
-        if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
-            raise ValueError("bounds must be finite")
+        # The width is inf or nan when an end is, and inf when a finite box
+        # is too wide for a double; neither may warn.
+        with np.errstate(over="ignore", invalid="ignore"):
+            width = hi - lo
+        if not np.isfinite(width).all():
+            raise ValueError("bounds and their widths hi - lo must be finite")
         if not np.all(lo < hi):
             raise ValueError("every dimension needs lo < hi")
         object.__setattr__(self, "lo", lo)

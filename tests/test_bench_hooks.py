@@ -86,3 +86,26 @@ def test_a_run_replaced_before_main_reaches_every_pooled_run(tmp_path, monkeypat
     pids = {vars(record).get("worker_pid") for record in records}
     assert None not in pids and os.getpid() not in pids
     assert len(pids) <= 2
+
+
+def test_the_hooks_the_benchmark_times_are_reached(tmp_path, monkeypatch):
+    """perfbench times CSV writing and statistics by replacing these names
+    and reads its spans by them, so each must still be called through them."""
+    calls = dict.fromkeys(("write_runs_csv", "write_comparison_csv", "summarize_records"), 0)
+
+    def count(module, name):
+        real = getattr(module, name)
+
+        def counting(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+
+    count(qswarm.cli, "write_runs_csv")
+    count(qswarm.cli, "write_comparison_csv")
+    count(qswarm.experiments, "summarize_records")
+    argv = ["benchmark", "--runs", "1", "--no-timing", "--out", str(tmp_path)]
+    assert qswarm.cli.main(argv) == 0
+    rows = len(qswarm.cli.BENCHMARK_ROWS)
+    assert calls == {"write_runs_csv": rows, "write_comparison_csv": 1, "summarize_records": 2 * rows}

@@ -80,6 +80,7 @@ class TestEffectiveConfig:
             ("runs", {"runs": True}),
             ("seed", {"seed": False}),
             ("bounds", {"bounds": [[True, 5], [2, 5]]}),
+            ("bounds", {"bounds": [[-1e308, 1e308], [-1, 1]]}),  # width overflows
             ("params.S", {"params": {"S": True}}),
             ("params.tau", {"params": {"tau": True}}),
         ]:
@@ -165,6 +166,15 @@ class TestRunCommand:
             finals = [float(row["final_value"]) for row in csv.DictReader(handle)]
         assert len(finals) == 6
         assert all(value >= 8.0 for value in finals)  # sphere's least value on the box
+
+    def test_box_of_infinite_width_exits_2_before_any_output(self, tmp_path, capsys):
+        # Both ends are finite doubles, but hi - lo overflows.
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"objective": "sphere", "bounds": [[-1e308, 1e308], [-1, 1]]}))
+        out = tmp_path / "out"
+        assert run_cli("run", "--config", str(path), "--out", str(out)) == 2
+        assert "'bounds'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_objective_exits_2_listing_names(self, tmp_path, capsys):
         code = run_cli("run", "--objective", "rosenbrok", "--out", str(tmp_path / "x"))

@@ -12,8 +12,8 @@ import qswarm.cli
 import qswarm.experiments
 from qswarm.experiments import (
     BatchError,
+    COMPARISON_HEADER,
     BatchSpec,
-    collect_run_rows,
     compare,
     comparison_table_text,
     log_median,
@@ -406,17 +406,12 @@ class TestCompare:
             base_seed=0,
         )
         results = run_batch(spec, timing=False)
-        bounds = Bounds.symmetric(10.0, 2)
-        row = compare(
-            results[VARIANT_SURROGATE].summary,
-            results[VARIANT_STANDARD].summary,
-            "sphere",
-            2,
-            6,
-            bounds,
-        )
+        row = compare(spec, results)
         assert row.objective == "sphere"
-        assert row.n_particles == 6
+        assert row.dimension == 2
+        assert row.particles == 6
+        # The spec names no box, so the row shows the registry default.
+        assert row.bounds == "[[-10.0, 10.0], [-10.0, 10.0]]"
         assert row.mean_qs == results[VARIANT_SURROGATE].summary.mean
         assert row.mean_std == results[VARIANT_STANDARD].summary.mean
         negative = row.rel_diff_pct is not None and row.rel_diff_pct < 0
@@ -438,20 +433,24 @@ class TestCsvArtifacts:
             base_seed=2,
         )
         results = run_batch(spec, timing=False)
-        rows = collect_run_rows(spec, results)
         path = tmp_path / "runs.csv"
-        write_runs_csv(path, rows)
+        write_runs_csv(path, spec, results)
         with open(path, newline="") as handle:
             parsed = list(csv.DictReader(handle))
-        assert len(parsed) == 6  # 3 runs x 2 variants
-        for row, (j, seed, variant, objective, final, evals, wall) in zip(parsed, rows):
+        expected = [
+            (j, variant, record)
+            for variant in spec.variants
+            for j, record in enumerate(results[variant].records)
+        ]
+        assert len(parsed) == len(expected) == 6  # 3 runs x 2 variants, variant-major
+        for row, (j, variant, record) in zip(parsed, expected):
             assert int(row["run_index"]) == j
-            assert int(row["seed"]) == seed
+            assert int(row["seed"]) == spec.base_seed ^ j
             assert row["variant"] == variant
-            assert row["objective"] == objective
-            assert float(row["final_value"]) == final  # lossless float round-trip
-            assert int(row["evaluations"]) == evals
-            assert float(row["wall_time_s"]) == wall
+            assert row["objective"] == "griewank"
+            assert float(row["final_value"]) == record.final_value  # lossless float round-trip
+            assert int(row["evaluations"]) == record.evaluations
+            assert float(row["wall_time_s"]) == record.wall_time
 
     def test_trace_csv_round_trip(self, tmp_path):
         spec = BatchSpec(
@@ -481,27 +480,46 @@ class TestCsvArtifacts:
             dimension=2,
             n_particles=6,
             n_runs=3,
+            bounds=Bounds.from_pairs([[-1.0, 2.0], [0.0, 5.0]]),
             iterations=15,
             base_seed=0,
         )
         results = run_batch(spec, timing=False)
-        row = compare(
-            results[VARIANT_SURROGATE].summary,
-            results[VARIANT_STANDARD].summary,
-            "sphere",
-            2,
-            6,
-            Bounds.symmetric(10.0, 2),
-        )
+        row = compare(spec, results)
         path = tmp_path / "comparison.csv"
         write_comparison_csv(path, [row])
         with open(path, newline="") as handle:
-            parsed = list(csv.DictReader(handle))
+            reader = csv.DictReader(handle)
+            parsed = list(reader)
+        assert tuple(reader.fieldnames) == COMPARISON_HEADER
         assert len(parsed) == 1
         got = parsed[0]
         assert got["objective"] == "sphere"
+        assert got["dimension"] == "2"
+        assert got["particles"] == "6"
+        assert got["bounds"] == "[[-1.0, 2.0], [0.0, 5.0]]"
         assert float(got["mean_qs"]) == row.mean_qs
         assert float(got["mean_std"]) == row.mean_std
         assert float(got["median_qs"]) == row.median_qs
         # timing was disabled: the time relative difference is the marker
         assert got["time_rel_diff_pct"] == "undefined"
+
+    def test_comparison_columns_are_pinned(self):
+        # The benchmark harness and downstream readers address the columns
+        # by these names; they are the ComparisonRow fields, in order.
+        assert COMPARISON_HEADER == (
+            "objective",
+            "dimension",
+            "particles",
+            "bounds",
+            "mean_qs",
+            "mean_std",
+            "rel_diff_pct",
+            "median_qs",
+            "median_std",
+            "time_qs_s",
+            "time_std_s",
+            "time_rel_diff_pct",
+            "iqr_qs",
+            "iqr_std",
+        )

@@ -192,6 +192,11 @@ class TestBoundsAndClipping:
             Bounds(np.array([]), np.array([]))  # zero dimensions
         with pytest.raises(ValueError):
             Bounds.symmetric(-1.0, 2)
+        with pytest.raises(ValueError):
+            Bounds(np.array([-np.inf]), np.array([1.0]))  # infinite end
+        with pytest.raises(ValueError, match="width"):
+            # Both ends are finite, but hi - lo overflows to inf.
+            Bounds.from_pairs([[-1e308, 1e308], [-1.0, 1.0]])
 
     def test_bounds_pairs_round_trip(self):
         pairs = [[-1.0, 2.0], [0.0, 5.0]]
