@@ -14,10 +14,17 @@ Linear systems are solved by dense LU factorization with partial pivoting
 (LAPACK ``getrf``/``getrs``). Singularity is declared deterministically: the
 solve fails when any pivot magnitude drops below ``PIVOT_RTOL`` times the
 largest absolute entry of the matrix. No explicit inverse is ever formed.
-SciPy, which supplies the LAPACK routines, is imported by
-:func:`load_lapack` on first use: a surrogate run calls it before its clock
-starts, so importing the package, and any run of the standard variant, never
-loads it.
+The whitening SVD is LAPACK ``gesdd``, the driver behind ``np.linalg.svd``,
+called directly, and the largest entry comes from ``lange``. SciPy supplies
+these LAPACK routines; it is imported by :func:`load_lapack` on first use: a
+surrogate run calls it before its clock starts, so importing the package, and
+any run of the standard variant, never loads it.
+
+The fit works on arrays of 3 to 15 rows, where each numpy call costs more
+than its arithmetic, so the kernel makes few of them. It keeps the
+floating-point operations of the textbook form (``mean``, ``np.linalg.svd``,
+an LU solve of the design matrix) in the same order, so its results are
+those of that form bit for bit.
 """
 
 from __future__ import annotations
@@ -50,15 +57,18 @@ FALLBACK_REASONS = (
 
 
 class SingularMatrixError(ArithmeticError):
-    """A pivot of the LU factorization fell below the scaled threshold."""
+    """The sample geometry or the system is degenerate: a pivot of the LU
+    factorization fell below the scaled threshold, a point or value is not
+    finite, or the SVD did not converge."""
 
 
 @cache
 def load_lapack():
-    """(dgetrf, dgetrs), importing scipy.linalg on the first call."""
+    """(dgesdd, dgetrf, dgetrs, dlange), importing scipy.linalg on the first
+    call."""
     from scipy.linalg import lapack
 
-    return lapack.dgetrf, lapack.dgetrs
+    return lapack.dgesdd, lapack.dgetrf, lapack.dgetrs, lapack.dlange
 
 
 def solve_pivoted(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -68,17 +78,22 @@ def solve_pivoted(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     than ``PIVOT_RTOL * max|matrix|``, which flags collinear or otherwise
     degenerate geometry deterministically.
     """
-    a = np.array(matrix, dtype=float, order="F")
-    scale = float(np.abs(a).max()) if a.size else 0.0
+    return _solve_in_place(np.array(matrix, dtype=float, order="F"), rhs)
+
+
+def _solve_in_place(a: np.ndarray, rhs) -> np.ndarray:
+    """:func:`solve_pivoted` on a Fortran-ordered float matrix ``a``, which
+    the factorization overwrites."""
+    _, dgetrf, dgetrs, dlange = load_lapack()
+    scale = dlange("M", a)  # max |a_ij|, exactly; NaN when an entry is NaN
     if scale == 0.0 or not math.isfinite(scale):
         raise SingularMatrixError("matrix is zero or non-finite")
-    dgetrf, dgetrs = load_lapack()
     lu, piv, info = dgetrf(a, overwrite_a=True)
     if info < 0:
         raise ValueError(f"illegal value in LU factorization argument {-info}")
-    if info > 0 or np.abs(lu.diagonal()).min() < PIVOT_RTOL * scale:
+    if info > 0 or np.minimum.reduce(np.abs(lu.diagonal())) < PIVOT_RTOL * scale:
         raise SingularMatrixError("pivot below threshold; system is singular")
-    x, info = dgetrs(lu, piv, np.asarray(rhs, dtype=float))
+    x, info = dgetrs(lu, piv, rhs)
     if info != 0:
         raise ValueError(f"illegal value in triangular solve argument {-info}")
     return x
@@ -137,34 +152,51 @@ class SurrogateResult:
 
 
 @cache
-def _product_pairs(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _product_pairs(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Index pairs (i, j), i <= j, of the cross-product columns in column
-    order, plus the weight that maps each fitted coefficient to a symmetric
-    matrix entry (1 on the diagonal, 0.5 on the two mirrored entries)."""
+    order; the weight that maps each fitted coefficient to a symmetric matrix
+    entry (1 on the diagonal, 0.5 on the two mirrored entries); and, for
+    every entry (i, j) of that matrix, the index of its coefficient."""
     rows, cols = np.triu_indices(dim)
     weights = np.where(rows == cols, 1.0, 0.5)
-    for arr in (rows, cols, weights):
+    entry = np.empty((dim, dim), dtype=np.intp)
+    entry[rows, cols] = entry[cols, rows] = np.arange(rows.size)
+    for arr in (rows, cols, weights, entry):
         arr.flags.writeable = False
-    return rows, cols, weights
+    return rows, cols, weights, entry
 
 
 def build_design_matrix(points) -> np.ndarray:
     """Square interpolation matrix, one row per sample point.
 
     Column order: the constant 1, the n coordinates, then the products
-    x_i * x_j for i <= j (outer index i, inner j running from i to n).
+    x_i * x_j for i <= j (outer index i, inner j running from i to n). The
+    matrix is Fortran-ordered, so the LU factorization runs in it in place.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    pts = _as_points(points)
+    count, dim = pts.shape
+    m = np.empty((count, count), order="F")
+    m[:, 0] = 1.0
+    m[:, 1 : dim + 1] = pts
+    rows, cols, _, _ = _product_pairs(dim)
+    np.multiply(pts.take(rows, axis=1), pts.take(cols, axis=1), out=m[:, dim + 1 :])
+    return m
+
+
+def _as_points(points) -> np.ndarray:
+    """``points`` as a float array of ``required_points(n)`` rows of n."""
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2:
+        raise ValueError("points must be a 2-D array, one row per point")
     count, dim = pts.shape
     need = required_points(dim)
     if count != need:
         raise ValueError(f"expected {need} points for dimension {dim}, got {count}")
-    m = np.empty((count, need))
-    m[:, 0] = 1.0
-    m[:, 1 : dim + 1] = pts
-    rows, cols, _ = _product_pairs(dim)
-    np.multiply(pts[:, rows], pts[:, cols], out=m[:, dim + 1 :])
-    return m
+    return pts
+
+
+def _all_finite(a: np.ndarray) -> bool:
+    return all(map(math.isfinite, a.ravel().tolist()))
 
 
 def fit(points, values) -> QuadraticModel:
@@ -178,29 +210,39 @@ def fit(points, values) -> QuadraticModel:
     good point are the normal late state of a converging swarm and must
     still fit cleanly.
 
-    Raises :class:`SingularMatrixError` when the geometry is degenerate.
+    Raises :class:`SingularMatrixError` when the geometry is degenerate, a
+    point or value is not finite, or the SVD does not converge.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    pts = _as_points(points)
     vals = np.asarray(values, dtype=float)
     count, dim = pts.shape
     if vals.shape != (count,):
         raise ValueError("values must be a vector matching the point count")
+    if not (_all_finite(pts) and _all_finite(vals)):
+        raise SingularMatrixError("a point or value is not finite")
     # z = W (x - center); exactly degenerate directions map to zero columns,
-    # which the pivot test flags.
-    center = pts.mean(axis=0)
+    # which the pivot test flags. The centre is what ``mean`` computes.
+    center = np.add.reduce(pts, axis=0) / count
     centered = pts - center
-    _, sigma, vt = np.linalg.svd(centered, full_matrices=False)
-    top = sigma.max()
-    sigma = np.where(sigma > top * 1e-15, sigma, 1.0) if top > 0 else np.ones(dim)
-    w = vt / sigma[:, None]  # rows: principal directions over their extents
-    matrix = build_design_matrix(centered @ w.T)
-    theta = solve_pivoted(matrix, vals)
+    dgesdd = load_lapack()[0]
+    _, sigma, vt, info = dgesdd(centered, 1, 0)  # compute_uv=1, full_matrices=0
+    if info < 0:
+        raise ValueError(f"illegal value in SVD argument {-info}")
+    if info > 0:
+        raise SingularMatrixError("SVD did not converge")
+    # sigma is in descending order, so the floor changes nothing when the
+    # smallest value clears it.
+    top = sigma[0]
+    if not sigma[-1] > top * 1e-15:
+        sigma = np.where(sigma > top * 1e-15, sigma, 1.0) if top > 0 else np.ones(dim)
+    # rows: principal directions over their extents. LAPACK's vt is
+    # Fortran-ordered; a C-ordered w keeps the products below on the BLAS
+    # path, and so the bits, of np.linalg.svd's output.
+    w = np.divide(vt, sigma[:, None], order="C")
+    theta = _solve_in_place(build_design_matrix(centered @ w.T), vals)
     lin_z = theta[1 : dim + 1]
-    rows, cols, weights = _product_pairs(dim)
-    entries = weights * theta[dim + 1 :]
-    quad_z = np.empty((dim, dim))
-    quad_z[rows, cols] = entries
-    quad_z[cols, rows] = entries
+    _, _, weights, entry = _product_pairs(dim)
+    quad_z = (weights * theta[dim + 1 :])[entry]
     # Map q(z) = theta0 + lin_z.z + z.quad_z@z back to raw coordinates.
     lin_w = w.T @ lin_z
     quad = w.T @ quad_z @ w
@@ -270,7 +312,7 @@ def _proposal(archive: Archive, bounds: Bounds, need: int):
         return memo[2]
     points, values = archive.sorted_points()
     try:
-        model = fit(np.stack(points[:need]), values[:need])
+        model = fit(np.array(points[:need]), values[:need])
     except SingularMatrixError:
         proposal = FALLBACK_SINGULAR_SYSTEM
     else:

@@ -9,9 +9,14 @@ import inspect
 import os
 from pathlib import Path
 
+import numpy as np
+
 import qswarm
 import qswarm.cli
 import qswarm.experiments
+import qswarm.surrogate
+from qswarm.archive import Archive, ArchiveEntry
+from qswarm.objectives import Bounds, Objective
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -109,3 +114,34 @@ def test_the_hooks_the_benchmark_times_are_reached(tmp_path, monkeypatch):
     assert qswarm.cli.main(argv) == 0
     rows = len(qswarm.cli.BENCHMARK_ROWS)
     assert calls == {"write_runs_csv": rows, "write_comparison_csv": 1, "summarize_records": 2 * rows}
+
+
+def test_the_surrogate_layers_the_tracer_wraps_are_reached(monkeypatch):
+    """perfbench's ``surrogate.fit`` and ``surrogate.minimize`` spans come from
+    wrappers on these module globals. A refit must reach each once and a memo
+    hit neither, or ``--trace 1`` would time nothing or the wrong thing."""
+    calls = {"fit": 0, "minimize": 0}
+
+    def count(name):
+        real = getattr(qswarm.surrogate, name)
+
+        def counting(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(qswarm.surrogate, name, counting)
+
+    count("fit")
+    count("minimize")
+    archive = Archive(6)
+    for x, y in [(0, 0), (1, 0), (0, 1), (-1, 0.5), (0.5, -1), (1, 1)]:
+        archive.observe(np.array([x, y], dtype=float), float(x * x + y * y))
+    bounds = Bounds.symmetric(10.0, 2)
+    # A probe value above every archived one is never stored, so the second
+    # call finds the archive unchanged and hits the memo.
+    objective = Objective("flat", 2, bounds, lambda x: 1e6)
+    weak_best = ArchiveEntry(1e9, np.zeros(2))
+    qswarm.surrogate.surrogate_attractor(archive, objective, weak_best)
+    assert calls == {"fit": 1, "minimize": 1}
+    qswarm.surrogate.surrogate_attractor(archive, objective, weak_best)
+    assert calls == {"fit": 1, "minimize": 1}

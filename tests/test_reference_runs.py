@@ -10,7 +10,13 @@ untouched: per-dimension draws, a short lookback and an objective that
 returns NaN or inf on part of the box. Their digests
 also hash ``nonfinite_iterations``.
 
-A change that alters numerics on purpose re-records the file with
+The kernel digests in ``reference_kernel.json`` pin what the run digests
+only see through its effect on the swarm: the full output of every
+surrogate fit (``const``, ``linear`` and ``quad`` bytes, or the singular
+system) and of every minimize (the stationary point, or the singular
+quadratic), for the surrogate variant on every benchmark row, seeds 0-1.
+
+A change that alters numerics on purpose re-records both files with
 
     PYTHONPATH=src python tests/test_reference_runs.py
 
@@ -22,15 +28,19 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from qswarm import surrogate
 from qswarm.cli import BENCHMARK_ROWS
 from qswarm.objectives import Bounds, Objective, make_objective
-from qswarm.swarm import VARIANTS, SwarmConfig, run
+from qswarm.swarm import VARIANT_SURROGATE, VARIANTS, SwarmConfig, run
 
 REFERENCE_FILE = Path(__file__).with_name("reference_runs.json")
+KERNEL_FILE = Path(__file__).with_name("reference_kernel.json")
 SEEDS = range(5)
 OPTION_SEEDS = range(3)
+KERNEL_SEEDS = range(2)
 
 
 def run_digest(record) -> str:
@@ -151,6 +161,69 @@ def test_reference_file_holds_exactly_the_cases_run_here():
     assert set(reference) == keys
 
 
+def kernel_digests(name, dimension, particles, limit) -> dict[str, str]:
+    """Per seed, a sha256 over the output of every ``fit`` and ``minimize``
+    call of a surrogate run, in call order, plus the number of fits.
+
+    Both names are replaced where ``surrogate._proposal`` looks them up,
+    the module globals, as the benchmark's tracer does.
+    """
+    real_fit, real_minimize = surrogate.fit, surrogate.minimize
+    bounds = Bounds.symmetric(limit, dimension)
+    objective = make_objective(name, dimension, bounds)
+    digests = {}
+    for seed in KERNEL_SEEDS:
+        h = hashlib.sha256()
+        fits = 0
+
+        def recording_fit(points, values):
+            nonlocal fits
+            fits += 1
+            try:
+                model = real_fit(points, values)
+            except surrogate.SingularMatrixError:
+                h.update(surrogate.FALLBACK_SINGULAR_SYSTEM.encode())
+                raise
+            h.update(np.float64(model.const).tobytes())
+            h.update(model.linear.tobytes())
+            h.update(model.quad.tobytes())
+            return model
+
+        def recording_minimize(model):
+            try:
+                x = real_minimize(model)
+            except surrogate.SingularMatrixError:
+                h.update(surrogate.FALLBACK_SINGULAR_QUADRATIC.encode())
+                raise
+            h.update(x.tobytes())
+            return x
+
+        config = SwarmConfig(
+            dimension=dimension,
+            n_particles=particles,
+            bounds=bounds,
+            iterations=200,
+            variant=VARIANT_SURROGATE,
+            seed=seed,
+        )
+        surrogate.fit, surrogate.minimize = recording_fit, recording_minimize
+        try:
+            run(config, objective, timing=False)
+        finally:
+            surrogate.fit, surrogate.minimize = real_fit, real_minimize
+        digests[str(seed)] = f"{fits}:{h.hexdigest()}"
+    return digests
+
+
+@pytest.mark.parametrize(
+    "row", [pytest.param(row[:4], id=f"{row[0]}_{row[1]}d") for row in BENCHMARK_ROWS]
+)
+def test_kernel_outputs_match_recorded_digests(row):
+    reference = json.loads(KERNEL_FILE.read_text(encoding="utf-8"))
+    name, dimension, _, _ = row
+    assert kernel_digests(*row) == reference[f"{name}_{dimension}d"]
+
+
 def test_nonfinite_case_hits_every_hole():
     # The NaN, -inf and +inf regions must all be sampled, or the case
     # would pin nothing about the non-finite path.
@@ -183,3 +256,6 @@ if __name__ == "__main__":
     )
     REFERENCE_FILE.write_text(json.dumps(recorded, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {len(recorded)} rows to {REFERENCE_FILE}")
+    kernel = {f"{row[0]}_{row[1]}d": kernel_digests(*row[:4]) for row in BENCHMARK_ROWS}
+    KERNEL_FILE.write_text(json.dumps(kernel, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"wrote {len(kernel)} rows to {KERNEL_FILE}")

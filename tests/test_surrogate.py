@@ -4,10 +4,13 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qswarm import surrogate
 from qswarm.archive import Archive, ArchiveEntry
@@ -172,6 +175,199 @@ class TestSolvePivoted:
             solve_pivoted(a, np.ones(2))
         with pytest.raises(SingularMatrixError):
             solve_pivoted(np.zeros((2, 2)), np.ones(2))
+
+
+def reference_fit(points, values) -> QuadraticModel:
+    """``fit`` in its textbook form: ``mean``, ``np.linalg.svd``, a C-ordered
+    design matrix copied into a Fortran one, and ``max|a|`` from numpy. The
+    kernel must do the same floating-point operations in the same order, so
+    its output must equal this one byte for byte."""
+    from scipy.linalg import lapack
+
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    vals = np.asarray(values, dtype=float)
+    dim = pts.shape[1]
+    center = pts.mean(axis=0)
+    centered = pts - center
+    _, sigma, vt = np.linalg.svd(centered, full_matrices=False)
+    top = sigma.max()
+    sigma = np.where(sigma > top * 1e-15, sigma, 1.0) if top > 0 else np.ones(dim)
+    w = vt / sigma[:, None]
+    z = centered @ w.T
+    columns = [np.ones(len(z)), *z.T]
+    columns += [z[:, i] * z[:, j] for i in range(dim) for j in range(i, dim)]
+    a = np.array(np.column_stack(columns), order="F")
+    scale = float(np.abs(a).max())
+    if scale == 0.0 or not math.isfinite(scale):
+        raise SingularMatrixError("zero or non-finite design matrix")
+    lu, piv, info = lapack.dgetrf(a, overwrite_a=True)
+    if info > 0 or np.abs(lu.diagonal()).min() < surrogate.PIVOT_RTOL * scale:
+        raise SingularMatrixError("pivot below threshold")
+    theta, _ = lapack.dgetrs(lu, piv, vals)
+    quad_z = np.empty((dim, dim))
+    k = dim + 1
+    for i in range(dim):
+        for j in range(i, dim):
+            quad_z[i, j] = quad_z[j, i] = theta[k] * (1.0 if i == j else 0.5)
+            k += 1
+    lin_w = w.T @ theta[1 : dim + 1]
+    quad = w.T @ quad_z @ w
+    quad = 0.5 * (quad + quad.T)
+    quad_center = quad @ center
+    linear = lin_w - 2.0 * quad_center
+    const = float(theta[0] - lin_w @ center + center @ quad_center)
+    return QuadraticModel(const=const, linear=linear, quad=quad)
+
+
+CLOUD_SHAPES = [(3, 1), (6, 2), (10, 3), (15, 4)]
+CLOUD_KINDS = ["random", "clustered", "anisotropic", "collinear"]
+
+
+def point_cloud(kind, shape, seed) -> np.ndarray:
+    """Sample layouts the swarm produces: spread out, clustered at 1e-9
+    around a point, stretched 1e6:1, or all on one line."""
+    rng = np.random.default_rng(seed)
+    count, dim = shape
+    offset = rng.uniform(-10.0, 10.0, size=dim)
+    if kind == "random":
+        return offset + rng.uniform(-5.0, 5.0, size=shape)
+    if kind == "clustered":
+        return offset + 1e-9 * rng.normal(size=shape)
+    if kind == "anisotropic":
+        return offset + rng.normal(size=shape) * np.geomspace(1e6, 1.0, dim)
+    return offset + np.outer(rng.uniform(-1.0, 1.0, size=count), rng.normal(size=dim))
+
+
+clouds = st.tuples(
+    st.sampled_from(CLOUD_KINDS), st.sampled_from(CLOUD_SHAPES), st.integers(0, 2**32 - 1)
+)
+
+NUMERICS_BROKEN = (
+    "{what} no longer agree bit for bit. A numpy or scipy upgrade broke the "
+    "equivalence the surrogate kernel relies on, so runs no longer match "
+    "tests/reference_runs.json. Take the declared-numerics-change route in "
+    "ROADMAP.md: name the change and re-record the reference digests."
+)
+
+
+class TestLapackEquivalence:
+    """The kernel calls LAPACK through scipy; the textbook form calls
+    ``np.linalg.svd`` and numpy reductions. Both must give the same bytes."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(cloud=clouds)
+    def test_gesdd_returns_the_bytes_of_numpy_svd(self, cloud):
+        pts = point_cloud(*cloud)
+        centered = pts - pts.mean(axis=0)
+        _, sigma, vt = np.linalg.svd(centered, full_matrices=False)
+        dgesdd = surrogate.load_lapack()[0]
+        _, l_sigma, l_vt, info = dgesdd(centered, compute_uv=1, full_matrices=0)
+        assert info == 0
+        same = sigma.tobytes() == l_sigma.tobytes() and vt.tobytes() == l_vt.tobytes()
+        assert same, NUMERICS_BROKEN.format(what="np.linalg.svd and scipy's dgesdd")
+
+    @settings(max_examples=200, deadline=None)
+    @given(cloud=clouds, value_seed=st.integers(0, 2**32 - 1))
+    def test_fit_returns_the_bytes_of_the_textbook_form(self, cloud, value_seed):
+        pts = point_cloud(*cloud)
+        values = np.random.default_rng(value_seed).normal(size=len(pts))
+        try:
+            expected = reference_fit(pts, values)
+        except SingularMatrixError:
+            with pytest.raises(SingularMatrixError):
+                fit(pts, values)
+            return
+        model = fit(pts, values)
+        same = (
+            np.float64(model.const).tobytes() == np.float64(expected.const).tobytes()
+            and model.linear.tobytes() == expected.linear.tobytes()
+            and model.quad.tobytes() == expected.quad.tobytes()
+        )
+        assert same, NUMERICS_BROKEN.format(what="fit and its textbook form")
+
+    def test_dlange_is_the_largest_magnitude(self):
+        dlange = surrogate.load_lapack()[3]
+        rng = np.random.default_rng(9)
+        for shape in CLOUD_SHAPES:
+            count = shape[0]
+            magnitude = 10.0 ** rng.integers(-300, 300)
+            a = np.asfortranarray(rng.normal(size=(count, count)) * magnitude)
+            assert dlange("M", a) == float(np.abs(a).max())
+            a[count // 2, -1] = np.nan
+            assert math.isnan(dlange("M", a))
+
+
+class TestHostileInput:
+    """A non-finite sample or a failed SVD is a degenerate fit: fit raises
+    SingularMatrixError and warns nothing, and the proposal falls back."""
+
+    @staticmethod
+    def bowl():
+        rng = np.random.default_rng(90)
+        pts = sample_points(rng, 2, 6)
+        return pts, [float(p @ p) for p in pts]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_point(self, bad):
+        pts, values = self.bowl()
+        pts[3, 1] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularMatrixError):
+                fit(pts, values)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_value(self, bad):
+        pts, values = self.bowl()
+        values[2] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularMatrixError):
+                fit(pts, values)
+
+    @staticmethod
+    def stub_gesdd(monkeypatch, info):
+        real = surrogate.load_lapack()
+
+        def gesdd(a, *args, **kwargs):
+            u, sigma, vt, _ = real[0](a, *args, **kwargs)
+            return u, sigma, vt, info
+
+        monkeypatch.setattr(surrogate, "load_lapack", lambda: (gesdd, *real[1:]))
+
+    def test_svd_that_does_not_converge_is_singular(self, monkeypatch):
+        pts, values = self.bowl()
+        fit(pts, values)
+        self.stub_gesdd(monkeypatch, 1)
+        with pytest.raises(SingularMatrixError):
+            fit(pts, values)
+
+    def test_illegal_svd_argument_is_a_value_error(self, monkeypatch):
+        pts, values = self.bowl()
+        self.stub_gesdd(monkeypatch, -4)
+        with pytest.raises(ValueError):
+            fit(pts, values)
+
+    def test_failed_svd_falls_back_as_singular_system(self, monkeypatch):
+        pts, values = self.bowl()
+        archive = archive_from(pts, values, 6)
+        self.stub_gesdd(monkeypatch, 2)
+        objective = make_objective("sphere", 2)
+        result = surrogate_attractor(archive, objective, archive.best())
+        assert result.fallback_reason == FALLBACK_SINGULAR_SYSTEM
+        np.testing.assert_array_equal(result.x_min, archive.best().position)
+
+    def test_nan_point_falls_back_as_singular_system(self):
+        pts, values = self.bowl()
+        pts[4] = math.nan  # the archive takes any position with a finite value
+        archive = archive_from(pts, values, 6)
+        assert archive.size == 6
+        objective = make_objective("sphere", 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = surrogate_attractor(archive, objective, archive.best())
+        assert result.fallback_reason == FALLBACK_SINGULAR_SYSTEM
+        np.testing.assert_array_equal(result.x_min, archive.best().position)
 
 
 class TestFit:
