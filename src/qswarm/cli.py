@@ -72,7 +72,16 @@ CONFIG_KEYS = (
 )
 
 VARIANT_LABELS = {VARIANT_STANDARD: "standard", VARIANT_SURROGATE: "qs"}
-VARIANT_CHOICES = ("standard", "qs", "both")
+# --variant choice -> the variants it runs.
+VARIANT_RUNS = {
+    "standard": (VARIANT_STANDARD,),
+    "qs": (VARIANT_SURROGATE,),
+    "both": (VARIANT_STANDARD, VARIANT_SURROGATE),
+}
+VARIANT_CHOICES = tuple(VARIANT_RUNS)
+
+# The paper's protocol: runs per variant on each benchmark row.
+PAPER_RUNS = 400
 
 # Benchmark suite: objective, dimension, particles, box limit, and the
 # directional accuracy gate comparing median final values of the variants.
@@ -97,8 +106,10 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+# Finite, too: Python's json reads NaN and Infinity, and a huge int has no double.
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    return number and abs(value) <= sys.float_info.max
 
 
 def load_config_file(path: str) -> dict:
@@ -181,7 +192,7 @@ def effective_config(file_cfg: dict, overrides: dict) -> dict:
         if key == "S":
             continue
         value = params[key]
-        _require(_is_number(value), f"params.{key}", "need a number")
+        _require(_is_number(value), f"params.{key}", "need a finite number")
         params[key] = float(value)
     _require(
         _is_int(params["S"]) and params["S"] >= 1, "params.S", "need an int >= 1"
@@ -200,18 +211,6 @@ def effective_config(file_cfg: dict, overrides: dict) -> dict:
         "variant": variant,
         "params": params,
     }
-
-
-def _variants(label: str) -> tuple[str, ...]:
-    if label == "both":
-        return (VARIANT_STANDARD, VARIANT_SURROGATE)
-    if label == "qs":
-        return (VARIANT_SURROGATE,)
-    return (VARIANT_STANDARD,)
-
-
-def _swarm_params(params: dict) -> dict:
-    return {name: params[key] for key, name in _PARAM_FIELDS.items()}
 
 
 def resolve_out_dir(out_flag) -> Path:
@@ -238,16 +237,8 @@ def _write_batch(out_dir: Path, spec: BatchSpec, results, suffix: str = "", trac
 def cmd_run(args) -> int:
     _require(args.jobs >= 1, "--jobs", "need an int >= 1")
     file_cfg = load_config_file(args.config) if args.config else {}
-    overrides = {
-        "objective": args.objective,
-        "dimension": args.dim,
-        "particles": args.particles,
-        "iterations": args.iterations,
-        "runs": args.runs,
-        "seed": args.seed,
-        "variant": args.variant,
-    }
-    cfg = effective_config(file_cfg, overrides)
+    # Each flag's dest is its config key; bounds and params have no flag.
+    cfg = effective_config(file_cfg, {key: getattr(args, key, None) for key in CONFIG_KEYS})
 
     out_dir = resolve_out_dir(args.out)
     with open(out_dir / "config.echo.json", "w", encoding="utf-8") as handle:
@@ -259,12 +250,12 @@ def cmd_run(args) -> int:
         dimension=cfg["dimension"],
         n_particles=cfg["particles"],
         n_runs=cfg["runs"],
-        variants=_variants(cfg["variant"]),
+        variants=VARIANT_RUNS[cfg["variant"]],
         bounds=Bounds.from_pairs(cfg["bounds"]),
         iterations=cfg["iterations"],
         base_seed=cfg["seed"],
         jobs=args.jobs,
-        params=_swarm_params(cfg["params"]),
+        params={name: cfg["params"][key] for key, name in _PARAM_FIELDS.items()},
     )
     results = run_batch(spec, timing=not args.no_timing)
 
@@ -302,8 +293,8 @@ def cmd_benchmark(args) -> int:
     _require(args.runs >= 1, "--runs", "need an int >= 1")
     _require(args.jobs >= 1, "--jobs", "need an int >= 1")
     out_dir = resolve_out_dir(args.out)
-    if args.runs != 400:
-        print(f"note: {args.runs} runs per variant (reduced statistical power; reference protocol is 400)")
+    if args.runs != PAPER_RUNS:
+        print(f"note: {args.runs} runs per variant (reduced statistical power; reference protocol is {PAPER_RUNS})")
     rows = []
     # Every row asks for the same number of workers, so one pool runs the suite.
     with shared_pool():
@@ -346,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="run one configuration (single run or batch)")
     run_p.add_argument("--objective", help=f"one of: {', '.join(objective_names())}")
-    run_p.add_argument("--dim", type=int, help="problem dimension (default 2)")
+    run_p.add_argument("--dim", type=int, dest="dimension", metavar="DIM", help="problem dimension (default 2)")
     run_p.add_argument("--particles", type=int, help="swarm size (default: interpolation point count)")
     run_p.add_argument("--iterations", type=int, help=f"iterations per run (default {_FIELD_DEFAULTS['iterations']})")
     run_p.add_argument("--runs", type=int, help="independent runs per variant (default 1)")
@@ -359,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.set_defaults(func=cmd_run)
 
     bench = sub.add_parser("benchmark", help="run the full six-row comparison suite")
-    bench.add_argument("--runs", type=int, default=400, help="runs per variant per row (default 400)")
+    bench.add_argument("--runs", type=int, default=PAPER_RUNS, help=f"runs per variant per row (default {PAPER_RUNS})")
     bench.add_argument("--seed", type=int, default=0, help="base seed (default 0)")
     bench.add_argument("--out", help="output directory (default: $QSWARM_OUT/<timestamp>)")
     bench.add_argument("--jobs", type=int, default=1, help="worker processes (default 1)")

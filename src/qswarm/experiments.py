@@ -243,27 +243,34 @@ def run_batch(
 # -- comparison --------------------------------------------------------------
 
 
+def _shown(header: str, cell: str):
+    # A column of the aligned text table too: its header, and its cell as a
+    # format string over the row.
+    return field(metadata={"header": header, "cell": cell})
+
+
 @dataclass(eq=False)
 class ComparisonRow:
     """One line of the two-variant comparison table.
 
-    The fields are the columns of ``comparison.csv``, in order.
+    The fields are the columns of ``comparison.csv``, in order. Those made
+    with ``_shown`` are also the columns of the aligned text table.
     """
 
-    objective: str
+    objective: str = _shown("Function", "{0.objective} {0.dimension}D")
     dimension: int
-    particles: int
-    bounds: str
-    mean_qs: float
-    mean_std: float
-    rel_diff_pct: Optional[float]
+    particles: int = _shown("Np", "{0.particles}")
+    bounds: str = _shown("Bounds", "{0.bounds}")
+    mean_qs: float = _shown("Mean QS", "{0.mean_qs:.3e}")
+    mean_std: float = _shown("Mean Std", "{0.mean_std:.3e}")
+    rel_diff_pct: Optional[float] = _shown("Rel.Diff", "{0.rel_diff_pct:+.2f}%")
     median_qs: float
     median_std: float
-    time_qs_s: float
-    time_std_s: float
-    time_rel_diff_pct: Optional[float]
-    iqr_qs: str
-    iqr_std: str
+    time_qs_s: float = _shown("Time QS [s]", "{0.time_qs_s:.2f}")
+    time_std_s: float = _shown("Time Std [s]", "{0.time_std_s:.2f}")
+    time_rel_diff_pct: Optional[float] = _shown("Time Rel.Diff", "{0.time_rel_diff_pct:+.2f}%")
+    iqr_qs: str = _shown("IQR 25-75 QS", "{0.iqr_qs}")
+    iqr_std: str = _shown("IQR 25-75 Std", "{0.iqr_std}")
 
 
 def relative_difference_pct(value: float, reference: float) -> Optional[float]:
@@ -360,46 +367,13 @@ def write_comparison_csv(path, rows: list[ComparisonRow]):
 
 
 def comparison_table_text(rows: list[ComparisonRow]) -> str:
-    """Human-readable aligned comparison table."""
-    header = (
-        "Function",
-        "Np",
-        "Bounds",
-        "Mean QS",
-        "Mean Std",
-        "Rel.Diff",
-        "Time QS [s]",
-        "Time Std [s]",
-        "Time Rel.Diff",
-        "IQR 25-75 QS",
-        "IQR 25-75 Std",
-    )
-    cells = [header]
-    for row in rows:
-        rel = UNDEFINED if row.rel_diff_pct is None else f"{row.rel_diff_pct:+.2f}%"
-        trel = (
-            UNDEFINED
-            if row.time_rel_diff_pct is None
-            else f"{row.time_rel_diff_pct:+.2f}%"
-        )
-        cells.append(
-            (
-                f"{row.objective} {row.dimension}D",
-                str(row.particles),
-                row.bounds,
-                f"{row.mean_qs:.3e}",
-                f"{row.mean_std:.3e}",
-                rel,
-                f"{row.time_qs_s:.2f}",
-                f"{row.time_std_s:.2f}",
-                trel,
-                row.iqr_qs,
-                row.iqr_std,
-            )
-        )
-    widths = [max(len(line[i]) for line in cells) for i in range(len(header))]
-    lines = []
-    for line in cells:
-        lines.append("  ".join(cell.ljust(width) for cell, width in zip(line, widths)).rstrip())
-    lines.insert(1, "-" * max(len(text) for text in lines))
+    """Human-readable aligned comparison table; None reads as undefined."""
+    columns = [f for f in fields(ComparisonRow) if f.metadata]
+    cells = [[f.metadata["header"] for f in columns]] + [
+        [UNDEFINED if getattr(row, f.name) is None else f.metadata["cell"].format(row) for f in columns]
+        for row in rows
+    ]
+    widths = [max(map(len, column)) for column in zip(*cells)]
+    lines = ["  ".join(map(str.ljust, line, widths)).rstrip() for line in cells]
+    lines.insert(1, "-" * max(map(len, lines)))
     return "\n".join(lines) + "\n"

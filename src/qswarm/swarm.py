@@ -98,6 +98,9 @@ class SwarmConfig:
             raise ValueError("iterations must be >= 1")
         if self.lookback < 1:
             raise ValueError("lookback must be >= 1")
+        for name in ("omega0", "c1_0", "c2_0", "vmax0", "tau", "gamma_floor"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if not self.tau > 0:
             raise ValueError("tau must be positive")
         if not self.gamma_floor > 0:

@@ -3,6 +3,7 @@
 import csv
 import inspect
 import json
+import math
 import re
 
 import pytest
@@ -12,7 +13,9 @@ import qswarm.experiments
 from qswarm.cli import (
     BENCHMARK_ROWS,
     DEFAULT_PARAMS,
+    PAPER_RUNS,
     ConfigError,
+    build_parser,
     effective_config,
     load_config_file,
     main,
@@ -83,6 +86,11 @@ class TestEffectiveConfig:
             ("bounds", {"bounds": [[-1e308, 1e308], [-1, 1]]}),  # width overflows
             ("params.S", {"params": {"S": True}}),
             ("params.tau", {"params": {"tau": True}}),
+            # Python's json reads NaN and Infinity; neither is a coefficient.
+            ("params.omega0", {"params": {"omega0": math.nan}}),
+            ("params.vmax0", {"params": {"vmax0": math.inf}}),
+            ("params.c2_0", {"params": {"c2_0": -math.inf}}),
+            ("params.c1_0", {"params": {"c1_0": 10**400}}),  # no double holds it
         ]:
             with pytest.raises(ConfigError, match=re.escape(key)):
                 effective_config({"objective": "sphere", **cfg}, {})
@@ -104,6 +112,26 @@ class TestConfigFile:
     def test_missing_file_is_config_error(self):
         with pytest.raises(ConfigError):
             load_config_file("/nonexistent/config.json")
+
+    @pytest.mark.parametrize(
+        "text,match",
+        [
+            ('{"objective": "sphere",', "not valid JSON"),
+            ('["sphere"]', "JSON object"),
+            ('{"objective": "sphere", "params": [0.7]}', "'params'"),
+        ],
+    )
+    def test_malformed_file_exits_2_before_any_output(self, tmp_path, capsys, text, match):
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=match):
+            load_config_file(str(path))
+        out = tmp_path / "out"
+        assert run_cli("run", "--config", str(path), "--out", str(out)) == 2
+        captured = capsys.readouterr()
+        assert match in captured.err
+        assert captured.out == ""
+        assert not out.exists()
 
     def test_param_validation(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -174,6 +202,20 @@ class TestRunCommand:
         out = tmp_path / "out"
         assert run_cli("run", "--config", str(path), "--out", str(out)) == 2
         assert "'bounds'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "key,literal", [("omega0", "NaN"), ("vmax0", "Infinity"), ("c2_0", "-Infinity")]
+    )
+    def test_non_finite_coefficient_exits_2_before_any_output(self, tmp_path, capsys, key, literal):
+        # A hand-written file may hold these literals, and Python's json reads them.
+        path = tmp_path / "cfg.json"
+        path.write_text(f'{{"objective": "sphere", "params": {{"{key}": {literal}}}}}')
+        out = tmp_path / "out"
+        assert run_cli("run", "--config", str(path), "--out", str(out)) == 2
+        captured = capsys.readouterr()
+        assert f"params.{key}" in captured.err
+        assert captured.out == ""
         assert not out.exists()
 
     def test_unknown_objective_exits_2_listing_names(self, tmp_path, capsys):
@@ -343,6 +385,11 @@ class TestDefaults:
         assert DEFAULT_PARAMS["S"] == 52
         assert DEFAULT_PARAMS["tau"] == 1.2
         assert DEFAULT_PARAMS["gamma_floor"] == 1e-12
+
+    def test_paper_run_count_is_written_once(self):
+        # PAPER_RUNS is the one place the 400-run protocol is written out.
+        assert re.findall(r"\b400\b", inspect.getsource(qswarm.cli)) == ["400"]
+        assert build_parser().parse_args(["benchmark"]).runs == PAPER_RUNS == 400
 
     def test_iteration_default_is_read_from_swarm_config(self):
         # SwarmConfig.iterations is the one place the default is written out.

@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -420,6 +421,23 @@ class TestCompare:
         text = comparison_table_text([row])
         assert "sphere 2D" in text
         assert "Mean QS" in text
+
+    def test_text_table_columns_are_the_shown_row_fields(self):
+        row = qswarm.experiments.ComparisonRow(
+            "sphere", 2, 6, "[[-1.0, 1.0]]", 1.5, 2.5, None, 1.0, 2.0, 0.0, 0.0, None, "(a)", "(b)"
+        )
+        header, rule, line = comparison_table_text([row]).splitlines()
+        shown = [f for f in dataclasses.fields(row) if f.metadata]
+        assert re.split(r"\s{2,}", header) == [f.metadata["header"] for f in shown]
+        assert set(rule) == {"-"} and len(rule) == len(header)
+        # A None value reads as undefined, as it does in the CSV.
+        assert re.split(r"\s{2,}", line) == [
+            "sphere 2D", "6", "[[-1.0, 1.0]]", "1.500e+00", "2.500e+00", "undefined",
+            "0.00", "0.00", "undefined", "(a)", "(b)",
+        ]
+        # The dimension shows in the Function cell; the medians are CSV-only.
+        hidden = {f.name for f in dataclasses.fields(row)} - {f.name for f in shown}
+        assert hidden == {"dimension", "median_qs", "median_std"}
 
 
 class TestCsvArtifacts:

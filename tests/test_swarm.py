@@ -303,6 +303,10 @@ class TestConfigValidation:
             SwarmConfig(**{**good, "variant": "hybrid"})
         with pytest.raises(ValueError):
             SwarmConfig(**{**good, "bounds": Bounds.symmetric(1.0, 3)})
+        for name in ("omega0", "c1_0", "c2_0", "vmax0", "tau", "gamma_floor"):
+            for value in (math.nan, math.inf, -math.inf):
+                with pytest.raises(ValueError, match=name):
+                    SwarmConfig(**{**good, name: value})
 
     def test_fewer_particles_than_interpolation_points_is_allowed(self):
         config = sphere_config(n_particles=3, variant=VARIANT_SURROGATE)
@@ -515,6 +519,23 @@ class TestRun:
                 trace = record.best_value_trace
                 assert np.all(np.diff(trace) <= 0)
                 assert record.final_value == trace[-1]
+
+    @pytest.mark.parametrize("name", ["sphere", "ackley"])
+    def test_tiny_box_runs_the_surrogate_variant_as_the_standard_one(self, name):
+        # Every point of a +-1e-300 box lies within the archive's duplicate
+        # radius of the first, so the archive never holds enough points to fit.
+        box = Bounds.symmetric(1e-300, 2)
+        objective = make_objective(name, 2, box)
+        for seed in range(5):
+            config = sphere_config(bounds=box, iterations=20, seed=seed)
+            standard = run(config, objective, timing=False)
+            config = sphere_config(bounds=box, iterations=20, seed=seed, variant=VARIANT_SURROGATE)
+            surrogate = run(config, objective, timing=False)
+            assert surrogate.best_value_trace.tobytes() == standard.best_value_trace.tobytes()
+            assert surrogate.final_position.tobytes() == standard.final_position.tobytes()
+            assert surrogate.evaluations == standard.evaluations
+            assert surrogate.fallback_counts["too_few_points"] == 20
+            assert sum(surrogate.fallback_counts.values()) == 20
 
     def test_record_wall_time_positive_when_timed(self):
         objective = make_objective("sphere", 2)
