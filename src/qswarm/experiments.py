@@ -95,12 +95,30 @@ class BatchResult:
     summary: StatsSummary
 
 
+def _quantiles(arr: np.ndarray, probs, axis=None) -> np.ndarray:
+    """Type-7 quantiles of ``arr`` along ``axis``, also for samples holding
+    ``inf``: a run that saw only non-finite values ends at ``inf``.
+
+    numpy's linear method computes ``inf - inf`` or ``inf * 0`` next to an
+    infinite order statistic. Where that gives NaN and the sample holds no
+    NaN, the type-7 value is the ``higher`` order statistic: the order
+    statistic itself at an exact rank, and ``inf`` between a finite and an
+    infinite neighbour. Every other value is numpy's.
+    """
+    with np.errstate(invalid="ignore"):
+        q = np.quantile(arr, probs, axis=axis)
+    undefined = np.isnan(q) & ~np.isnan(arr).any(axis=axis)
+    if undefined.any():
+        q = np.where(undefined, np.quantile(arr, probs, axis=axis, method="higher"), q)
+    return q
+
+
 def summarize(values) -> tuple[float, float, float, float]:
     """Mean and (q25, q50, q75) with linear rank interpolation (type 7)."""
     arr = np.asarray(values, dtype=float)
     if arr.size == 0:
         raise ValueError("cannot summarize an empty sample")
-    q25, q50, q75 = (float(q) for q in np.quantile(arr, (0.25, 0.50, 0.75)))
+    q25, q50, q75 = (float(q) for q in _quantiles(arr, (0.25, 0.50, 0.75)))
     return float(arr.mean()), q25, q50, q75
 
 
@@ -123,7 +141,7 @@ def summarize_records(records: list[RunRecord]) -> StatsSummary:
     finals = [record.final_value for record in records]
     mean, q25, q50, q75 = summarize(finals)
     traces = np.stack([record.best_value_trace for record in records])
-    q25_trace, q75_trace = np.quantile(traces, (0.25, 0.75), axis=0)
+    q25_trace, q75_trace = _quantiles(traces, (0.25, 0.75), axis=0)
     return StatsSummary(
         n_runs=len(records),
         mean=mean,

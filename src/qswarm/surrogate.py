@@ -16,9 +16,11 @@ solve fails when any pivot magnitude drops below ``PIVOT_RTOL`` times the
 largest absolute entry of the matrix. No explicit inverse is ever formed.
 The whitening SVD is LAPACK ``gesdd``, the driver behind ``np.linalg.svd``,
 called directly, and the largest entry comes from ``lange``. SciPy supplies
-these LAPACK routines; it is imported by :func:`load_lapack` on first use: a
-surrogate run calls it before its clock starts, so importing the package, and
-any run of the standard variant, never loads it.
+these LAPACK routines from its extension module ``scipy.linalg._flapack``,
+which :func:`load_lapack` loads on first use without importing the
+``scipy.linalg`` package: a surrogate run calls it before its clock starts,
+so importing the package, and any run of the standard variant, never loads
+scipy.
 
 The fit works on arrays of 3 to 15 rows, where each numpy call costs more
 than its arithmetic, so the kernel makes few of them. It keeps the
@@ -30,8 +32,12 @@ those of that form bit for bit.
 from __future__ import annotations
 
 import math
+import os
+import sys
 from dataclasses import dataclass
 from functools import cache
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
+from importlib.util import module_from_spec
 
 import numpy as np
 
@@ -64,11 +70,31 @@ class SingularMatrixError(ArithmeticError):
 
 @cache
 def load_lapack():
-    """(dgesdd, dgetrf, dgetrs, dlange), importing scipy.linalg on the first
-    call."""
-    from scipy.linalg import lapack
+    """(dgesdd, dgetrf, dgetrs, dlange) from scipy's f2py LAPACK extension.
 
-    return lapack.dgesdd, lapack.dgetrf, lapack.dgetrs, lapack.dlange
+    The first call imports the top-level ``scipy`` package, which runs
+    scipy's own start-up, and then loads the one extension module
+    ``scipy.linalg._flapack`` under its canonical name, without the
+    ``scipy.linalg`` package. An entry already in ``sys.modules`` is reused,
+    so the routines are the objects ``scipy.linalg.lapack`` exports, in
+    either import order (a ``scipy.linalg`` imported later lacks only the
+    private attribute ``_flapack``). Raises :class:`ImportError` naming the
+    folder searched when the extension is not there.
+    """
+    import scipy
+
+    name = "scipy.linalg._flapack"
+    module = sys.modules.get(name)
+    if module is None:
+        folder = os.path.join(scipy.__path__[0], "linalg")
+        loader = (ExtensionFileLoader, EXTENSION_SUFFIXES)
+        spec = FileFinder(folder, loader).find_spec(name)
+        if spec is None:
+            raise ImportError(f"no {name} extension in {folder}", name=name)
+        module = module_from_spec(spec)
+        sys.modules[name] = module
+        spec.loader.exec_module(module)
+    return module.dgesdd, module.dgetrf, module.dgetrs, module.dlange
 
 
 def solve_pivoted(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:

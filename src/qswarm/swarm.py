@@ -330,8 +330,8 @@ def run(config: SwarmConfig, objective: Objective, timing: bool = True) -> RunRe
 
     ``timing=False`` records a wall time of 0.0 so emitted artifacts can be
     compared byte-for-byte across environments. A surrogate run loads
-    LAPACK before its clock starts, so the first one in a process does not
-    time the scipy import.
+    scipy's LAPACK extension (:func:`load_lapack`) before its clock starts,
+    so the first one in a process does not time that load.
     """
     if config.variant == VARIANT_SURROGATE:
         load_lapack()

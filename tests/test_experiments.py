@@ -69,6 +69,12 @@ class TestSummarize:
         with pytest.raises(ValueError):
             summarize([])
 
+    def test_runs_ending_at_inf_get_type7_quantiles(self):
+        # A run whose every evaluation was non-finite ends at inf. The median
+        # is the order statistic 2.0 itself; q75 lies between 2.0 and inf.
+        assert summarize([1.0, 2.0, math.inf]) == (math.inf, 1.5, 2.0, math.inf)
+        assert summarize([math.inf] * 3) == (math.inf,) * 4
+
     def test_log_median(self):
         assert log_median([1.0, 10.0, 100.0]) == pytest.approx(10.0, rel=1e-12)
         assert log_median([0.0, 1.0, 4.0]) == pytest.approx(1.0, rel=1e-12)
@@ -124,6 +130,26 @@ class TestRunBatch:
         assert result.summary.mean == 2.5
         assert result.summary.q25 == 1.75
         assert result.summary.q75 == 3.25
+
+    def test_inf_only_objective_summarizes_to_inf(self):
+        never_finite = Objective(
+            name="never_finite",
+            dimension=2,
+            bounds=Bounds.symmetric(1.0, 2),
+            evaluate=lambda _x: math.nan,
+        )
+        spec = BatchSpec(
+            objective="never_finite",
+            dimension=2,
+            n_particles=3,
+            n_runs=3,
+            iterations=4,
+        )
+        for result in run_batch(spec, objective=never_finite, timing=False).values():
+            summary = result.summary
+            assert (summary.mean, summary.q25, summary.q50, summary.q75) == (math.inf,) * 4
+            for trace in (summary.mean_trace, summary.q25_trace, summary.q75_trace):
+                assert np.array_equal(trace, np.full(4, math.inf))
 
     def test_seeds_derived_by_xor(self):
         spec = BatchSpec(

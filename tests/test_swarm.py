@@ -10,10 +10,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qswarm.archive import Archive, ArchiveEntry
 from qswarm.objectives import Bounds, Objective, clip_to_bounds, make_objective
-from qswarm.surrogate import required_points, surrogate_attractor
+from qswarm.surrogate import (
+    FALLBACK_NON_IMPROVING,
+    FALLBACK_NONE,
+    required_points,
+    surrogate_attractor,
+)
 from qswarm.swarm import (
     VARIANT_STANDARD,
     VARIANT_SURROGATE,
@@ -574,6 +581,44 @@ class TestStateInvariants:
                 assert np.all(swarm.positions <= config.bounds.hi + 0.0)
                 assert np.all(np.abs(swarm.velocities) <= vmax)
                 checked += swarm.positions.size
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        name=st.sampled_from(["sphere", "ackley", "flower", "griewank"]),
+        dim=st.integers(1, 3),
+        n_particles=st.integers(1, 10),
+        iterations=st.integers(1, 25),
+        variant=st.sampled_from([VARIANT_STANDARD, VARIANT_SURROGATE]),
+        per_dimension_draws=st.booleans(),
+        lookback=st.integers(1, 10),
+        archive_capacity=st.none() | st.integers(1, 12),
+        centers=st.lists(st.floats(-100.0, 100.0), min_size=3, max_size=3),
+        half_widths=st.lists(st.floats(0.01, 50.0), min_size=3, max_size=3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_run_invariants_over_drawn_configs(
+        self, name, dim, centers, half_widths, **fields
+    ):
+        # Off-origin boxes: the minimum may lie outside the box.
+        center, half = np.array(centers[:dim]), np.array(half_widths[:dim])
+        objective = make_objective(name, dim, Bounds(center - half, center + half))
+        config = SwarmConfig(dimension=dim, bounds=objective.bounds, **fields)
+        record = run(config, objective, timing=False)
+        counts = record.fallback_counts
+        # One evaluation per particle per iteration, plus one per surrogate
+        # call that got as far as a proposal.
+        probes = counts[FALLBACK_NONE] + counts[FALLBACK_NON_IMPROVING]
+        assert record.evaluations == config.n_particles * config.iterations + probes
+        surrogate_calls = config.iterations if config.variant == VARIANT_SURROGATE else 0
+        assert sum(counts.values()) == surrogate_calls
+        final = float(objective.evaluate(record.final_position))
+        assert record.final_value == record.best_value_trace[-1] == final
+        assert np.all(np.diff(record.best_value_trace) <= 0)
+        assert np.all(objective.bounds.lo <= record.final_position)
+        assert np.all(record.final_position <= objective.bounds.hi)
+        again = run(config, objective, timing=False)
+        assert again.best_value_trace.tobytes() == record.best_value_trace.tobytes()
+        assert again.final_position.tobytes() == record.final_position.tobytes()
 
     def test_forced_fallback_matches_standard_bitwise(self):
         objective = make_objective("sphere", 2)
