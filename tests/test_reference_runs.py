@@ -1,14 +1,18 @@
 """Recorded run digests: the engine's output must not change by a single bit.
 
-Each digest is a sha256 over everything a run reports that is deterministic:
-the best-value trace, the final position, the final value, the evaluation
-count and the fallback counts. Both variants run on every benchmark row for
-seeds 0-4 and must reproduce the digests in ``reference_runs.json``.
+Each run is pinned by two sha256 digests, so a change to what a run counts
+cannot hide whether its path moved:
+
+* ``trajectory``: the best-value trace, the final position, the final value
+  and ``nonfinite_iterations`` (empty on the benchmark rows);
+* ``counts``: the evaluation count and the sorted fallback counts.
+
+Both variants run on every benchmark row for seeds 0-4 and must reproduce
+the digests in ``reference_runs.json``.
 
 The option cases cover the engine branches the benchmark rows leave
 untouched: per-dimension draws, a short lookback and an objective that
-returns NaN or inf on part of the box. Their digests
-also hash ``nonfinite_iterations``.
+returns NaN or inf on part of the box.
 
 The kernel digests in ``reference_kernel.json`` pin what the run digests
 only see through its effect on the swarm: the full output of every
@@ -16,11 +20,12 @@ surrogate fit (``const``, ``linear`` and ``quad`` bytes, or the singular
 system) and of every minimize (the stationary point, or the singular
 quadratic), for the surrogate variant on every benchmark row, seeds 0-1.
 
-A change that alters numerics on purpose re-records both files with
+A change that alters numerics or counts on purpose re-records both files
+with
 
     PYTHONPATH=src python tests/test_reference_runs.py
 
-and says so in its change notes.
+which prints every digest that changed, and says so in its change notes.
 """
 
 import hashlib
@@ -43,20 +48,16 @@ OPTION_SEEDS = range(3)
 KERNEL_SEEDS = range(2)
 
 
-def run_digest(record) -> str:
-    h = hashlib.sha256()
-    h.update(record.best_value_trace.tobytes())
-    h.update(record.final_position.tobytes())
-    h.update(repr(record.final_value).encode())
-    h.update(repr(record.evaluations).encode())
-    h.update(repr(sorted(record.fallback_counts.items())).encode())
-    return h.hexdigest()
-
-
-def option_digest(record) -> str:
-    h = hashlib.sha256(run_digest(record).encode())
-    h.update(repr(record.nonfinite_iterations).encode())
-    return h.hexdigest()
+def run_digests(record) -> dict[str, str]:
+    trajectory = hashlib.sha256()
+    trajectory.update(record.best_value_trace.tobytes())
+    trajectory.update(record.final_position.tobytes())
+    trajectory.update(repr(record.final_value).encode())
+    trajectory.update(repr(record.nonfinite_iterations).encode())
+    counts = hashlib.sha256()
+    counts.update(repr(record.evaluations).encode())
+    counts.update(repr(sorted(record.fallback_counts.items())).encode())
+    return {"trajectory": trajectory.hexdigest(), "counts": counts.hexdigest()}
 
 
 def holed_sphere(x) -> float:
@@ -78,7 +79,7 @@ OPTION_CASES = {
 }
 
 
-def option_digests(variant, case) -> dict[str, str]:
+def option_digests(variant, case) -> dict[str, dict[str, str]]:
     name, dimension, particles, limit, overrides = OPTION_CASES[case]
     bounds = Bounds.symmetric(limit, dimension)
     if name == "holed":
@@ -96,11 +97,11 @@ def option_digests(variant, case) -> dict[str, str]:
             seed=seed,
             **overrides,
         )
-        digests[str(seed)] = option_digest(run(config, objective, timing=False))
+        digests[str(seed)] = run_digests(run(config, objective, timing=False))
     return digests
 
 
-def row_digests(variant, name, dimension, particles, limit) -> dict[str, str]:
+def row_digests(variant, name, dimension, particles, limit) -> dict[str, dict[str, str]]:
     bounds = Bounds.symmetric(limit, dimension)
     objective = make_objective(name, dimension, bounds)
     digests = {}
@@ -113,7 +114,7 @@ def row_digests(variant, name, dimension, particles, limit) -> dict[str, str]:
             variant=variant,
             seed=seed,
         )
-        digests[str(seed)] = run_digest(run(config, objective, timing=False))
+        digests[str(seed)] = run_digests(run(config, objective, timing=False))
     return digests
 
 
@@ -243,6 +244,27 @@ def test_nonfinite_case_hits_every_hole():
     assert seen == {"nan", "-inf", "inf"}
 
 
+def leaf_digests(tree: dict, prefix: str = "") -> dict[str, str]:
+    """Every digest of a nested reference dict, keyed by its path."""
+    leaves = {}
+    for key, value in tree.items():
+        if isinstance(value, dict):
+            leaves.update(leaf_digests(value, f"{prefix}{key} "))
+        else:
+            leaves[prefix + key] = value
+    return leaves
+
+
+def rewrite(path: Path, recorded: dict) -> None:
+    old = json.loads(path.read_text(encoding="utf-8")) if path.exists() else {}
+    path.write_text(json.dumps(recorded, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    was, now = leaf_digests(old), leaf_digests(recorded)
+    changed = sorted(leaf for leaf in was.keys() | now.keys() if was.get(leaf) != now.get(leaf))
+    print(f"wrote {len(recorded)} rows to {path}; {len(changed)} digests changed")
+    for line in changed:
+        print(f"  changed: {line}")
+
+
 if __name__ == "__main__":
     recorded = {
         row_key(variant, row[0], row[1]): row_digests(variant, *row[:4])
@@ -254,8 +276,5 @@ if __name__ == "__main__":
         for variant in VARIANTS
         for case in OPTION_CASES
     )
-    REFERENCE_FILE.write_text(json.dumps(recorded, indent=1, sort_keys=True) + "\n", encoding="utf-8")
-    print(f"wrote {len(recorded)} rows to {REFERENCE_FILE}")
-    kernel = {f"{row[0]}_{row[1]}d": kernel_digests(*row[:4]) for row in BENCHMARK_ROWS}
-    KERNEL_FILE.write_text(json.dumps(kernel, indent=1, sort_keys=True) + "\n", encoding="utf-8")
-    print(f"wrote {len(kernel)} rows to {KERNEL_FILE}")
+    rewrite(REFERENCE_FILE, recorded)
+    rewrite(KERNEL_FILE, {f"{row[0]}_{row[1]}d": kernel_digests(*row[:4]) for row in BENCHMARK_ROWS})
