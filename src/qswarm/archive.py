@@ -19,8 +19,10 @@ afterwards. The store is not synchronized; each optimization run owns its own
 instance.
 
 ``version`` counts stored observations, so two reads with equal versions see
-the same stored set. Consumers that derive data from that set (the surrogate
-proposal) cache it in ``memo`` keyed on the version.
+the same stored set, and an offer refused at one version is refused again at
+that version. Consumers that derive data from that set (the surrogate
+proposal and the value of its refused probe) cache it in ``memo`` keyed on
+the version.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ class Archive:
         self.memo = None  # consumer-owned cache, valid only for the version it names
         self._values: list[float] = []
         self._positions: list = []
-        self._points: list[tuple[float, ...]] = []  # float tuples, for math.dist
+        self._points: list[tuple[float, ...]] = []  # coordinate tuples, for math.dist
 
     @property
     def size(self) -> int:
@@ -71,7 +73,7 @@ class Archive:
         full = len(values) >= self.capacity
         if not math.isfinite(fx) or (full and not fx < values[-1]):
             return False
-        point = tuple(map(float, x))
+        point = tuple(x.tolist() if isinstance(x, np.ndarray) else map(float, x))
         for other in self._points:
             if math.dist(point, other) <= DUPLICATE_EPS:
                 return False

@@ -97,19 +97,23 @@ class BatchResult:
 
 def _quantiles(arr: np.ndarray, probs, axis=None) -> np.ndarray:
     """Type-7 quantiles of ``arr`` along ``axis``, also for samples holding
-    ``inf``: a run that saw only non-finite values ends at ``inf``.
+    ``inf`` or ``-inf``: a run that saw only non-finite values ends at
+    ``inf``, and an objective may return ``-inf`` at a particle.
 
     numpy's linear method computes ``inf - inf`` or ``inf * 0`` next to an
     infinite order statistic. Where that gives NaN and the sample holds no
-    NaN, the type-7 value is the ``higher`` order statistic: the order
-    statistic itself at an exact rank, and ``inf`` between a finite and an
-    infinite neighbour. Every other value is numpy's.
+    NaN, the type-7 value is the infinite neighbour: the ``lower`` order
+    statistic when it is ``-inf``, else the ``higher`` one. That is the
+    order statistic itself at an exact rank, and the infinity between a
+    finite and an infinite neighbour. Every other value is numpy's.
     """
     with np.errstate(invalid="ignore"):
         q = np.quantile(arr, probs, axis=axis)
     undefined = np.isnan(q) & ~np.isnan(arr).any(axis=axis)
     if undefined.any():
-        q = np.where(undefined, np.quantile(arr, probs, axis=axis, method="higher"), q)
+        lower = np.quantile(arr, probs, axis=axis, method="lower")
+        higher = np.quantile(arr, probs, axis=axis, method="higher")
+        q = np.where(undefined, np.where(lower == -np.inf, lower, higher), q)
     return q
 
 

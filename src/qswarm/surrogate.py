@@ -52,6 +52,7 @@ FALLBACK_TOO_FEW_POINTS = "too_few_points"
 FALLBACK_SINGULAR_SYSTEM = "singular_system"
 FALLBACK_SINGULAR_QUADRATIC = "singular_quadratic"
 FALLBACK_NON_IMPROVING = "non_improving"
+FALLBACK_REPEATED = "repeated"
 
 FALLBACK_REASONS = (
     FALLBACK_NONE,
@@ -59,6 +60,7 @@ FALLBACK_REASONS = (
     FALLBACK_SINGULAR_SYSTEM,
     FALLBACK_SINGULAR_QUADRATIC,
     FALLBACK_NON_IMPROVING,
+    FALLBACK_REPEATED,
 )
 
 
@@ -154,7 +156,8 @@ class SurrogateResult:
     """Attractor proposed for the swarm, with fallback diagnostics.
 
     ``f_min`` is the actual objective value at ``x_min``, never the surrogate
-    prediction.
+    prediction. ``repeated`` is the ``non_improving`` result of a proposal
+    already evaluated against the same archive, found without evaluating it.
     """
 
     x_min: np.ndarray
@@ -173,7 +176,7 @@ class SurrogateResult:
     @property
     def evaluated(self) -> bool:
         """True when the call evaluated the objective once, at its proposal:
-        every call that gets as far as a proposal does, accepted or not."""
+        every call that gets as far as a new probe does, accepted or not."""
         return self.fallback_reason in (FALLBACK_NONE, FALLBACK_NON_IMPROVING)
 
 
@@ -295,19 +298,26 @@ def surrogate_attractor(
     """Propose the swarm attractor from the archived best samples.
 
     Fit the quadratic to the archive, minimize it analytically, clip the
-    minimizer to the bounds, and evaluate the actual objective there. The
-    evaluated point is offered back to the archive. The minimizer is accepted
-    only when its actual value strictly improves on ``global_best``;
-    otherwise, and on any degeneracy, the result falls back to a known best
-    point. Fallbacks are ordinary results, never errors: an archive holding
-    fewer points than the fit needs, an empty one included, falls back to
+    minimizer to the bounds, and evaluate the actual objective there; a
+    non-finite value counts as ``inf``, as a particle's does. The evaluated
+    point is offered back to the archive. The minimizer is accepted only
+    when its actual value strictly improves on ``global_best``; otherwise,
+    and on any degeneracy, the result falls back to a known best point.
+    Fallbacks are ordinary results, never errors: an archive holding fewer
+    points than the fit needs, an empty one included, falls back to
     ``global_best`` as ``too_few_points``.
 
     The proposal (clipped minimizer or degeneracy reason) is a function of
     the stored set and the bounds alone, so it is refit only when the archive
-    has stored a point since the last call or the bounds differ. Every call
-    still evaluates the proposal and offers it to the archive, so results are
-    identical to refitting every call. A proposal ``x_min`` is read-only.
+    has stored a point since the last call or the bounds differ. A probe the
+    archive refused is remembered with its value until the archive stores a
+    point. A later call that meets it again, with a ``global_best`` the value
+    does not beat, returns the ``non_improving`` result as ``repeated`` and
+    neither evaluates nor offers the probe: the archive would refuse it
+    again, so the fallback is the same archive best. For a deterministic
+    objective, results are therefore identical to refitting and evaluating
+    every call; only the evaluations are fewer. A proposal ``x_min`` is
+    read-only.
     """
     need = required_points(objective.dimension)
     if archive.size < need or archive.size < archive.capacity:
@@ -317,25 +327,31 @@ def surrogate_attractor(
             f_min=float(global_best.value),
             fallback_reason=FALLBACK_TOO_FEW_POINTS,
         )
-    x_min = _proposal(archive, objective.bounds, need)
+    x_min, seen = _proposal(archive, objective.bounds, need)
     if isinstance(x_min, str):
         return _archive_fallback(archive, x_min)
+    if seen is not None and not seen < global_best.value:
+        return _archive_fallback(archive, FALLBACK_REPEATED)
     f_min = float(objective.evaluate(x_min))
-    archive.observe(x_min, f_min)  # rejects non-finite values itself
+    if not math.isfinite(f_min):
+        f_min = math.inf
+    if not archive.observe(x_min, f_min):
+        archive.memo = (*archive.memo[:3], f_min)
     if f_min < global_best.value:
         return SurrogateResult(x_min=x_min, f_min=f_min, fallback_reason=FALLBACK_NONE)
     return _archive_fallback(archive, FALLBACK_NON_IMPROVING)
 
 
 def _proposal(archive: Archive, bounds: Bounds, need: int):
-    """Clipped surrogate minimizer, or the fallback reason when degenerate.
+    """Clipped surrogate minimizer, or the fallback reason when degenerate,
+    and the value of its probe if the archive has refused it (else None).
 
     Cached in ``archive.memo`` under the archive version and the bounds
     object; a hit skips the sort, the fit and the solve.
     """
     memo = archive.memo
     if memo is not None and memo[0] == archive.version and memo[1] is bounds:
-        return memo[2]
+        return memo[2], memo[3]
     points, values = archive.sorted_points()
     try:
         model = fit(np.array(points[:need]), values[:need])
@@ -349,8 +365,8 @@ def _proposal(archive: Archive, bounds: Bounds, need: int):
         else:
             proposal = clip_to_bounds(x_min, bounds)
             proposal.flags.writeable = False  # shared by every hit
-    archive.memo = (archive.version, bounds, proposal)
-    return proposal
+    archive.memo = (archive.version, bounds, proposal, None)
+    return proposal, None
 
 
 def _archive_fallback(archive: Archive, reason: str) -> SurrogateResult:

@@ -28,7 +28,7 @@ from qswarm.experiments import (
     write_trace_csv,
 )
 from qswarm.objectives import Bounds, Objective, make_objective
-from qswarm.swarm import VARIANT_STANDARD, VARIANT_SURROGATE, run, SwarmConfig
+from qswarm.swarm import VARIANT_STANDARD, VARIANT_SURROGATE, RunRecord, run, SwarmConfig
 
 
 def sort_quantile_oracle(values, q):
@@ -74,6 +74,34 @@ class TestSummarize:
         # is the order statistic 2.0 itself; q75 lies between 2.0 and inf.
         assert summarize([1.0, 2.0, math.inf]) == (math.inf, 1.5, 2.0, math.inf)
         assert summarize([math.inf] * 3) == (math.inf,) * 4
+
+    def test_samples_holding_minus_inf_get_type7_quantiles(self):
+        # q25 lies between -inf and 1.0, so it is -inf; the rest are finite.
+        inf = math.inf
+        assert summarize([-inf, -inf, 1.0, 2.0, 3.0, 4.0]) == (-inf, -inf, 1.5, 2.75)
+        assert summarize([-inf] * 3) == (-inf,) * 4
+
+    def test_trace_bands_next_to_either_infinity(self):
+        inf = math.inf
+        columns = [[-inf, -inf, 1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 3.0, 4.0, inf, inf]]
+        traces = list(zip(*columns))
+        records = [
+            RunRecord(
+                best_value_trace=np.array(trace),
+                final_position=np.zeros(2),
+                final_value=trace[-1],
+                evaluations=0,
+                fallback_counts={},
+                nonfinite_iterations=(),
+                wall_time=0.0,
+            )
+            for trace in traces
+        ]
+        summary = summarize_records(records)
+        # q25 lies between -inf and 1.0 in the first column; q75 between 4.0
+        # and inf in the second.
+        assert summary.q25_trace.tolist() == [-inf, 2.25]
+        assert summary.q75_trace.tolist() == [2.75, inf]
 
     def test_log_median(self):
         assert log_median([1.0, 10.0, 100.0]) == pytest.approx(10.0, rel=1e-12)

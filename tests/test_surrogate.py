@@ -21,6 +21,7 @@ from qswarm.surrogate import (
     FALLBACK_NON_IMPROVING,
     FALLBACK_NONE,
     FALLBACK_REASONS,
+    FALLBACK_REPEATED,
     FALLBACK_SINGULAR_QUADRATIC,
     FALLBACK_SINGULAR_SYSTEM,
     FALLBACK_TOO_FEW_POINTS,
@@ -706,15 +707,19 @@ class TestSurrogateAttractor:
             archive = archive_from(pts, [p @ p for p in pts], 6)
             # The sphere fit is exact, so only a negative best rejects it.
             best = ArchiveEntry(float(rng.uniform(-5, 50)), np.zeros(2))
-            calls.clear()
-            result = surrogate_attractor(archive, objective, best)
-            assert len(calls) == result.evaluated
-            seen.add(result.fallback_reason)
+            # A probe the archive stores moves the next proposal; one it
+            # refuses (a duplicate of the stored one, here) comes back.
+            for _ in range(3):
+                calls.clear()
+                result = surrogate_attractor(archive, objective, best)
+                assert len(calls) == result.evaluated
+                seen.add(result.fallback_reason)
         assert seen >= {
             FALLBACK_NONE,
             FALLBACK_TOO_FEW_POINTS,
             FALLBACK_SINGULAR_SYSTEM,
             FALLBACK_NON_IMPROVING,
+            FALLBACK_REPEATED,
         }
 
     def test_out_of_bounds_minimizer_is_clipped_before_evaluation(self):
@@ -741,6 +746,9 @@ class TestResultValidation:
             assert result.used_fallback == (reason != FALLBACK_NONE)
             proposed = reason in (FALLBACK_NONE, FALLBACK_NON_IMPROVING)
             assert result.evaluated == proposed
+        repeated = SurrogateResult(np.zeros(2), 0.0, FALLBACK_REPEATED)
+        assert repeated.used_fallback and not repeated.evaluated
+        assert FALLBACK_REASONS[-1] == FALLBACK_REPEATED
         with pytest.raises(ValueError):
             SurrogateResult(np.zeros(2), 0.0, "because")
 
@@ -824,6 +832,52 @@ class TestProposalMemo:
         assert len(fits) == 2
         assert clipped.x_min[1] == 1.5
         assert np.array_equal(clipped.x_min, self.fresh_proposal(archive, narrow.bounds))
+
+    def test_refused_probe_is_not_evaluated_again(self, monkeypatch):
+        archive = self.bowl_archive()
+        evaluations = []
+        objective = self.flat_objective(Bounds.symmetric(10.0, 2), evaluations)
+        fits = self.counting_fit(monkeypatch)
+        strong_best = archive.best()  # the probe's 1e6 does not beat it
+        first = surrogate_attractor(archive, objective, strong_best)
+        assert first.fallback_reason == FALLBACK_NON_IMPROVING
+        assert len(evaluations) == 1
+        version = archive.version
+        points, values = archive.sorted_points()
+        second = surrogate_attractor(archive, objective, strong_best)
+        assert second.fallback_reason == FALLBACK_REPEATED
+        assert not second.evaluated
+        assert len(evaluations) == 1
+        assert len(fits) == 1
+        assert archive.version == version
+        again_points, again_values = archive.sorted_points()
+        assert again_values == values
+        assert all(a is b for a, b in zip(again_points, points))
+        # exactly the result that evaluating the probe again would give
+        assert second.x_min.tobytes() == first.x_min.tobytes()
+        assert second.f_min == first.f_min
+
+    @pytest.mark.parametrize("bad", [-math.inf, math.nan, math.inf])
+    def test_non_finite_probe_value_counts_as_inf(self, bad):
+        archive = self.bowl_archive()
+        calls = []
+
+        def evaluate(x):
+            calls.append(1)
+            return bad
+
+        objective = Objective("holed", 2, Bounds.symmetric(10.0, 2), evaluate)
+        weak_best = ArchiveEntry(1e9, np.zeros(2))
+        version = archive.version
+        first = surrogate_attractor(archive, objective, weak_best)
+        assert first.fallback_reason == FALLBACK_NON_IMPROVING
+        assert first.f_min == archive.best().value
+        assert archive.version == version
+        # The memo keeps inf, which beats no incumbent, not even an inf one.
+        assert archive.memo[3] == math.inf
+        second = surrogate_attractor(archive, objective, ArchiveEntry(math.inf, np.zeros(2)))
+        assert second.fallback_reason == FALLBACK_REPEATED
+        assert len(calls) == 1
 
     def test_cached_singular_reason_returns_archive_best(self, monkeypatch):
         objective = make_objective("sphere", 2)

@@ -361,6 +361,28 @@ class TestStep:
         assert np.all(np.isfinite(record.best_value_trace))
         assert record.final_value < math.inf
 
+    def test_minus_inf_probe_is_not_accepted(self):
+        # A pit of -inf around the origin: the surrogate proposes the origin
+        # and must count its value as inf, as the swarm counts a particle's.
+        pit_hits = []
+
+        def pit_sphere(x):
+            value = float(x @ x)
+            if value < 1e-4:
+                pit_hits.append(1)
+                return -math.inf
+            return value
+
+        objective = Objective("pit", 2, Bounds.symmetric(10.0, 2), evaluate=pit_sphere)
+        for seed in range(3):
+            config = sphere_config(
+                n_particles=10, iterations=100, variant=VARIANT_SURROGATE, seed=seed
+            )
+            record = run(config, objective, timing=False)
+            assert math.isfinite(record.final_value)
+            assert record.final_value == pit_sphere(record.final_position)
+        assert pit_hits
+
     def test_all_nonfinite_first_iteration_keeps_running(self):
         calls = {"count": 0}
 
@@ -603,10 +625,18 @@ class TestStateInvariants:
         center, half = np.array(centers[:dim]), np.array(half_widths[:dim])
         objective = make_objective(name, dim, Bounds(center - half, center + half))
         config = SwarmConfig(dimension=dim, bounds=objective.bounds, **fields)
-        record = run(config, objective, timing=False)
+        calls = []
+
+        def counting(x):
+            calls.append(1)
+            return objective.evaluate(x)
+
+        counted = Objective(name, dim, objective.bounds, evaluate=counting)
+        record = run(config, counted, timing=False)
+        assert record.evaluations == len(calls)
         counts = record.fallback_counts
         # One evaluation per particle per iteration, plus one per surrogate
-        # call that got as far as a proposal.
+        # call that got as far as a new probe.
         probes = counts[FALLBACK_NONE] + counts[FALLBACK_NON_IMPROVING]
         assert record.evaluations == config.n_particles * config.iterations + probes
         surrogate_calls = config.iterations if config.variant == VARIANT_SURROGATE else 0
