@@ -56,7 +56,7 @@ class Archive:
         self.memo = None  # consumer-owned cache, valid only for the version it names
         self._values: list[float] = []
         self._positions: list = []
-        self._points: list[tuple[float, ...]] = []  # coordinate tuples, for math.dist
+        self._points: list[tuple[float, ...]] = []  # float tuples, for math.dist
 
     @property
     def size(self) -> int:
@@ -73,7 +73,7 @@ class Archive:
         full = len(values) >= self.capacity
         if not math.isfinite(fx) or (full and not fx < values[-1]):
             return False
-        point = tuple(x.tolist() if isinstance(x, np.ndarray) else map(float, x))
+        point = tuple(map(float, x))
         for other in self._points:
             if math.dist(point, other) <= DUPLICATE_EPS:
                 return False

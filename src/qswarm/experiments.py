@@ -105,7 +105,8 @@ def _quantiles(arr: np.ndarray, probs, axis=None) -> np.ndarray:
     NaN, the type-7 value is the infinite neighbour: the ``lower`` order
     statistic when it is ``-inf``, else the ``higher`` one. That is the
     order statistic itself at an exact rank, and the infinity between a
-    finite and an infinite neighbour. Every other value is numpy's.
+    finite and an infinite neighbour. Between ``-inf`` and ``inf`` type 7
+    is undefined and the value stays NaN. Every other value is numpy's.
     """
     with np.errstate(invalid="ignore"):
         q = np.quantile(arr, probs, axis=axis)
@@ -113,7 +114,8 @@ def _quantiles(arr: np.ndarray, probs, axis=None) -> np.ndarray:
     if undefined.any():
         lower = np.quantile(arr, probs, axis=axis, method="lower")
         higher = np.quantile(arr, probs, axis=axis, method="higher")
-        q = np.where(undefined, np.where(lower == -np.inf, lower, higher), q)
+        between = np.where(higher == np.inf, np.nan, lower)
+        q = np.where(undefined, np.where(lower == -np.inf, between, higher), q)
     return q
 
 

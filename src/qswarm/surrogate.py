@@ -314,8 +314,10 @@ def surrogate_attractor(
     ``global_best`` the value does not beat falls back as ``repeated``
     without evaluating or offering it: the archive would refuse it again, so
     the fallback is the same. For a deterministic objective, results thus
-    equal refitting and evaluating every call, with fewer evaluations. A
-    proposal ``x_min`` is read-only.
+    equal refitting and evaluating every call, with fewer evaluations. The
+    memo lives on the archive and keys on neither the objective nor an
+    evaluation count, so an archive must serve one deterministic objective:
+    never share it across objectives. A proposal ``x_min`` is read-only.
     """
     need = required_points(objective.dimension)
     if archive.size < need or archive.size < archive.capacity:

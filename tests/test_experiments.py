@@ -81,6 +81,16 @@ class TestSummarize:
         assert summarize([-inf, -inf, 1.0, 2.0, 3.0, 4.0]) == (-inf, -inf, 1.5, 2.75)
         assert summarize([-inf] * 3) == (-inf,) * 4
 
+    def test_quantiles_between_minus_inf_and_inf_are_undefined(self):
+        # Type 7 between -inf and inf is -inf + inf: it stays NaN, while each
+        # exact rank and each infinity next to a finite neighbour is defined.
+        inf = math.inf
+        quantiles = qswarm.experiments._quantiles
+        q = quantiles(np.array([-inf, inf]), (0.0, 0.5, 1.0))
+        assert q[0] == -inf and math.isnan(q[1]) and q[2] == inf
+        q = quantiles(np.array([-inf, 1.0, inf]), (0.0, 0.25, 0.5, 0.75, 1.0))
+        assert q.tolist() == [-inf, -inf, 1.0, inf, inf]
+
     def test_trace_bands_next_to_either_infinity(self):
         inf = math.inf
         columns = [[-inf, -inf, 1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 3.0, 4.0, inf, inf]]
