@@ -18,7 +18,8 @@ The kernel digests in ``reference_kernel.json`` pin what the run digests
 only see through its effect on the swarm: the full output of every
 surrogate fit (``const``, ``linear`` and ``quad`` bytes, or the singular
 system) and of every minimize (the stationary point, or the singular
-quadratic), for the surrogate variant on every benchmark row, seeds 0-1.
+quadratic), for the surrogate variant on every benchmark row and every
+option case, seeds 0-1.
 
 A change that alters numerics or counts on purpose re-records both files
 with
@@ -79,13 +80,18 @@ OPTION_CASES = {
 }
 
 
-def option_digests(variant, case) -> dict[str, dict[str, str]]:
-    name, dimension, particles, limit, overrides = OPTION_CASES[case]
+def option_objective(case) -> Objective:
+    name, dimension, _, limit, _ = OPTION_CASES[case]
     bounds = Bounds.symmetric(limit, dimension)
     if name == "holed":
-        objective = Objective("holed", dimension, bounds, evaluate=holed_sphere)
-    else:
-        objective = make_objective(name, dimension, bounds)
+        return Objective("holed", dimension, bounds, evaluate=holed_sphere)
+    return make_objective(name, dimension, bounds)
+
+
+def option_digests(variant, case) -> dict[str, dict[str, str]]:
+    _, dimension, particles, _, overrides = OPTION_CASES[case]
+    objective = option_objective(case)
+    bounds = objective.bounds
     digests = {}
     for seed in OPTION_SEEDS:
         config = SwarmConfig(
@@ -162,7 +168,7 @@ def test_reference_file_holds_exactly_the_cases_run_here():
     assert set(reference) == keys
 
 
-def kernel_digests(name, dimension, particles, limit) -> dict[str, str]:
+def kernel_digests(objective, particles, overrides=None) -> dict[str, str]:
     """Per seed, a sha256 over the output of every ``fit`` and ``minimize``
     call of a surrogate run, in call order, plus the number of fits.
 
@@ -170,8 +176,6 @@ def kernel_digests(name, dimension, particles, limit) -> dict[str, str]:
     the module globals, as the benchmark's tracer does.
     """
     real_fit, real_minimize = surrogate.fit, surrogate.minimize
-    bounds = Bounds.symmetric(limit, dimension)
-    objective = make_objective(name, dimension, bounds)
     digests = {}
     for seed in KERNEL_SEEDS:
         h = hashlib.sha256()
@@ -200,12 +204,13 @@ def kernel_digests(name, dimension, particles, limit) -> dict[str, str]:
             return x
 
         config = SwarmConfig(
-            dimension=dimension,
+            dimension=objective.dimension,
             n_particles=particles,
-            bounds=bounds,
+            bounds=objective.bounds,
             iterations=200,
             variant=VARIANT_SURROGATE,
             seed=seed,
+            **(overrides or {}),
         )
         surrogate.fit, surrogate.minimize = recording_fit, recording_minimize
         try:
@@ -216,13 +221,29 @@ def kernel_digests(name, dimension, particles, limit) -> dict[str, str]:
     return digests
 
 
+def row_kernel_digests(name, dimension, particles, limit) -> dict[str, str]:
+    bounds = Bounds.symmetric(limit, dimension)
+    return kernel_digests(make_objective(name, dimension, bounds), particles)
+
+
+def option_kernel_digests(case) -> dict[str, str]:
+    _, _, particles, _, overrides = OPTION_CASES[case]
+    return kernel_digests(option_objective(case), particles, overrides)
+
+
 @pytest.mark.parametrize(
     "row", [pytest.param(row[:4], id=f"{row[0]}_{row[1]}d") for row in BENCHMARK_ROWS]
 )
 def test_kernel_outputs_match_recorded_digests(row):
     reference = json.loads(KERNEL_FILE.read_text(encoding="utf-8"))
     name, dimension, _, _ = row
-    assert kernel_digests(*row) == reference[f"{name}_{dimension}d"]
+    assert row_kernel_digests(*row) == reference[f"{name}_{dimension}d"]
+
+
+@pytest.mark.parametrize("case", [pytest.param(case, id=f"option:{case}") for case in OPTION_CASES])
+def test_option_kernel_outputs_match_recorded_digests(case):
+    reference = json.loads(KERNEL_FILE.read_text(encoding="utf-8"))
+    assert option_kernel_digests(case) == reference[f"option:{case}"]
 
 
 def test_nonfinite_case_hits_every_hole():
@@ -277,4 +298,6 @@ if __name__ == "__main__":
         for case in OPTION_CASES
     )
     rewrite(REFERENCE_FILE, recorded)
-    rewrite(KERNEL_FILE, {f"{row[0]}_{row[1]}d": kernel_digests(*row[:4]) for row in BENCHMARK_ROWS})
+    kernel = {f"{row[0]}_{row[1]}d": row_kernel_digests(*row[:4]) for row in BENCHMARK_ROWS}
+    kernel.update((f"option:{case}", option_kernel_digests(case)) for case in OPTION_CASES)
+    rewrite(KERNEL_FILE, kernel)
