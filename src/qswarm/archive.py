@@ -20,7 +20,9 @@ instance.
 
 ``version`` counts stored observations, so two reads with equal versions see
 the same stored set, and an offer refused at one version is refused again at
-that version. Consumers that derive data from that set (the surrogate
+that version. ``admission`` is the value an offer must beat to be stored:
+the worst stored value once the store is full, else ``inf``. An offer at or
+above it is refused, so a caller may skip it without changing the archive. Consumers that derive data from that set (the surrogate
 proposal and the value of its refused probe) cache it in ``memo`` keyed on
 the version.
 """
@@ -53,6 +55,7 @@ class Archive:
             raise ValueError("capacity must be >= 1")
         self.capacity = int(capacity)
         self.version = 0  # bumped on every stored observation, never otherwise
+        self.admission = math.inf  # worst stored value once full, else inf
         self.memo = None  # consumer-owned cache, valid only for the version it names
         self._values: list[float] = []
         self._positions: list = []
@@ -69,10 +72,10 @@ class Archive:
         signal an invalid evaluation upstream, not a candidate entry.
         """
         fx = float(fx)
+        if not math.isfinite(fx) or not fx < self.admission:
+            return False
         values = self._values
         full = len(values) >= self.capacity
-        if not math.isfinite(fx) or (full and not fx < values[-1]):
-            return False
         point = tuple(map(float, x))
         for other in self._points:
             if math.dist(point, other) <= DUPLICATE_EPS:
@@ -85,6 +88,8 @@ class Archive:
         values.insert(i, fx)
         self._positions.insert(i, x)
         self._points.insert(i, point)
+        if len(values) >= self.capacity:
+            self.admission = values[-1]
         self.version += 1
         return True
 

@@ -120,12 +120,18 @@ def _quantiles(arr: np.ndarray, probs, axis=None) -> np.ndarray:
 
 
 def summarize(values) -> tuple[float, float, float, float]:
-    """Mean and (q25, q50, q75) with linear rank interpolation (type 7)."""
+    """Mean and (q25, q50, q75) with linear rank interpolation (type 7).
+
+    The mean of a sample holding both ``-inf`` and ``inf`` is NaN, without a
+    warning, as is a quantile between the two.
+    """
     arr = np.asarray(values, dtype=float)
     if arr.size == 0:
         raise ValueError("cannot summarize an empty sample")
     q25, q50, q75 = (float(q) for q in _quantiles(arr, (0.25, 0.50, 0.75)))
-    return float(arr.mean()), q25, q50, q75
+    with np.errstate(invalid="ignore"):
+        mean = float(arr.mean())
+    return mean, q25, q50, q75
 
 
 def log_median(values) -> float:
@@ -144,10 +150,17 @@ def log_median(values) -> float:
 
 
 def summarize_records(records: list[RunRecord]) -> StatsSummary:
+    """Statistics of the final values and, per iteration, of the traces.
+
+    As in :func:`summarize`, the mean of a sample or of a trace column that
+    holds both ``-inf`` and ``inf`` is NaN, without a warning.
+    """
     finals = [record.final_value for record in records]
     mean, q25, q50, q75 = summarize(finals)
     traces = np.stack([record.best_value_trace for record in records])
     q25_trace, q75_trace = _quantiles(traces, (0.25, 0.75), axis=0)
+    with np.errstate(invalid="ignore"):
+        mean_trace = traces.mean(axis=0)
     return StatsSummary(
         n_runs=len(records),
         mean=mean,
@@ -156,7 +169,7 @@ def summarize_records(records: list[RunRecord]) -> StatsSummary:
         q75=q75,
         log_median=log_median(finals),
         mean_wall_time=float(np.mean([record.wall_time for record in records])),
-        mean_trace=traces.mean(axis=0),
+        mean_trace=mean_trace,
         q25_trace=q25_trace,
         q75_trace=q75_trace,
     )

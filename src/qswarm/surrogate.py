@@ -23,10 +23,15 @@ so importing the package, and any run of the standard variant, never loads
 scipy.
 
 The fit works on arrays of 3 to 15 rows, where each numpy call costs more
-than its arithmetic, so the kernel makes few of them. It keeps the
-floating-point operations of the textbook form (``mean``, ``np.linalg.svd``,
-an LU solve of the design matrix) in the same order, so its results are
-those of that form bit for bit.
+than its arithmetic, so the kernel makes few of them: a refit that solves
+makes 38 numpy and LAPACK calls, counting every numpy function, method,
+operator and index expression and each LAPACK routine (about 53 before the
+design matrix, the pivot test and the scalar checks were trimmed), and
+``minimize`` makes 7 more. Scalars it tests (the extents, the pivots, the
+constant) are read out as Python floats. It keeps the floating-point
+operations of the textbook form (``mean``, ``np.linalg.svd``, an LU solve of
+the design matrix) in the same order, so its results are those of that form
+bit for bit.
 """
 
 from __future__ import annotations
@@ -119,12 +124,20 @@ def _solve_in_place(a: np.ndarray, rhs) -> np.ndarray:
     lu, piv, info = dgetrf(a, overwrite_a=True)
     if info < 0:
         raise ValueError(f"illegal value in LU factorization argument {-info}")
-    if info > 0 or np.minimum.reduce(np.abs(lu.diagonal())) < PIVOT_RTOL * scale:
+    if info > 0 or _pivot_below(lu.diagonal().tolist(), PIVOT_RTOL * scale):
         raise SingularMatrixError("pivot below threshold; system is singular")
     x, info = dgetrs(lu, piv, rhs)
     if info != 0:
         raise ValueError(f"illegal value in triangular solve argument {-info}")
     return x
+
+
+def _pivot_below(diagonal: list[float], threshold: float) -> bool:
+    """``np.minimum.reduce(np.abs(diagonal)) < threshold`` on a list. That
+    minimum is NaN when any pivot is NaN, which fails the test; Python's
+    ``min`` keeps a NaN only in first place, hence the second check."""
+    pivots = list(map(abs, diagonal))
+    return min(pivots) < threshold and not any(map(math.isnan, pivots))
 
 
 def required_points(dimension: int) -> int:
@@ -181,18 +194,32 @@ class SurrogateResult:
 
 
 @cache
-def _product_pairs(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Index pairs (i, j), i <= j, of the cross-product columns in column
-    order; the weight that maps each fitted coefficient to a symmetric matrix
-    entry (1 on the diagonal, 0.5 on the two mirrored entries); and, for
-    every entry (i, j) of that matrix, the index of its coefficient."""
+def _design_index(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A column of ones, and the two column indices into ``[1, x]`` whose
+    product is each design matrix column: (0, 0) for the constant, (0, i)
+    for x_i and (i, j) for x_i * x_j, i <= j."""
     rows, cols = np.triu_indices(dim)
-    weights = np.where(rows == cols, 1.0, 0.5)
-    entry = np.empty((dim, dim), dtype=np.intp)
-    entry[rows, cols] = entry[cols, rows] = np.arange(rows.size)
-    for arr in (rows, cols, weights, entry):
+    left = np.concatenate((np.zeros(dim + 1, dtype=np.intp), rows + 1))
+    right = np.concatenate((np.arange(dim + 1), cols + 1))
+    ones = np.ones((left.size, 1))
+    for arr in (left, right, ones):
         arr.flags.writeable = False
-    return rows, cols, weights, entry
+    return ones, left, right
+
+
+@cache
+def _quad_index(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """For every entry (i, j) of the symmetric quadratic term, the index of
+    its coefficient in the fitted vector, and the weight that maps the
+    coefficient to the entry (1 on the diagonal, 0.5 on the two mirrored
+    entries)."""
+    rows, cols = np.triu_indices(dim)
+    entry = np.empty((dim, dim), dtype=np.intp)
+    entry[rows, cols] = entry[cols, rows] = np.arange(dim + 1, dim + 1 + rows.size)
+    weight = np.where(rows == cols, 1.0, 0.5)[entry - dim - 1]
+    for arr in (entry, weight):
+        arr.flags.writeable = False
+    return entry, weight
 
 
 def build_design_matrix(points) -> np.ndarray:
@@ -202,14 +229,15 @@ def build_design_matrix(points) -> np.ndarray:
     x_i * x_j for i <= j (outer index i, inner j running from i to n). The
     matrix is Fortran-ordered, so the LU factorization runs in it in place.
     """
-    pts = _as_points(points)
-    count, dim = pts.shape
-    m = np.empty((count, count), order="F")
-    m[:, 0] = 1.0
-    m[:, 1 : dim + 1] = pts
-    rows, cols, _, _ = _product_pairs(dim)
-    np.multiply(pts.take(rows, axis=1), pts.take(cols, axis=1), out=m[:, dim + 1 :])
-    return m
+    return _design_matrix(_as_points(points))
+
+
+def _design_matrix(pts: np.ndarray) -> np.ndarray:
+    # Every column is a product of two columns of [1, x]; 1 * 1 and 1 * x_i
+    # are exact, so the first n + 1 columns hold 1 and x bit for bit.
+    ones, left, right = _design_index(pts.shape[1])
+    ext = np.concatenate((ones, pts), axis=1)
+    return np.multiply(ext.take(left, axis=1), ext.take(right, axis=1), order="F")
 
 
 def _as_points(points) -> np.ndarray:
@@ -222,10 +250,6 @@ def _as_points(points) -> np.ndarray:
     if count != need:
         raise ValueError(f"expected {need} points for dimension {dim}, got {count}")
     return pts
-
-
-def _all_finite(a: np.ndarray) -> bool:
-    return all(map(math.isfinite, a.ravel().tolist()))
 
 
 def fit(points, values) -> QuadraticModel:
@@ -247,7 +271,7 @@ def fit(points, values) -> QuadraticModel:
     count, dim = pts.shape
     if vals.shape != (count,):
         raise ValueError("values must be a vector matching the point count")
-    if not (_all_finite(pts) and _all_finite(vals)):
+    if not all(map(math.isfinite, pts.ravel().tolist() + vals.tolist())):
         raise SingularMatrixError("a point or value is not finite")
     # z = W (x - center); exactly degenerate directions map to zero columns,
     # which the pivot test flags. The centre is what ``mean`` computes.
@@ -261,24 +285,26 @@ def fit(points, values) -> QuadraticModel:
         raise SingularMatrixError("SVD did not converge")
     # sigma is in descending order, so the floor changes nothing when the
     # smallest value clears it.
-    top = sigma[0]
-    if not sigma[-1] > top * 1e-15:
+    extents = sigma.tolist()
+    top = extents[0]
+    if not extents[-1] > top * 1e-15:
         sigma = np.where(sigma > top * 1e-15, sigma, 1.0) if top > 0 else np.ones(dim)
     # rows: principal directions over their extents. LAPACK's vt is
     # Fortran-ordered; a C-ordered w keeps the products below on the BLAS
     # path, and so the bits, of np.linalg.svd's output.
     w = np.divide(vt, sigma[:, None], order="C")
-    theta = _solve_in_place(build_design_matrix(centered @ w.T), vals)
+    wt = w.T
+    theta = _solve_in_place(_design_matrix(centered @ wt), vals)
     lin_z = theta[1 : dim + 1]
-    _, _, weights, entry = _product_pairs(dim)
-    quad_z = (weights * theta[dim + 1 :])[entry]
+    entry, weight = _quad_index(dim)
+    quad_z = theta.take(entry) * weight
     # Map q(z) = theta0 + lin_z.z + z.quad_z@z back to raw coordinates.
-    lin_w = w.T @ lin_z
-    quad = w.T @ quad_z @ w
+    lin_w = wt @ lin_z
+    quad = wt @ quad_z @ w
     quad = 0.5 * (quad + quad.T)  # erase rounding asymmetry from the products
     quad_center = quad @ center
     linear = lin_w - 2.0 * quad_center
-    const = float(theta[0] - lin_w @ center + center @ quad_center)
+    const = theta.item(0) - float(lin_w @ center) + float(center @ quad_center)
     return QuadraticModel(const=const, linear=linear, quad=quad)
 
 

@@ -37,7 +37,14 @@ independent runs are reproducible regardless of batch scheduling.
 Everything that does not depend on the swarm's state (the coefficient ramps
 of every iteration and the products c1 * r1 and c2 * r2) is computed once
 when the run starts, so an iteration does only the work that needs its
-evaluations.
+evaluations. The stagnation history is a ring of lookback + 1 Python lists,
+one per iteration, holding that iteration's particle values; iteration k
+writes slot k % (lookback + 1), whose old list is the one from lookback + 1
+iterations back, and compares with slot (k - lookback) % (lookback + 1).
+The inertia scale ``omega_scale`` is the list of the last multipliers (1 or
+tau per particle, all ones before k reaches the lookback). While it holds
+no tau the inertia term is ``omega_k * v``, else ``omega_k * scale_i`` per
+particle times its row, so both give the bits of ``(omega_k * scale) * v``.
 """
 
 from __future__ import annotations
@@ -214,10 +221,12 @@ class Swarm:
         self._hi = np.full((n_particles, n), bounds.hi)
         self.pbest_positions = self.positions.copy()
         self.pbest_values = [math.inf] * n_particles
-        self.omega_scale = np.ones(n_particles)
+        self.omega_scale = [1.0] * n_particles
         self.gbest_position = self.positions[0].copy()
         self.gbest_value = math.inf
-        self._history = np.full((config.lookback + 1, n_particles), math.inf)
+        # Ring of the last lookback + 1 iterations' value lists: iteration k
+        # writes slot k % (lookback + 1) and reads the slot it overwrites next.
+        self._history: list[Optional[list[float]]] = [None] * (config.lookback + 1)
 
         if config.variant == VARIANT_SURROGATE:
             capacity = config.archive_capacity
@@ -247,6 +256,9 @@ class Swarm:
         pbest_positions = self.pbest_positions
         # Positions are offered to the archive as row views, so the positions
         # array must never be written in place; every step makes a new one.
+        # An offer the archive would refuse is not made: the version and the
+        # stored set are those of offering every particle.
+        admission = -math.inf if archive is None else archive.admission
         values = []
         saw_nonfinite = False
         for i, x in enumerate(positions):
@@ -258,8 +270,9 @@ class Swarm:
             if value < pbest_values[i]:
                 pbest_values[i] = value
                 pbest_positions[i] = x
-            if archive is not None:
+            if value < admission:
                 archive.observe(x, value)
+                admission = archive.admission
         self.evaluations += len(values)
         if saw_nonfinite:
             self.nonfinite_iterations.append(k)
@@ -270,25 +283,31 @@ class Swarm:
             self.gbest_position = positions[values.index(best)].copy()
 
         lookback = config.lookback
-        self._history[k % (lookback + 1)] = values
+        history = self._history
+        history[k % (lookback + 1)] = values
 
         if archive is not None:
             attractor = self._surrogate_attractor()
         else:
             attractor = self.gbest_position
 
-        # Before k reaches the lookback the inertia scale stays all ones.
         if k >= lookback:
-            past = self._history[(k - lookback) % (lookback + 1)].tolist()
-            multipliers = _stagnation_multipliers(
+            past = history[(k - lookback) % (lookback + 1)]
+            self.omega_scale = _stagnation_multipliers(
                 values, past, config.tau, config.gamma_floor
             )
-            self.omega_scale = np.array(multipliers)
 
         # omega_k * scale * v + (c1_k * r1) * (pbest - x) + (c2_k * r2) * (a - x),
-        # with the same operations in the same order as the formula.
+        # with the same operations in the same order as the formula. While no
+        # particle is stagnant (always before k reaches the lookback) the scale
+        # is all ones, and omega_k * 1 is omega_k exactly.
+        omega = self._omega[k]
+        if config.tau in self.omega_scale:
+            inertia = np.array([omega * m for m in self.omega_scale])[:, None]
+            velocities = inertia * self.velocities
+        else:
+            velocities = omega * self.velocities
         pulls = self._pulls[k]
-        velocities = (self._omega[k] * self.omega_scale)[:, None] * self.velocities
         pull = pbest_positions - positions
         pull *= pulls[0]
         velocities += pull

@@ -241,6 +241,21 @@ class TestAgainstOracle:
             assert [tuple(p) for p in points] == [e[2] for e in ordered]
             assert archive.best() == (ordered[0][0], ordered[0][2])
 
+    @settings(max_examples=300, deadline=None)
+    @given(capacity=st.integers(1, 8), offers=_offers)
+    def test_offers_at_or_above_the_admission_value_are_refused(self, capacity, offers):
+        # A caller may skip these offers without changing the archive.
+        archive = Archive(capacity)
+        oracle = _OracleArchive(capacity)
+        for x, fx in offers:
+            full = len(oracle.entries) == capacity
+            assert archive.admission == (oracle.worst()[0] if full else math.inf)
+            admission, version = archive.admission, archive.version
+            stored = archive.observe(x, fx)
+            assert stored == oracle.observe(x, fx)
+            if not fx < admission:
+                assert not stored and archive.version == version
+
 
 class TestEntry:
     def test_entry_fields(self):

@@ -145,3 +145,48 @@ def test_the_surrogate_layers_the_tracer_wraps_are_reached(monkeypatch):
     assert calls == {"fit": 1, "minimize": 1}
     qswarm.surrogate.surrogate_attractor(archive, objective, weak_best)
     assert calls == {"fit": 1, "minimize": 1}
+
+
+def test_a_surrogate_step_still_offers_particles_to_the_archive(monkeypatch):
+    """perfbench's ``archive.*`` metrics come from a wrapper on
+    ``Archive.observe``. The step skips only offers the archive would refuse,
+    so a surrogate run must still reach ``observe`` from ``Swarm.step``
+    itself, not only from the attractor, and some of those offers are stored."""
+    import qswarm.swarm
+
+    inside = {"step": 0, "attractor": 0}
+    from_step = []
+
+    def entered(name, real):
+        def wrapper(*args, **kwargs):
+            inside[name] += 1
+            try:
+                return real(*args, **kwargs)
+            finally:
+                inside[name] -= 1
+
+        return wrapper
+
+    real_observe = Archive.observe
+
+    def recording_observe(self, x, fx):
+        stored = real_observe(self, x, fx)
+        if inside["step"] and not inside["attractor"]:
+            from_step.append(stored)
+        return stored
+
+    monkeypatch.setattr(qswarm.swarm.Swarm, "step", entered("step", qswarm.swarm.Swarm.step))
+    monkeypatch.setattr(
+        qswarm.swarm, "surrogate_attractor", entered("attractor", qswarm.swarm.surrogate_attractor)
+    )
+    monkeypatch.setattr(Archive, "observe", recording_observe)
+    objective = qswarm.make_objective("sphere", 2)
+    config = qswarm.SwarmConfig(
+        dimension=2,
+        n_particles=6,
+        bounds=objective.bounds,
+        iterations=30,
+        variant=qswarm.VARIANT_SURROGATE,
+    )
+    qswarm.run(config, objective, timing=False)
+    assert any(from_step)

@@ -91,6 +91,30 @@ class TestSummarize:
         q = quantiles(np.array([-inf, 1.0, inf]), (0.0, 0.25, 0.5, 0.75, 1.0))
         assert q.tolist() == [-inf, -inf, 1.0, inf, inf]
 
+    def test_mean_of_a_sample_holding_both_infinities_is_nan(self):
+        inf = math.inf
+        mean, q25, q50, q75 = summarize([-inf, inf, 1.0])
+        assert math.isnan(mean) and (q25, q50, q75) == (-inf, 1.0, inf)
+        assert summarize([-inf, 1.0, 2.0])[0] == -inf
+        assert summarize([1.0, 2.0, inf])[0] == inf
+
+    def test_mean_trace_of_a_column_holding_both_infinities_is_nan(self):
+        inf = math.inf
+        records = [
+            RunRecord(
+                best_value_trace=np.array(trace),
+                final_position=np.zeros(2),
+                final_value=trace[-1],
+                evaluations=0,
+                fallback_counts={},
+                nonfinite_iterations=(),
+                wall_time=0.0,
+            )
+            for trace in ([-inf, 1.0], [inf, 2.0], [0.0, 3.0])
+        ]
+        mean_trace = summarize_records(records).mean_trace
+        assert math.isnan(mean_trace[0]) and mean_trace[1] == 2.0
+
     def test_trace_bands_next_to_either_infinity(self):
         inf = math.inf
         columns = [[-inf, -inf, 1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 3.0, 4.0, inf, inf]]

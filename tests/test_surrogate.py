@@ -98,6 +98,25 @@ class TestDesignMatrix:
         with pytest.raises(ValueError):
             build_design_matrix([[0.0, 0.0], [1.0, 1.0]])
 
+    @settings(max_examples=200, deadline=None)
+    @given(dim=st.integers(1, 4), data=st.data())
+    def test_equals_the_column_by_column_construction(self, dim, data):
+        # Signed zeros, subnormals and coordinates whose products near the
+        # top of the double range must come out bit for bit.
+        count = required_points(dim)
+        coordinate = st.one_of(
+            st.floats(-1e150, 1e150),
+            st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e150, -1e150]),
+        )
+        pts = np.array(data.draw(st.lists(coordinate, min_size=count * dim, max_size=count * dim)))
+        pts = pts.reshape(count, dim)
+        columns = [np.ones(count), *pts.T]
+        columns += [pts[:, i] * pts[:, j] for i in range(dim) for j in range(i, dim)]
+        expected = np.column_stack(columns)
+        m = build_design_matrix(pts)
+        assert m.flags.f_contiguous
+        assert m.tobytes(order="F") == expected.tobytes(order="F")
+
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -222,6 +241,43 @@ class TestSolvePivoted:
             solve_pivoted(a, np.ones(2))
         with pytest.raises(SingularMatrixError):
             solve_pivoted(np.zeros((2, 2)), np.ones(2))
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        diagonal=st.lists(
+            st.one_of(st.floats(), st.sampled_from([math.nan, math.inf, -math.inf, -0.0])),
+            min_size=1,
+            max_size=15,
+        ),
+        threshold=st.floats(0.0, 1e300),
+    )
+    def test_pivot_test_is_numpys_nan_propagating_minimum(self, diagonal, threshold):
+        expected = bool(np.minimum.reduce(np.abs(np.array(diagonal))) < threshold)
+        assert surrogate._pivot_below(diagonal, threshold) == expected
+
+    # Finite matrices near the double range whose LU overflows: the U
+    # diagonal holds -inf, or -inf and then NaN.
+    BIG = 1.5e308
+    OVERFLOWING_LU = {
+        "inf": [[1.0, BIG], [0.5, -BIG]],
+        "nan": [[1.0, BIG, BIG], [0.5, -BIG, -BIG], [0.5, -BIG, BIG]],
+    }
+
+    @pytest.mark.parametrize("kind", OVERFLOWING_LU)
+    def test_overflowing_lu_keeps_the_numpy_pivot_decision(self, kind):
+        a = np.array(self.OVERFLOWING_LU[kind], order="F")
+        _, dgetrf, _, dlange = surrogate.load_lapack()
+        diagonal = dgetrf(a.copy(order="F"))[0].diagonal()
+        assert math.isinf(diagonal[1]) and math.isnan(diagonal[-1]) == (kind == "nan")
+        threshold = surrogate.PIVOT_RTOL * dlange("M", a)
+        singular = bool(np.minimum.reduce(np.abs(diagonal)) < threshold)
+        assert surrogate._pivot_below(diagonal.tolist(), threshold) == singular
+        assert singular == (kind == "inf")
+        if singular:
+            with pytest.raises(SingularMatrixError):
+                solve_pivoted(a, np.ones(len(a)))
+        else:
+            assert np.isnan(solve_pivoted(a, np.ones(len(a)))).any()
 
 
 def reference_fit(points, values) -> QuadraticModel:

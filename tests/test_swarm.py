@@ -105,7 +105,7 @@ def particle_view(swarm: Swarm, i: int) -> Particle:
     k = swarm.iteration
     depth = min(k, lookback + 1)
     history = deque(
-        (swarm._history[j % (lookback + 1), i] for j in range(k - depth, k)),
+        (swarm._history[j % (lookback + 1)][i] for j in range(k - depth, k)),
         maxlen=lookback + 1,
     )
     return Particle(
@@ -458,7 +458,7 @@ class TestParticleView:
         assert particle.omega_scale == swarm.omega_scale[3]
         # the history window holds the last lookback+1 values, newest last
         assert len(particle.value_history) == config.lookback + 1
-        assert particle.value_history[-1] == swarm._history[6 % (config.lookback + 1), 3]
+        assert particle.value_history[-1] == swarm._history[6 % (config.lookback + 1)][3]
         # mutating the snapshot leaves the engine untouched
         particle.position[0] = 99.0
         assert swarm.positions[3, 0] != 99.0
