@@ -150,11 +150,8 @@ def log_median(values) -> float:
 
 
 def summarize_records(records: list[RunRecord]) -> StatsSummary:
-    """Statistics of the final values and, per iteration, of the traces.
-
-    As in :func:`summarize`, the mean of a sample or of a trace column that
-    holds both ``-inf`` and ``inf`` is NaN, without a warning.
-    """
+    """:func:`summarize` of the final values, and the same per iteration of
+    the traces; a trace column holding both infinities has a NaN mean."""
     finals = [record.final_value for record in records]
     mean, q25, q50, q75 = summarize(finals)
     traces = np.stack([record.best_value_trace for record in records])

@@ -37,14 +37,12 @@ independent runs are reproducible regardless of batch scheduling.
 Everything that does not depend on the swarm's state (the coefficient ramps
 of every iteration and the products c1 * r1 and c2 * r2) is computed once
 when the run starts, so an iteration does only the work that needs its
-evaluations. The stagnation history is a ring of lookback + 1 Python lists,
-one per iteration, holding that iteration's particle values; iteration k
-writes slot k % (lookback + 1), whose old list is the one from lookback + 1
-iterations back, and compares with slot (k - lookback) % (lookback + 1).
-The inertia scale ``omega_scale`` is the list of the last multipliers (1 or
-tau per particle, all ones before k reaches the lookback). While it holds
-no tau the inertia term is ``omega_k * v``, else ``omega_k * scale_i`` per
-particle times its row, so both give the bits of ``(omega_k * scale) * v``.
+evaluations. The stagnation history is a ring of lookback + 1 lists of
+particle values: iteration k writes slot k % (lookback + 1) and compares
+with slot (k - lookback) % (lookback + 1). The inertia scale ``omega_scale``
+is the list of the latest multipliers, 1 or tau per particle; while it holds
+no tau the inertia term is ``omega_k * v``, which has the bits of
+``(omega_k * scale) * v``.
 """
 
 from __future__ import annotations
@@ -224,8 +222,6 @@ class Swarm:
         self.omega_scale = [1.0] * n_particles
         self.gbest_position = self.positions[0].copy()
         self.gbest_value = math.inf
-        # Ring of the last lookback + 1 iterations' value lists: iteration k
-        # writes slot k % (lookback + 1) and reads the slot it overwrites next.
         self._history: list[Optional[list[float]]] = [None] * (config.lookback + 1)
 
         if config.variant == VARIANT_SURROGATE:
