@@ -194,32 +194,23 @@ class SurrogateResult:
 
 
 @cache
-def _design_index(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A column of ones, and the two column indices into ``[1, x]`` whose
-    product is each design matrix column: (0, 0) for the constant, (0, i)
-    for x_i and (i, j) for x_i * x_j, i <= j."""
+def _index_tables(dim: int) -> tuple[np.ndarray, ...]:
+    """Read-only tables of the fit: a column of ones and the two column
+    indices into ``[1, x]`` whose product is each design matrix column ((0, 0)
+    for the constant, (0, i) for x_i, (i, j) for x_i * x_j, i <= j); and for
+    every entry (i, j) of the symmetric quadratic term, the index of its
+    coefficient in the fitted vector and the weight that maps the coefficient
+    to the entry (1 on the diagonal, 0.5 on the two mirrored entries)."""
     rows, cols = np.triu_indices(dim)
     left = np.concatenate((np.zeros(dim + 1, dtype=np.intp), rows + 1))
     right = np.concatenate((np.arange(dim + 1), cols + 1))
-    ones = np.ones((left.size, 1))
-    for arr in (left, right, ones):
-        arr.flags.writeable = False
-    return ones, left, right
-
-
-@cache
-def _quad_index(dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """For every entry (i, j) of the symmetric quadratic term, the index of
-    its coefficient in the fitted vector, and the weight that maps the
-    coefficient to the entry (1 on the diagonal, 0.5 on the two mirrored
-    entries)."""
-    rows, cols = np.triu_indices(dim)
     entry = np.empty((dim, dim), dtype=np.intp)
-    entry[rows, cols] = entry[cols, rows] = np.arange(dim + 1, dim + 1 + rows.size)
+    entry[rows, cols] = entry[cols, rows] = np.arange(dim + 1, left.size)
     weight = np.where(rows == cols, 1.0, 0.5)[entry - dim - 1]
-    for arr in (entry, weight):
+    tables = (np.ones((left.size, 1)), left, right, entry, weight)
+    for arr in tables:
         arr.flags.writeable = False
-    return entry, weight
+    return tables
 
 
 def build_design_matrix(points) -> np.ndarray:
@@ -235,7 +226,7 @@ def build_design_matrix(points) -> np.ndarray:
 def _design_matrix(pts: np.ndarray) -> np.ndarray:
     # Every column is a product of two columns of [1, x]; 1 * 1 and 1 * x_i
     # are exact, so the first n + 1 columns hold 1 and x bit for bit.
-    ones, left, right = _design_index(pts.shape[1])
+    ones, left, right, _, _ = _index_tables(pts.shape[1])
     ext = np.concatenate((ones, pts), axis=1)
     return np.multiply(ext.take(left, axis=1), ext.take(right, axis=1), order="F")
 
@@ -296,7 +287,7 @@ def fit(points, values) -> QuadraticModel:
     wt = w.T
     theta = _solve_in_place(_design_matrix(centered @ wt), vals)
     lin_z = theta[1 : dim + 1]
-    entry, weight = _quad_index(dim)
+    _, _, _, entry, weight = _index_tables(dim)
     quad_z = theta.take(entry) * weight
     # Map q(z) = theta0 + lin_z.z + z.quad_z@z back to raw coordinates.
     lin_w = wt @ lin_z

@@ -279,8 +279,7 @@ class Swarm:
             self.gbest_position = positions[values.index(best)].copy()
 
         lookback = config.lookback
-        history = self._history
-        history[k % (lookback + 1)] = values
+        self._history[k % (lookback + 1)] = values
 
         if archive is not None:
             attractor = self._surrogate_attractor()
@@ -288,7 +287,7 @@ class Swarm:
             attractor = self.gbest_position
 
         if k >= lookback:
-            past = history[(k - lookback) % (lookback + 1)]
+            past = self._history[(k - lookback) % (lookback + 1)]
             self.omega_scale = _stagnation_multipliers(
                 values, past, config.tau, config.gamma_floor
             )
