@@ -23,8 +23,9 @@ the same stored set, and an offer refused at one version is refused again at
 that version. ``admission`` is the value an offer must beat to be stored:
 the worst stored value once the store is full, else ``inf``. An offer at or
 above it is refused, so a caller may skip it without changing the archive.
-Consumers that derive data from that set (the surrogate proposal and the
-value of its refused probe) cache it in ``memo`` keyed on the version.
+Consumers that derive data from that set (the surrogate proposal, the
+value of its refused probe and its last fallback) cache it in ``memo`` keyed
+on the version.
 """
 
 from __future__ import annotations

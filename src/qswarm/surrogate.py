@@ -330,14 +330,16 @@ def surrogate_attractor(
     archive refused keeps its value there. A later call that meets it with a
     ``global_best`` the value does not beat falls back as ``repeated``
     without evaluating or offering it: the archive would refuse it again, so
-    the fallback is the same. For a deterministic objective, results thus
+    the fallback is the same, and one fallback result per reason is kept
+    until the archive changes. For a deterministic objective, results thus
     equal refitting and evaluating every call, with fewer evaluations. The
     memo lives on the archive and keys on neither the objective nor an
     evaluation count, so an archive must serve one deterministic objective:
     never share it across objectives. A proposal ``x_min`` is read-only.
     """
     need = required_points(objective.dimension)
-    if archive.size < need or archive.size < archive.capacity:
+    size = archive.size
+    if size < need or size < archive.capacity:
         # Not enough material yet: fall back to the overall best solution.
         return SurrogateResult(
             x_min=np.asarray(global_best.position, dtype=float),
@@ -353,7 +355,7 @@ def surrogate_attractor(
     if not math.isfinite(f_min):
         f_min = math.inf
     if not archive.observe(x_min, f_min):
-        archive.memo = (*archive.memo[:3], f_min)
+        archive.memo = (*archive.memo[:3], f_min, None)
     if f_min < global_best.value:
         return SurrogateResult(x_min=x_min, f_min=f_min, fallback_reason=FALLBACK_NONE)
     return _archive_fallback(archive, FALLBACK_NON_IMPROVING)
@@ -364,7 +366,8 @@ def _proposal(archive: Archive, bounds: Bounds, need: int):
     and the value of its probe if the archive has refused it (else None).
 
     Cached in ``archive.memo`` under the archive version and the bounds
-    object; a hit skips the sort, the fit and the solve.
+    object; a hit skips the sort, the fit and the solve. The memo is
+    ``(version, bounds, proposal, probe value, last fallback result)``.
     """
     memo = archive.memo
     if memo is not None and memo[0] == archive.version and memo[1] is bounds:
@@ -382,14 +385,23 @@ def _proposal(archive: Archive, bounds: Bounds, need: int):
         else:
             proposal = clip_to_bounds(x_min, bounds)
             proposal.flags.writeable = False  # shared by every hit
-    archive.memo = (archive.version, bounds, proposal, None)
+    archive.memo = (archive.version, bounds, proposal, None, None)
     return proposal, None
 
 
 def _archive_fallback(archive: Archive, reason: str) -> SurrogateResult:
+    """The archive's best entry as a fallback for ``reason``. At one archive
+    version it is the same result, so the memo keeps the last one."""
+    memo = archive.memo
+    last = memo[4]
+    if last is not None and last.fallback_reason == reason and memo[0] == archive.version:
+        return last
     best = archive.best()
-    return SurrogateResult(
+    result = SurrogateResult(
         x_min=np.asarray(best.position, dtype=float),
         f_min=float(best.value),
         fallback_reason=reason,
     )
+    if memo[0] == archive.version:
+        archive.memo = (*memo[:4], result)
+    return result

@@ -947,3 +947,26 @@ class TestProposalMemo:
             assert result.fallback_reason == FALLBACK_SINGULAR_SYSTEM
             np.testing.assert_array_equal(result.x_min, best.position)
             assert result.f_min == best.value
+
+    def test_fallback_is_kept_until_the_archive_changes(self, monkeypatch):
+        objective = make_objective("sphere", 2)
+        t = np.linspace(0.1, 1.0, 6)
+        pts = np.column_stack([t, t])  # collinear
+        archive = archive_from(pts, [objective.evaluate(p) for p in pts], 6)
+        bests = []
+        real_best = Archive.best
+
+        def counting_best(self):
+            bests.append(1)
+            return real_best(self)
+
+        monkeypatch.setattr(Archive, "best", counting_best)
+        incumbent = ArchiveEntry(1e9, np.zeros(2))
+        first, second = (surrogate_attractor(archive, objective, incumbent) for _ in range(2))
+        assert second is first and len(bests) == 1
+        # A better point on the same line: still singular, with a new best.
+        assert archive.observe(np.array([0.05, 0.05]), 0.005)
+        third = surrogate_attractor(archive, objective, incumbent)
+        assert third is not first and len(bests) == 2
+        assert third.fallback_reason == FALLBACK_SINGULAR_SYSTEM
+        assert third.x_min.tolist() == [0.05, 0.05] and third.f_min == 0.005
