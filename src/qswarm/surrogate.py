@@ -324,14 +324,14 @@ def surrogate_attractor(
     points than the fit needs, an empty one included, falls back to
     ``global_best`` as ``too_few_points``.
 
-    The proposal (clipped minimizer or degeneracy reason) is a function of
-    the stored set and the bounds alone, so it is refit only when the archive
-    has stored a point since the last call or the bounds differ. A probe the
+    The proposal (clipped minimizer or degeneracy reason) is a function of the
+    stored set and the bounds alone, so it is refit only when the archive has
+    stored a point since the last call or the bounds differ. A probe the
     archive refused keeps its value there. A later call that meets it with a
-    ``global_best`` the value does not beat falls back as ``repeated``
-    without evaluating or offering it: the archive would refuse it again, so
-    the fallback is the same, and one fallback result per reason is kept
-    until the archive changes. For a deterministic objective, results thus
+    ``global_best`` the value does not beat falls back as ``repeated`` without
+    evaluating or offering it: the archive would refuse it again, so the
+    fallback is the same; the last fallback result is kept there too and
+    returned again for its reason. For a deterministic objective, results thus
     equal refitting and evaluating every call, with fewer evaluations. The
     memo lives on the archive and keys on neither the objective nor an
     evaluation count, so an archive must serve one deterministic objective:
