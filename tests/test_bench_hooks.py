@@ -15,6 +15,7 @@ import qswarm
 import qswarm.cli
 import qswarm.experiments
 import qswarm.surrogate
+import qswarm.swarm
 from qswarm.archive import Archive, ArchiveEntry
 from qswarm.objectives import Bounds, Objective
 
@@ -152,8 +153,6 @@ def test_a_surrogate_step_still_offers_particles_to_the_archive(monkeypatch):
     ``Archive.observe``. The step skips only offers the archive would refuse,
     so a surrogate run must still reach ``observe`` from ``Swarm.step``
     itself, not only from the attractor, and some of those offers are stored."""
-    import qswarm.swarm
-
     inside = {"step": 0, "attractor": 0}
     from_step = []
 
