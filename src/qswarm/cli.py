@@ -80,6 +80,9 @@ VARIANT_RUNS = {
 }
 VARIANT_CHOICES = tuple(VARIANT_RUNS)
 
+# Defaults that effective_config applies and `qswarm run --help` names.
+_RUN_DEFAULTS = {"dimension": 2, "runs": 1, "seed": 0, "variant": "both"}
+
 # The paper's protocol: runs per variant on each benchmark row.
 PAPER_RUNS = 400
 
@@ -150,7 +153,7 @@ def effective_config(file_cfg: dict, overrides: dict) -> dict:
             f"valid names: {', '.join(objective_names())}"
         )
 
-    dimension = cfg.get("dimension", 2)
+    dimension = cfg.get("dimension", _RUN_DEFAULTS["dimension"])
     _require(_is_int(dimension) and dimension >= 1, "dimension", "need an int >= 1")
 
     bounds_pairs = cfg.get("bounds")
@@ -177,13 +180,13 @@ def effective_config(file_cfg: dict, overrides: dict) -> dict:
     iterations = cfg.get("iterations", _FIELD_DEFAULTS["iterations"])
     _require(_is_int(iterations) and iterations >= 1, "iterations", "need an int >= 1")
 
-    runs = cfg.get("runs", 1)
+    runs = cfg.get("runs", _RUN_DEFAULTS["runs"])
     _require(_is_int(runs) and runs >= 1, "runs", "need an int >= 1")
 
-    seed = cfg.get("seed", 0)
+    seed = cfg.get("seed", _RUN_DEFAULTS["seed"])
     _require(_is_int(seed), "seed", "need an int")
 
-    variant = cfg.get("variant", "both")
+    variant = cfg.get("variant", _RUN_DEFAULTS["variant"])
     _require(variant in VARIANT_CHOICES, "variant", f"must be one of {VARIANT_CHOICES}")
 
     params = dict(DEFAULT_PARAMS)
@@ -337,23 +340,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="run one configuration (single run or batch)")
     run_p.add_argument("--objective", help=f"one of: {', '.join(objective_names())}")
-    run_p.add_argument("--dim", type=int, dest="dimension", metavar="DIM", help="problem dimension (default 2)")
+    run_p.add_argument("--dim", type=int, dest="dimension", metavar="DIM", help=f"problem dimension (default {_RUN_DEFAULTS['dimension']})")
     run_p.add_argument("--particles", type=int, help="swarm size (default: interpolation point count)")
     run_p.add_argument("--iterations", type=int, help=f"iterations per run (default {_FIELD_DEFAULTS['iterations']})")
-    run_p.add_argument("--runs", type=int, help="independent runs per variant (default 1)")
-    run_p.add_argument("--seed", type=int, help="base seed; run j uses base XOR j (default 0)")
-    run_p.add_argument("--variant", choices=VARIANT_CHOICES, help="default: both")
+    run_p.add_argument("--runs", type=int, help=f"independent runs per variant (default {_RUN_DEFAULTS['runs']})")
+    run_p.add_argument("--seed", type=int, help=f"base seed; run j uses base XOR j (default {_RUN_DEFAULTS['seed']})")
+    run_p.add_argument("--variant", choices=VARIANT_CHOICES, help=f"default: {_RUN_DEFAULTS['variant']}")
     run_p.add_argument("--config", help="JSON config file (flags override its values)")
     run_p.add_argument("--out", help="output directory (default: $QSWARM_OUT/<timestamp>)")
-    run_p.add_argument("--jobs", type=int, default=1, help="worker processes (default 1)")
+    run_p.add_argument("--jobs", type=int, default=1, help="worker processes (default %(default)s)")
     run_p.add_argument("--no-timing", action="store_true", help="zero wall-time columns for byte-stable output")
     run_p.set_defaults(func=cmd_run)
 
     bench = sub.add_parser("benchmark", help="run the full six-row comparison suite")
-    bench.add_argument("--runs", type=int, default=PAPER_RUNS, help=f"runs per variant per row (default {PAPER_RUNS})")
-    bench.add_argument("--seed", type=int, default=0, help="base seed (default 0)")
+    bench.add_argument("--runs", type=int, default=PAPER_RUNS, help="runs per variant per row (default %(default)s)")
+    bench.add_argument("--seed", type=int, default=0, help="base seed (default %(default)s)")
     bench.add_argument("--out", help="output directory (default: $QSWARM_OUT/<timestamp>)")
-    bench.add_argument("--jobs", type=int, default=1, help="worker processes (default 1)")
+    bench.add_argument("--jobs", type=int, default=1, help="worker processes (default %(default)s)")
     bench.add_argument("--emit-traces", action="store_true", help="also write per-row trace band CSVs")
     bench.add_argument("--no-timing", action="store_true", help="zero wall-time columns for byte-stable output")
     bench.set_defaults(func=cmd_benchmark)

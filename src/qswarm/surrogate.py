@@ -25,13 +25,12 @@ scipy.
 The fit works on arrays of 3 to 15 rows, where each numpy call costs more
 than its arithmetic, so the kernel makes few of them: a refit that solves
 makes 38 numpy and LAPACK calls, counting every numpy function, method,
-operator and index expression and each LAPACK routine (about 53 before the
-design matrix, the pivot test and the scalar checks were trimmed), and
-``minimize`` makes 7 more. Scalars it tests (the extents, the pivots, the
-constant) are read out as Python floats. It keeps the floating-point
-operations of the textbook form (``mean``, ``np.linalg.svd``, an LU solve of
-the design matrix) in the same order, so its results are those of that form
-bit for bit.
+operator and index expression and each LAPACK routine, and ``minimize``
+makes 7 more. Scalars it tests (the extents, the pivots, the constant) are
+read out as Python floats. It keeps the floating-point operations of the
+textbook form (``mean``, ``np.linalg.svd``, an LU solve of the design
+matrix) in the same order, so its results are those of that form bit for
+bit.
 """
 
 from __future__ import annotations
@@ -324,84 +323,67 @@ def surrogate_attractor(
     points than the fit needs, an empty one included, falls back to
     ``global_best`` as ``too_few_points``.
 
-    The proposal (clipped minimizer or degeneracy reason) is a function of the
-    stored set and the bounds alone, so it is refit only when the archive has
-    stored a point since the last call or the bounds differ. A probe the
-    archive refused keeps its value there. A later call that meets it with a
-    ``global_best`` the value does not beat falls back as ``repeated`` without
-    evaluating or offering it: the archive would refuse it again, so the
-    fallback is the same; the last fallback result is kept there too and
-    returned again for its reason. For a deterministic objective, results thus
-    equal refitting and evaluating every call, with fewer evaluations. The
-    memo lives on the archive and keys on neither the objective nor an
-    evaluation count, so an archive must serve one deterministic objective:
-    never share it across objectives. A proposal ``x_min`` is read-only.
+    The fit is redone only when the archive has stored a point since the
+    last call or the bounds object differs. A probe the archive refused is
+    not evaluated again while its value does not beat ``global_best``; the
+    call falls back as ``repeated`` to what evaluating it would return as
+    ``non_improving``. The cache lives on the archive and keys on neither
+    the objective nor an evaluation count, so an archive must serve one
+    deterministic objective. A proposal ``x_min`` is read-only.
     """
     need = required_points(objective.dimension)
     size = archive.size
     if size < need or size < archive.capacity:
         # Not enough material yet: fall back to the overall best solution.
-        return SurrogateResult(
-            x_min=np.asarray(global_best.position, dtype=float),
-            f_min=float(global_best.value),
-            fallback_reason=FALLBACK_TOO_FEW_POINTS,
-        )
-    x_min, seen = _proposal(archive, objective.bounds, need)
-    if isinstance(x_min, str):
-        return _archive_fallback(archive, x_min)
-    if seen is not None and not seen < global_best.value:
-        return _archive_fallback(archive, FALLBACK_REPEATED)
+        return _fallback(global_best, FALLBACK_TOO_FEW_POINTS)
+    memo = archive.memo
+    if memo is None or memo[0] != archive.version or memo[1] is not objective.bounds:
+        memo = archive.memo = _memo_record(archive, objective.bounds, need)
+    _, _, x_min, value, fallback = memo
+    if value is not None and not value < global_best.value:
+        # A degenerate fit, or a refused probe that would be refused again.
+        if fallback is None:
+            fallback = memo[4] = _fallback(archive.best(), FALLBACK_REPEATED)
+        return fallback
     f_min = float(objective.evaluate(x_min))
     if not math.isfinite(f_min):
         f_min = math.inf
     if not archive.observe(x_min, f_min):
-        archive.memo = (*archive.memo[:3], f_min, None)
+        memo[3] = f_min
     if f_min < global_best.value:
         return SurrogateResult(x_min=x_min, f_min=f_min, fallback_reason=FALLBACK_NONE)
-    return _archive_fallback(archive, FALLBACK_NON_IMPROVING)
+    return _fallback(archive.best(), FALLBACK_NON_IMPROVING)
 
 
-def _proposal(archive: Archive, bounds: Bounds, need: int):
-    """Clipped surrogate minimizer, or the fallback reason when degenerate,
-    and the value of its probe if the archive has refused it (else None).
+def _memo_record(archive: Archive, bounds: Bounds, need: int) -> list:
+    """Fit the ``need`` best stored points; return the memo record
+    ``[version, bounds, x_min, value, fallback]``.
 
-    Cached in ``archive.memo`` under the archive version and the bounds
-    object; a hit skips the sort, the fit and the solve. The memo is
-    ``(version, bounds, proposal, probe value, last fallback result)``.
+    The record holds while the archive version and the bounds object are
+    the ones it names. ``x_min`` is the clipped minimizer, read-only since
+    every call at that version shares it; ``value`` is its probe's value
+    once the archive has refused the probe, else None; ``fallback`` is the
+    result of a skipped probe, built on first use. A degenerate fit has no
+    ``x_min``, the value ``inf`` that beats no incumbent, and its
+    ``singular_system`` or ``singular_quadratic`` fallback.
     """
-    memo = archive.memo
-    if memo is not None and memo[0] == archive.version and memo[1] is bounds:
-        return memo[2], memo[3]
     points, values = archive.sorted_points()
+    reason = FALLBACK_SINGULAR_SYSTEM
     try:
         model = fit(np.array(points[:need]), values[:need])
+        reason = FALLBACK_SINGULAR_QUADRATIC
+        x_min = minimize(model)
     except SingularMatrixError:
-        proposal = FALLBACK_SINGULAR_SYSTEM
-    else:
-        try:
-            x_min = minimize(model)
-        except SingularMatrixError:
-            proposal = FALLBACK_SINGULAR_QUADRATIC
-        else:
-            proposal = clip_to_bounds(x_min, bounds)
-            proposal.flags.writeable = False  # shared by every hit
-    archive.memo = (archive.version, bounds, proposal, None, None)
-    return proposal, None
+        return [archive.version, bounds, None, math.inf, _fallback(archive.best(), reason)]
+    x_min = clip_to_bounds(x_min, bounds)
+    x_min.flags.writeable = False
+    return [archive.version, bounds, x_min, None, None]
 
 
-def _archive_fallback(archive: Archive, reason: str) -> SurrogateResult:
-    """The archive's best entry as a fallback for ``reason``. At one archive
-    version it is the same result, so the memo keeps the last one."""
-    memo = archive.memo
-    last = memo[4]
-    if last is not None and last.fallback_reason == reason and memo[0] == archive.version:
-        return last
-    best = archive.best()
-    result = SurrogateResult(
-        x_min=np.asarray(best.position, dtype=float),
-        f_min=float(best.value),
+def _fallback(entry: ArchiveEntry, reason: str) -> SurrogateResult:
+    """The known point ``entry`` as the fallback result for ``reason``."""
+    return SurrogateResult(
+        x_min=np.asarray(entry.position, dtype=float),
+        f_min=float(entry.value),
         fallback_reason=reason,
     )
-    if memo[0] == archive.version:
-        archive.memo = (*memo[:4], result)
-    return result

@@ -391,6 +391,26 @@ class TestDefaults:
         assert re.findall(r"\b400\b", inspect.getsource(qswarm.cli)) == ["400"]
         assert build_parser().parse_args(["benchmark"]).runs == PAPER_RUNS == 400
 
+    def test_help_names_the_defaults_that_apply(self, capsys):
+        def help_text(command):
+            with pytest.raises(SystemExit):
+                main([command, "--help"])
+            return " ".join(capsys.readouterr().out.split())
+
+        cfg = effective_config({}, {"objective": "sphere"})
+        run_args = build_parser().parse_args(["run"])
+        run_help = help_text("run")
+        assert f"problem dimension (default {cfg['dimension']})" in run_help
+        assert f"independent runs per variant (default {cfg['runs']})" in run_help
+        assert f"run j uses base XOR j (default {cfg['seed']})" in run_help
+        assert f"default: {cfg['variant']}" in run_help
+        assert f"worker processes (default {run_args.jobs})" in run_help
+        bench_args = build_parser().parse_args(["benchmark"])
+        bench_help = help_text("benchmark")
+        assert f"runs per variant per row (default {bench_args.runs})" in bench_help
+        assert f"base seed (default {bench_args.seed})" in bench_help
+        assert f"worker processes (default {bench_args.jobs})" in bench_help
+
     def test_iteration_default_is_read_from_swarm_config(self):
         # SwarmConfig.iterations is the one place the default is written out.
         literal = re.compile(rf"\b{SwarmConfig.iterations}\b")

@@ -172,7 +172,7 @@ def kernel_digests(objective, particles, overrides=None) -> dict[str, str]:
     """Per seed, a sha256 over the output of every ``fit`` and ``minimize``
     call of a surrogate run, in call order, plus the number of fits.
 
-    Both names are replaced where ``surrogate._proposal`` looks them up,
+    Both names are replaced where ``surrogate._memo_record`` looks them up,
     the module globals, as the benchmark's tracer does.
     """
     real_fit, real_minimize = surrogate.fit, surrogate.minimize

@@ -970,3 +970,98 @@ class TestProposalMemo:
         assert third is not first and len(bests) == 2
         assert third.fallback_reason == FALLBACK_SINGULAR_SYSTEM
         assert third.x_min.tolist() == [0.05, 0.05] and third.f_min == 0.005
+        # A refused probe the incumbent does not lose to takes the same path:
+        # its repeated fallback is built once per archive version.
+        archive = self.bowl_archive()
+        flat = self.flat_objective(Bounds.symmetric(10.0, 2), [])
+        strong = archive.best()
+        refused = surrogate_attractor(archive, flat, strong)
+        assert refused.fallback_reason == FALLBACK_NON_IMPROVING
+        bests.clear()
+        fourth, fifth, sixth = (surrogate_attractor(archive, flat, strong) for _ in range(3))
+        assert fourth.fallback_reason == FALLBACK_REPEATED
+        assert fifth is fourth and sixth is fourth and len(bests) == 1
+        assert fourth.x_min.tobytes() == refused.x_min.tobytes()
+        assert archive.observe(np.array([1.0, 2.0]), 0.0)
+        seventh = surrogate_attractor(archive, flat, ArchiveEntry(0.0, np.array([1.0, 2.0])))
+        assert seventh.fallback_reason == FALLBACK_NON_IMPROVING
+        assert seventh.x_min.tolist() == [1.0, 2.0] and seventh.f_min == 0.0
+
+    # Offered values: a bowl (probes often accepted), a constant (the fitted
+    # quadratic term is exactly zero: singular_quadratic; a sloped plane
+    # leaves rounding noise there) and a rippled bowl (probes often refused,
+    # so later calls meet them again).
+    MEMO_OBJECTIVES = (
+        lambda x: float((x[0] - 0.3) ** 2 + 2.0 * (x[1] + 0.2) ** 2),
+        lambda x: 2.0,
+        lambda x: float(x @ x + 3.0 * math.sin(4.0 * x[0]) * math.cos(3.0 * x[1])),
+    )
+
+    def memo_sequence(self, seed, reasons):
+        """Drive a memo archive and a reference archive, whose memo is
+        cleared before every call, through one random sequence of offers
+        and calls; every result and every stored point must agree."""
+        rng = np.random.default_rng(seed)
+        f = self.MEMO_OBJECTIVES[seed % 3]
+        evaluations = []
+
+        def counted(x):
+            evaluations.append(1)
+            return f(x)
+
+        main = Bounds.symmetric(2.0, 2)
+        other = Bounds.symmetric(float(rng.choice([2.0, 0.5])), 2)
+        pairs = [
+            (Objective("memo", 2, b, counted), Objective("reference", 2, b, f)) for b in (main, other)
+        ]
+        capacity = int(rng.choice([6, 8]))
+        memo, reference = Archive(capacity), Archive(capacity)
+        collinear = rng.random() < 0.25  # every offer on one line: singular_system
+        direction = rng.normal(size=2)
+        arbitrary = rng.random() < 0.5  # else the incumbent never rises
+        incumbent = math.inf
+        offered, evaluated = [], 0
+        for _ in range(40):
+            if rng.random() < (0.8 if memo.size < capacity else 0.3):
+                if offered and rng.random() < 0.15:
+                    x = offered[int(rng.integers(len(offered)))]  # a duplicate
+                elif collinear:
+                    x = 0.2 + rng.uniform(-1.0, 1.0) * direction
+                else:
+                    x = rng.uniform(-2.0, 2.0, size=2)
+                value = f(x) if rng.random() < 0.9 else float(rng.choice([math.inf, math.nan, 50.0]))
+                offered.append(x)
+                assert memo.observe(x, value) == reference.observe(x, value)
+                if math.isfinite(value):
+                    incumbent = min(incumbent, value)
+                continue
+            memo_objective, reference_objective = pairs[int(rng.random() < 0.2)]
+            if arbitrary:
+                stored = reference.values() or [0.0]
+                incumbent = float(rng.choice([rng.normal() * 5.0, rng.choice(stored), math.inf]))
+            best = ArchiveEntry(incumbent, rng.uniform(-2.0, 2.0, size=2))
+            result = surrogate_attractor(memo, memo_objective, best)
+            reference.memo = None
+            expected = surrogate_attractor(reference, reference_objective, best)
+            reason = result.fallback_reason
+            reasons.add(reason)
+            same = FALLBACK_NON_IMPROVING if reason == FALLBACK_REPEATED else reason
+            assert expected.fallback_reason == same
+            assert result.x_min.tobytes() == expected.x_min.tobytes()
+            assert np.float64(result.f_min).tobytes() == np.float64(expected.f_min).tobytes()
+            assert memo.version == reference.version
+            if reference.size:
+                points, values = memo.sorted_points()
+                reference_points, reference_values = reference.sorted_points()
+                assert values == reference_values
+                assert [p.tobytes() for p in points] == [p.tobytes() for p in reference_points]
+            evaluated += result.evaluated
+            assert len(evaluations) == evaluated
+            if not arbitrary and reason == FALLBACK_NONE:
+                incumbent = result.f_min
+
+    def test_memo_matches_refitting_and_evaluating_every_call(self):
+        reasons = set()
+        for seed in range(200):
+            self.memo_sequence(seed, reasons)
+        assert reasons >= set(FALLBACK_REASONS) - {FALLBACK_TOO_FEW_POINTS}
