@@ -26,6 +26,9 @@ above it is refused, so a caller may skip it without changing the archive.
 A consumer that derives data from that set keeps it in ``memo`` together
 with the version it was derived at (the surrogate keeps its fit's record
 there).
+
+An empty archive has no best entry: ``best()`` raises :class:`IndexError`, a
+:class:`LookupError`, and ``sorted_points()`` returns two empty lists.
 """
 
 from __future__ import annotations
@@ -37,10 +40,6 @@ from typing import NamedTuple
 import numpy as np
 
 DUPLICATE_EPS = 1e-12
-
-
-class EmptyArchiveError(LookupError):
-    """Raised when querying the best entry of an empty archive."""
 
 
 class ArchiveEntry(NamedTuple):
@@ -96,14 +95,10 @@ class Archive:
 
     def best(self) -> ArchiveEntry:
         """The stored entry with the best value (ties: earliest observed)."""
-        if not self._values:
-            raise EmptyArchiveError("archive is empty")
         return ArchiveEntry(self._values[0], self._positions[0])
 
     def sorted_points(self) -> tuple[list[np.ndarray], list[float]]:
         """All stored positions ordered best-first, plus parallel values."""
-        if not self._values:
-            raise EmptyArchiveError("archive is empty")
         return list(self._positions), list(self._values)
 
     def values(self) -> list[float]:

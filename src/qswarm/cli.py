@@ -19,7 +19,6 @@ the wall-clock columns when byte-stable output is required.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -46,7 +45,8 @@ class ConfigError(Exception):
 
 
 # Config-file parameter key -> SwarmConfig field ("S" is the paper's name for
-# the stagnation lookback). Defaults come from the SwarmConfig fields.
+# the stagnation lookback). Defaults are the SwarmConfig field defaults,
+# which a dataclass keeps as class attributes.
 _PARAM_FIELDS = {
     "omega0": "omega0",
     "c1_0": "c1_0",
@@ -56,8 +56,17 @@ _PARAM_FIELDS = {
     "tau": "tau",
     "gamma_floor": "gamma_floor",
 }
-_FIELD_DEFAULTS = {f.name: f.default for f in dataclasses.fields(SwarmConfig)}
-DEFAULT_PARAMS = {key: _FIELD_DEFAULTS[name] for key, name in _PARAM_FIELDS.items()}
+DEFAULT_PARAMS = {key: getattr(SwarmConfig, name) for key, name in _PARAM_FIELDS.items()}
+
+# SwarmConfig or BatchSpec field -> the config key or flag that sets it; a
+# field not listed is its own key. The ValueError messages of those classes
+# start with the field name.
+_FIELD_KEYS = {
+    "n_particles": "particles",
+    "n_runs": "runs",
+    "jobs": "--jobs",
+    **{name: f"params.{key}" for key, name in _PARAM_FIELDS.items()},
+}
 
 CONFIG_KEYS = (
     "objective",
@@ -81,7 +90,7 @@ VARIANT_RUNS = {
 VARIANT_CHOICES = tuple(VARIANT_RUNS)
 
 # Defaults that effective_config applies and `qswarm run --help` names.
-_RUN_DEFAULTS = {"dimension": 2, "runs": 1, "seed": 0, "variant": "both"}
+_RUN_DEFAULTS = {"dimension": 2, "runs": 1, "seed": BatchSpec.base_seed, "variant": "both"}
 
 # The paper's protocol: runs per variant on each benchmark row.
 PAPER_RUNS = 400
@@ -101,6 +110,17 @@ BENCHMARK_ROWS = (
 def _require(condition: bool, key: str, message: str):
     if not condition:
         raise ConfigError(f"invalid value for {key!r}: {message}")
+
+
+def _build(model, *args, keys=_FIELD_KEYS, **fields):
+    """``model(*args, **fields)``; a ValueError it raises becomes the
+    ConfigError of the key that ``keys`` gives for the field its message
+    names."""
+    try:
+        return model(*args, **fields)
+    except ValueError as err:
+        field = str(err).split(" ", 1)[0]
+        raise ConfigError(f"invalid value for {keys.get(field, field)!r}: {err}") from err
 
 
 # JSON true and false load as bool, a subclass of int; neither is a count or
@@ -138,7 +158,15 @@ def load_config_file(path: str) -> dict:
 
 
 def effective_config(file_cfg: dict, overrides: dict) -> dict:
-    """Merge file config and flag overrides, apply defaults, validate."""
+    """Merge file config and flag overrides, apply defaults, validate.
+
+    Checked here is what JSON input needs: the objective and variant names,
+    ints for the counts, ``seed`` and ``params.S`` (JSON true and false are
+    not), finite numbers for the coefficients and bound ends, and the
+    dimension the default box is built from. Every other rule is that of
+    the objective registry, :class:`Bounds`, :class:`BatchSpec` or
+    :class:`SwarmConfig`, whose refusals name the config key.
+    """
     cfg = dict(file_cfg)
     for key, value in overrides.items():
         if value is not None:
@@ -146,74 +174,69 @@ def effective_config(file_cfg: dict, overrides: dict) -> dict:
 
     objective = cfg.get("objective")
     _require(isinstance(objective, str) and objective, "objective", "a name is required")
-    objective = objective.lower()
-    if objective not in objective_names():
-        raise ConfigError(
-            f"invalid value for 'objective': unknown objective {objective!r}; "
-            f"valid names: {', '.join(objective_names())}"
-        )
-
     dimension = cfg.get("dimension", _RUN_DEFAULTS["dimension"])
     _require(_is_int(dimension) and dimension >= 1, "dimension", "need an int >= 1")
+    try:  # the registry lookup refuses an unknown name
+        bounds = default_bounds(objective, dimension)
+    except UnknownObjectiveError as err:
+        raise ConfigError(f"invalid value for 'objective': {err}") from err
 
     bounds_pairs = cfg.get("bounds")
-    if bounds_pairs is None:
-        bounds = default_bounds(objective, dimension)
-    else:
+    if bounds_pairs is not None:
         try:
             bounds = Bounds.from_pairs(bounds_pairs)
         except (ValueError, TypeError) as err:
             raise ConfigError(f"invalid value for 'bounds': {err}") from err
         numbers = all(_is_number(v) for pair in bounds_pairs for v in pair)
         _require(numbers, "bounds", "need numbers")
-        _require(
-            bounds.dimension == dimension,
-            "bounds",
-            f"got {bounds.dimension} pairs for dimension {dimension}",
-        )
 
     particles = cfg.get("particles")
     if particles is None:
         particles = required_points(dimension)
-    _require(_is_int(particles) and particles >= 1, "particles", "need an int >= 1")
-
-    iterations = cfg.get("iterations", _FIELD_DEFAULTS["iterations"])
-    _require(_is_int(iterations) and iterations >= 1, "iterations", "need an int >= 1")
-
-    runs = cfg.get("runs", _RUN_DEFAULTS["runs"])
-    _require(_is_int(runs) and runs >= 1, "runs", "need an int >= 1")
-
-    seed = cfg.get("seed", _RUN_DEFAULTS["seed"])
-    _require(_is_int(seed), "seed", "need an int")
-
-    variant = cfg.get("variant", _RUN_DEFAULTS["variant"])
-    _require(variant in VARIANT_CHOICES, "variant", f"must be one of {VARIANT_CHOICES}")
-
-    params = dict(DEFAULT_PARAMS)
-    params.update(cfg.get("params", {}))
-    for key in _PARAM_FIELDS:
-        if key == "S":
-            continue
-        value = params[key]
-        _require(_is_number(value), f"params.{key}", "need a finite number")
-        params[key] = float(value)
-    _require(
-        _is_int(params["S"]) and params["S"] >= 1, "params.S", "need an int >= 1"
-    )
-    _require(params["tau"] > 0, "params.tau", "must be positive")
-    _require(params["gamma_floor"] > 0, "params.gamma_floor", "must be positive")
-
-    return {
-        "objective": objective,
+    params = {**DEFAULT_PARAMS, **cfg.get("params", {})}
+    effective = {
+        "objective": objective.lower(),
         "dimension": dimension,
         "bounds": bounds.to_pairs(),
         "particles": particles,
-        "iterations": iterations,
-        "runs": runs,
-        "seed": seed,
-        "variant": variant,
+        "iterations": cfg.get("iterations", SwarmConfig.iterations),
+        "runs": cfg.get("runs", _RUN_DEFAULTS["runs"]),
+        "seed": cfg.get("seed", _RUN_DEFAULTS["seed"]),
+        "variant": cfg.get("variant", _RUN_DEFAULTS["variant"]),
         "params": params,
     }
+    for key in ("particles", "iterations", "runs", "seed"):
+        _require(_is_int(effective[key]), key, "need an int")
+    _require(_is_int(params["S"]), "params.S", "need an int")
+    for key in sorted(_PARAM_FIELDS.keys() - {"S"}):
+        _require(_is_number(params[key]), f"params.{key}", "need a finite number")
+        params[key] = float(params[key])
+    _require(effective["variant"] in VARIANT_CHOICES, "variant", f"must be one of {VARIANT_CHOICES}")
+    _batch_spec(effective)
+    return effective
+
+
+def _batch_spec(cfg: dict, jobs: int = BatchSpec.jobs) -> BatchSpec:
+    """The batch that the effective config ``cfg`` runs on ``jobs`` workers.
+
+    Raises :class:`ConfigError`, naming the key, where the batch or the
+    :class:`SwarmConfig` of its runs is refused.
+    """
+    spec = _build(
+        BatchSpec,
+        objective=cfg["objective"],
+        dimension=cfg["dimension"],
+        n_particles=cfg["particles"],
+        n_runs=cfg["runs"],
+        variants=VARIANT_RUNS[cfg["variant"]],
+        bounds=Bounds.from_pairs(cfg["bounds"]),
+        iterations=cfg["iterations"],
+        base_seed=cfg["seed"],
+        jobs=jobs,
+        params={name: cfg["params"][key] for key, name in _PARAM_FIELDS.items()},
+    )
+    _build(SwarmConfig, spec.dimension, spec.n_particles, spec.bounds, spec.iterations, **spec.params)
+    return spec
 
 
 def resolve_out_dir(out_flag) -> Path:
@@ -238,28 +261,16 @@ def _write_batch(out_dir: Path, spec: BatchSpec, results, suffix: str = "", trac
 
 
 def cmd_run(args) -> int:
-    _require(args.jobs >= 1, "--jobs", "need an int >= 1")
     file_cfg = load_config_file(args.config) if args.config else {}
     # Each flag's dest is its config key; bounds and params have no flag.
     cfg = effective_config(file_cfg, {key: getattr(args, key, None) for key in CONFIG_KEYS})
+    spec = _batch_spec(cfg, args.jobs)
 
     out_dir = resolve_out_dir(args.out)
     with open(out_dir / "config.echo.json", "w", encoding="utf-8") as handle:
         json.dump(cfg, handle, indent=2, sort_keys=True)
         handle.write("\n")
 
-    spec = BatchSpec(
-        objective=cfg["objective"],
-        dimension=cfg["dimension"],
-        n_particles=cfg["particles"],
-        n_runs=cfg["runs"],
-        variants=VARIANT_RUNS[cfg["variant"]],
-        bounds=Bounds.from_pairs(cfg["bounds"]),
-        iterations=cfg["iterations"],
-        base_seed=cfg["seed"],
-        jobs=args.jobs,
-        params={name: cfg["params"][key] for key, name in _PARAM_FIELDS.items()},
-    )
     results = run_batch(spec, timing=not args.no_timing)
 
     _write_batch(out_dir, spec, results)
@@ -293,28 +304,26 @@ def _gate_text(op: str, ratio: float) -> str:
 
 
 def cmd_benchmark(args) -> int:
-    _require(args.runs >= 1, "--runs", "need an int >= 1")
-    _require(args.jobs >= 1, "--jobs", "need an int >= 1")
+    specs = [
+        _build(
+            BatchSpec, name, dimension, particles, args.runs,
+            keys={**_FIELD_KEYS, "n_runs": "--runs"},
+            bounds=Bounds.symmetric(limit, dimension),
+            base_seed=args.seed,
+            jobs=args.jobs,
+        )
+        for name, dimension, particles, limit, *_ in BENCHMARK_ROWS
+    ]
     out_dir = resolve_out_dir(args.out)
     if args.runs != PAPER_RUNS:
         print(f"note: {args.runs} runs per variant (reduced statistical power; reference protocol is {PAPER_RUNS})")
     rows = []
     # Every row asks for the same number of workers, so one pool runs the suite.
     with shared_pool():
-        for name, dimension, particles, limit, *_ in BENCHMARK_ROWS:
-            spec = BatchSpec(
-                objective=name,
-                dimension=dimension,
-                n_particles=particles,
-                n_runs=args.runs,
-                bounds=Bounds.symmetric(limit, dimension),
-                iterations=_FIELD_DEFAULTS["iterations"],
-                base_seed=args.seed,
-                jobs=args.jobs,
-            )
+        for spec in specs:
             results = run_batch(spec, timing=not args.no_timing)
             rows.append(compare(spec, results))
-            _write_batch(out_dir, spec, results, f"_{name}_{dimension}d", args.emit_traces)
+            _write_batch(out_dir, spec, results, f"_{spec.objective}_{spec.dimension}d", args.emit_traces)
 
     write_comparison_csv(out_dir / "comparison.csv", rows)
     table = comparison_table_text(rows)
@@ -342,21 +351,21 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--objective", help=f"one of: {', '.join(objective_names())}")
     run_p.add_argument("--dim", type=int, dest="dimension", metavar="DIM", help=f"problem dimension (default {_RUN_DEFAULTS['dimension']})")
     run_p.add_argument("--particles", type=int, help="swarm size (default: interpolation point count)")
-    run_p.add_argument("--iterations", type=int, help=f"iterations per run (default {_FIELD_DEFAULTS['iterations']})")
+    run_p.add_argument("--iterations", type=int, help=f"iterations per run (default {SwarmConfig.iterations})")
     run_p.add_argument("--runs", type=int, help=f"independent runs per variant (default {_RUN_DEFAULTS['runs']})")
     run_p.add_argument("--seed", type=int, help=f"base seed; run j uses base XOR j (default {_RUN_DEFAULTS['seed']})")
     run_p.add_argument("--variant", choices=VARIANT_CHOICES, help=f"default: {_RUN_DEFAULTS['variant']}")
     run_p.add_argument("--config", help="JSON config file (flags override its values)")
     run_p.add_argument("--out", help="output directory (default: $QSWARM_OUT/<timestamp>)")
-    run_p.add_argument("--jobs", type=int, default=1, help="worker processes (default %(default)s)")
+    run_p.add_argument("--jobs", type=int, default=BatchSpec.jobs, help="worker processes (default %(default)s)")
     run_p.add_argument("--no-timing", action="store_true", help="zero wall-time columns for byte-stable output")
     run_p.set_defaults(func=cmd_run)
 
     bench = sub.add_parser("benchmark", help="run the full six-row comparison suite")
     bench.add_argument("--runs", type=int, default=PAPER_RUNS, help="runs per variant per row (default %(default)s)")
-    bench.add_argument("--seed", type=int, default=0, help="base seed (default %(default)s)")
+    bench.add_argument("--seed", type=int, default=BatchSpec.base_seed, help="base seed (default %(default)s)")
     bench.add_argument("--out", help="output directory (default: $QSWARM_OUT/<timestamp>)")
-    bench.add_argument("--jobs", type=int, default=1, help="worker processes (default %(default)s)")
+    bench.add_argument("--jobs", type=int, default=BatchSpec.jobs, help="worker processes (default %(default)s)")
     bench.add_argument("--emit-traces", action="store_true", help="also write per-row trace band CSVs")
     bench.add_argument("--no-timing", action="store_true", help="zero wall-time columns for byte-stable output")
     bench.set_defaults(func=cmd_benchmark)
@@ -368,7 +377,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, UnknownObjectiveError) as err:
+    except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except Exception as err:  # runtime failure

@@ -251,8 +251,6 @@ def run_batch(
     """
     if objective is None:
         objective = make_objective(spec.objective, spec.dimension, spec.bounds)
-    if objective.dimension != spec.dimension:
-        raise ValueError("objective dimension does not match batch spec")
     configs = [
         SwarmConfig(
             dimension=spec.dimension,

@@ -6,9 +6,9 @@ A quadratic in n variables,
 
 has 1 + n + n(n+1)/2 = (n+1)(n+2)/2 independent coefficients, so exactly that
 many distinct sample points determine it. The coefficients come from solving
-the square interpolation system built by :func:`build_design_matrix`; the
-stationary point follows from setting the gradient to zero, i.e. solving
-``2 * quad @ x = -linear``.
+the square interpolation system whose row for a point x holds 1, the x_i and
+the products x_i * x_j (i <= j); the stationary point follows from setting
+the gradient to zero, i.e. solving ``2 * quad @ x = -linear``.
 
 Linear systems are solved by dense LU factorization with partial pivoting
 (LAPACK ``getrf``/``getrs``). Singularity is declared deterministically: the
@@ -103,19 +103,14 @@ def load_lapack():
     return module.dgesdd, module.dgetrf, module.dgetrs, module.dlange
 
 
-def solve_pivoted(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve ``matrix @ x = rhs`` by partially pivoted LU.
+def _solve_in_place(a: np.ndarray, rhs) -> np.ndarray:
+    """Solve ``a @ x = rhs`` by partially pivoted LU, overwriting the
+    Fortran-ordered float matrix ``a``.
 
     Raises :class:`SingularMatrixError` when any pivot magnitude is smaller
-    than ``PIVOT_RTOL * max|matrix|``, which flags collinear or otherwise
+    than ``PIVOT_RTOL * max|a|``, which flags collinear or otherwise
     degenerate geometry deterministically.
     """
-    return _solve_in_place(np.array(matrix, dtype=float, order="F"), rhs)
-
-
-def _solve_in_place(a: np.ndarray, rhs) -> np.ndarray:
-    """:func:`solve_pivoted` on a Fortran-ordered float matrix ``a``, which
-    the factorization overwrites."""
     _, dgetrf, dgetrs, dlange = load_lapack()
     scale = dlange("M", a)  # max |a_ij|, exactly; NaN when an entry is NaN
     if scale == 0.0 or not math.isfinite(scale):
@@ -212,34 +207,18 @@ def _index_tables(dim: int) -> tuple[np.ndarray, ...]:
     return tables
 
 
-def build_design_matrix(points) -> np.ndarray:
-    """Square interpolation matrix, one row per sample point.
+def _design_matrix(pts: np.ndarray) -> np.ndarray:
+    """Square interpolation matrix, one row per sample point of ``pts``.
 
     Column order: the constant 1, the n coordinates, then the products
     x_i * x_j for i <= j (outer index i, inner j running from i to n). The
     matrix is Fortran-ordered, so the LU factorization runs in it in place.
     """
-    return _design_matrix(_as_points(points))
-
-
-def _design_matrix(pts: np.ndarray) -> np.ndarray:
     # Every column is a product of two columns of [1, x]; 1 * 1 and 1 * x_i
     # are exact, so the first n + 1 columns hold 1 and x bit for bit.
     ones, left, right, _, _ = _index_tables(pts.shape[1])
     ext = np.concatenate((ones, pts), axis=1)
     return np.multiply(ext.take(left, axis=1), ext.take(right, axis=1), order="F")
-
-
-def _as_points(points) -> np.ndarray:
-    """``points`` as a float array of ``required_points(n)`` rows of n."""
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2:
-        raise ValueError("points must be a 2-D array, one row per point")
-    count, dim = pts.shape
-    need = required_points(dim)
-    if count != need:
-        raise ValueError(f"expected {need} points for dimension {dim}, got {count}")
-    return pts
 
 
 def fit(points, values) -> QuadraticModel:
@@ -256,9 +235,14 @@ def fit(points, values) -> QuadraticModel:
     Raises :class:`SingularMatrixError` when the geometry is degenerate, a
     point or value is not finite, or the SVD does not converge.
     """
-    pts = _as_points(points)
-    vals = np.asarray(values, dtype=float)
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2:
+        raise ValueError("points must be a 2-D array, one row per point")
     count, dim = pts.shape
+    need = required_points(dim)
+    if count != need:
+        raise ValueError(f"expected {need} points for dimension {dim}, got {count}")
+    vals = np.asarray(values, dtype=float)
     if vals.shape != (count,):
         raise ValueError("values must be a vector matching the point count")
     if not all(map(math.isfinite, pts.ravel().tolist() + vals.tolist())):
@@ -304,7 +288,7 @@ def minimize(model: QuadraticModel) -> np.ndarray:
     Solves ``quad @ y = linear`` and returns ``-y / 2``; raises
     :class:`SingularMatrixError` when the quadratic term is singular.
     """
-    y = solve_pivoted(model.quad, model.linear)
+    y = _solve_in_place(np.array(model.quad, dtype=float, order="F"), model.linear)
     return -0.5 * y
 
 

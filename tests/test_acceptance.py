@@ -19,7 +19,7 @@ from qswarm.experiments import BatchSpec, run_batch
 from qswarm.objectives import Bounds, make_objective
 from qswarm.surrogate import (
     QuadraticModel,
-    build_design_matrix,
+    _design_matrix,
     fit,
     minimize,
     required_points,
@@ -77,7 +77,7 @@ class TestCriterion1SurrogateExactness:
                 const=float(rng.normal()), linear=rng.normal(size=dim), quad=quad
             )
             pts = rng.uniform(-2.0, 2.0, size=(required_points(dim), dim))
-            if np.linalg.cond(build_design_matrix(pts)) >= 1e8:
+            if np.linalg.cond(_design_matrix(pts)) >= 1e8:
                 continue
             count += 1
             model = fit(pts, [truth(p) for p in pts])

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qswarm.archive import Archive, ArchiveEntry, EmptyArchiveError
+from qswarm.archive import Archive, ArchiveEntry
 
 
 def fill(archive, values):
@@ -116,14 +116,15 @@ class TestBest:
                 archive.observe((float(i), float(2 * i)), v)
             assert archive.best().value == min(values)
 
-    def test_empty_archive_raises_dedicated_error(self):
-        with pytest.raises(EmptyArchiveError):
+    def test_empty_archive_has_no_best_entry(self):
+        with pytest.raises(LookupError):
             Archive(3).best()
-        with pytest.raises(EmptyArchiveError):
-            Archive(3).sorted_points()
 
 
 class TestSortedPoints:
+    def test_empty_archive_gives_empty_lists(self):
+        assert Archive(3).sorted_points() == ([], [])
+
     def test_best_first_with_parallel_values(self):
         archive = Archive(3)
         archive.observe((2.0, 2.0), 2.0)
@@ -232,8 +233,9 @@ class TestAgainstOracle:
             assert archive.observe(x, fx) == oracle.observe(x, fx)
             assert archive.version == oracle.version
             if not oracle.entries:
-                with pytest.raises(EmptyArchiveError):
+                with pytest.raises(LookupError):
                     archive.best()
+                assert archive.sorted_points() == ([], [])
                 continue
             ordered = oracle.ordered()
             points, values = archive.sorted_points()

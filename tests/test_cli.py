@@ -91,6 +91,10 @@ class TestEffectiveConfig:
             ("params.vmax0", {"params": {"vmax0": math.inf}}),
             ("params.c2_0", {"params": {"c2_0": -math.inf}}),
             ("params.c1_0", {"params": {"c1_0": 10**400}}),  # no double holds it
+            ("particles", {"particles": 0}),
+            ("params.tau", {"params": {"tau": 0}}),
+            ("params.gamma_floor", {"params": {"gamma_floor": 0}}),
+            ("params.gamma_floor", {"params": {"gamma_floor": -1}}),
         ]:
             with pytest.raises(ConfigError, match=re.escape(key)):
                 effective_config({"objective": "sphere", **cfg}, {})
@@ -195,14 +199,24 @@ class TestRunCommand:
         assert len(finals) == 6
         assert all(value >= 8.0 for value in finals)  # sphere's least value on the box
 
-    def test_box_of_infinite_width_exits_2_before_any_output(self, tmp_path, capsys):
-        # Both ends are finite doubles, but hi - lo overflows.
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"objective": "sphere", "bounds": [[-1e308, 1e308], [-1, 1]]}))
-        out = tmp_path / "out"
-        assert run_cli("run", "--config", str(path), "--out", str(out)) == 2
-        assert "'bounds'" in capsys.readouterr().err
-        assert not out.exists()
+    def test_bad_box_exits_2_before_any_output(self, tmp_path, capsys):
+        for bounds in [
+            [[-1e308, 1e308], [-1, 1]],  # finite ends, but hi - lo overflows
+            5,
+            [5, 6],
+            [[1, None]],
+            [["a", "b"]],
+            [[1, 2, 3]],
+            {"lo": 1},
+            [[2, 1]],
+            [],
+        ]:
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps({"objective": "sphere", "bounds": bounds}))
+            out = tmp_path / "out"
+            assert run_cli("run", "--config", str(path), "--out", str(out)) == 2
+            assert "'bounds'" in capsys.readouterr().err
+            assert not out.exists()
 
     @pytest.mark.parametrize(
         "key,literal", [("omega0", "NaN"), ("vmax0", "Infinity"), ("c2_0", "-Infinity")]

@@ -28,11 +28,9 @@ from qswarm.surrogate import (
     QuadraticModel,
     SingularMatrixError,
     SurrogateResult,
-    build_design_matrix,
     fit,
     minimize,
     required_points,
-    solve_pivoted,
     surrogate_attractor,
 )
 
@@ -48,11 +46,16 @@ def random_spd_quadratic(rng, dim, cond=100.0):
     return QuadraticModel(const=const, linear=linear, quad=quad)
 
 
+def design_matrix(points):
+    """The interpolation matrix that ``fit`` builds for ``points``."""
+    return surrogate._design_matrix(np.asarray(points, dtype=float))
+
+
 def sample_points(rng, dim, count, max_design_cond=1e8):
     """Random sample layouts rejected until the design matrix is usable."""
     while True:
         pts = rng.uniform(-1.0, 1.0, size=(count, dim))
-        if np.linalg.cond(build_design_matrix(pts)) < max_design_cond:
+        if np.linalg.cond(design_matrix(pts)) < max_design_cond:
             return pts
 
 
@@ -72,13 +75,13 @@ class TestRequiredPoints:
 
 class TestDesignMatrix:
     def test_one_dimensional_rows(self):
-        m = build_design_matrix([[0.0], [1.0], [2.0]])
+        m = design_matrix([[0.0], [1.0], [2.0]])
         np.testing.assert_array_equal(m, [[1, 0, 0], [1, 1, 1], [1, 2, 4]])
 
     def test_two_dimensional_column_order(self):
         x, y = 2.0, 3.0
         points = [[x, y], [0, 0], [1, 0], [0, 1], [1, 1], [2, 1]]
-        m = build_design_matrix(points)
+        m = design_matrix(points)
         np.testing.assert_array_equal(m[0], [1, x, y, x * x, x * y, y * y])
 
     def test_random_entries_match_products(self):
@@ -86,7 +89,7 @@ class TestDesignMatrix:
         for dim in (1, 2, 3):
             count = required_points(dim)
             pts = rng.uniform(-5, 5, size=(count, dim))
-            m = build_design_matrix(pts)
+            m = design_matrix(pts)
             for row in range(count):
                 col = 1 + dim
                 for i in range(dim):
@@ -96,7 +99,7 @@ class TestDesignMatrix:
 
     def test_wrong_point_count_is_an_error(self):
         with pytest.raises(ValueError):
-            build_design_matrix([[0.0, 0.0], [1.0, 1.0]])
+            fit([[0.0, 0.0], [1.0, 1.0]], [0.0, 0.0])
 
     @settings(max_examples=200, deadline=None)
     @given(dim=st.integers(1, 4), data=st.data())
@@ -113,7 +116,7 @@ class TestDesignMatrix:
         columns = [np.ones(count), *pts.T]
         columns += [pts[:, i] * pts[:, j] for i in range(dim) for j in range(i, dim)]
         expected = np.column_stack(columns)
-        m = build_design_matrix(pts)
+        m = design_matrix(pts)
         assert m.flags.f_contiguous
         assert m.tobytes(order="F") == expected.tobytes(order="F")
 
@@ -228,19 +231,23 @@ def test_missing_lapack_extension_names_the_folder(tmp_path, monkeypatch):
 
 
 class TestSolvePivoted:
+    """The pivoted LU solve behind ``minimize``, which solves
+    ``quad @ y = linear`` and returns ``-y / 2``."""
+
     def test_agrees_with_numpy_solve(self):
         rng = np.random.default_rng(2)
         for _ in range(50):
             a = rng.normal(size=(6, 6)) + 6 * np.eye(6)
             b = rng.normal(size=6)
-            np.testing.assert_allclose(solve_pivoted(a, b), np.linalg.solve(a, b), rtol=1e-10)
+            x_min = minimize(QuadraticModel(0.0, b, a))
+            np.testing.assert_allclose(x_min, -0.5 * np.linalg.solve(a, b), rtol=1e-10)
 
     def test_rejects_singular(self):
         a = np.array([[1.0, 2.0], [2.0, 4.0]])
         with pytest.raises(SingularMatrixError):
-            solve_pivoted(a, np.ones(2))
+            minimize(QuadraticModel(0.0, np.ones(2), a))
         with pytest.raises(SingularMatrixError):
-            solve_pivoted(np.zeros((2, 2)), np.ones(2))
+            minimize(QuadraticModel(0.0, np.ones(2), np.zeros((2, 2))))
 
     @settings(max_examples=500, deadline=None)
     @given(
@@ -273,11 +280,12 @@ class TestSolvePivoted:
         singular = bool(np.minimum.reduce(np.abs(diagonal)) < threshold)
         assert surrogate._pivot_below(diagonal.tolist(), threshold) == singular
         assert singular == (kind == "inf")
+        model = QuadraticModel(0.0, np.ones(len(a)), a)
         if singular:
             with pytest.raises(SingularMatrixError):
-                solve_pivoted(a, np.ones(len(a)))
+                minimize(model)
         else:
-            assert np.isnan(solve_pivoted(a, np.ones(len(a)))).any()
+            assert np.isnan(minimize(model)).any()
 
 
 def reference_fit(points, values) -> QuadraticModel:
