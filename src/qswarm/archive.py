@@ -100,7 +100,3 @@ class Archive:
     def sorted_points(self) -> tuple[list[np.ndarray], list[float]]:
         """All stored positions ordered best-first, plus parallel values."""
         return list(self._positions), list(self._values)
-
-    def values(self) -> list[float]:
-        """Stored values, best first."""
-        return list(self._values)

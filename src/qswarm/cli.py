@@ -165,7 +165,8 @@ def effective_config(file_cfg: dict, overrides: dict) -> dict:
     not), finite numbers for the coefficients and bound ends, and the
     dimension the default box is built from. Every other rule is that of
     the objective registry, :class:`Bounds`, :class:`BatchSpec` or
-    :class:`SwarmConfig`, whose refusals name the config key.
+    :class:`SwarmConfig`, whose refusals name the config key. Defaults fill
+    missing keys only: a key that holds JSON null is refused.
     """
     cfg = dict(file_cfg)
     for key, value in overrides.items():
@@ -181,24 +182,21 @@ def effective_config(file_cfg: dict, overrides: dict) -> dict:
     except UnknownObjectiveError as err:
         raise ConfigError(f"invalid value for 'objective': {err}") from err
 
-    bounds_pairs = cfg.get("bounds")
-    if bounds_pairs is not None:
+    if "bounds" in cfg:
+        bounds_pairs = cfg["bounds"]
         try:
             bounds = Bounds.from_pairs(bounds_pairs)
-        except (ValueError, TypeError) as err:
+        except (ValueError, TypeError, OverflowError) as err:
             raise ConfigError(f"invalid value for 'bounds': {err}") from err
         numbers = all(_is_number(v) for pair in bounds_pairs for v in pair)
         _require(numbers, "bounds", "need numbers")
 
-    particles = cfg.get("particles")
-    if particles is None:
-        particles = required_points(dimension)
     params = {**DEFAULT_PARAMS, **cfg.get("params", {})}
     effective = {
         "objective": objective.lower(),
         "dimension": dimension,
         "bounds": bounds.to_pairs(),
-        "particles": particles,
+        "particles": cfg.get("particles", required_points(dimension)),
         "iterations": cfg.get("iterations", SwarmConfig.iterations),
         "runs": cfg.get("runs", _RUN_DEFAULTS["runs"]),
         "seed": cfg.get("seed", _RUN_DEFAULTS["seed"]),

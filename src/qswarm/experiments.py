@@ -46,7 +46,7 @@ class BatchSpec:
 
     ``params`` holds optional :class:`SwarmConfig` keyword overrides
     (``omega0``, ``c1_0``, ``c2_0``, ``vmax0``, ``lookback``, ``tau``,
-    ``gamma_floor``, ``archive_capacity``).
+    ``gamma_floor``).
     ``bounds=None`` selects the registry default box for the objective.
     """
 

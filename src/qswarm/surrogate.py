@@ -153,10 +153,6 @@ class QuadraticModel:
     linear: np.ndarray
     quad: np.ndarray
 
-    def __call__(self, x) -> float:
-        x = np.asarray(x, dtype=float)
-        return float(self.const + self.linear @ x + x @ self.quad @ x)
-
 
 @dataclass(frozen=True, eq=False)
 class SurrogateResult:

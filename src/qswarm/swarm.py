@@ -5,16 +5,14 @@ One velocity update per particle per iteration,
     v' = w * v + c1 * r1 * (best_own - x) + c2 * r2 * (attract - x),
     x' = x + v',
 
-with r1, r2 drawn fresh from U[0, 1] for every particle at every iteration.
-By default one draw is shared across the dimensions of a particle (the
-classic convention; coordinates then contract coherently, which settles the
-swarm markedly deeper on the benchmark suite). Set
-``per_dimension_draws=True`` for independent draws per coordinate. The
-``standard`` variant uses the global best position as the social attractor;
-the ``quadratic_surrogate`` variant replaces it with the minimizer of a
-quadratic interpolated through the archived best samples, accepted only when
-its actual objective value improves on the global best (see
-:mod:`qswarm.surrogate`).
+with r1, r2 drawn fresh from U[0, 1] for every particle at every iteration,
+one draw shared across the dimensions of a particle (the classic
+convention; coordinates then contract coherently, which settles the swarm
+markedly deeper on the benchmark suite). The ``standard`` variant uses the
+global best position as the social attractor; the ``quadratic_surrogate``
+variant replaces it with the minimizer of a quadratic interpolated through
+the archived best samples, accepted only when its actual objective value
+improves on the global best (see :mod:`qswarm.surrogate`).
 
 Coefficients follow linear ramps over the run: the inertia weight and the
 cognitive coefficient decay, the social coefficient grows, and the speed cap
@@ -26,13 +24,12 @@ when the relative change falls below 0.5.
 Randomness comes from one counter-based Philox stream per run, keyed by the
 run seed. Draws happen in a fixed documented order: initial positions
 (n_particles x dimension), initial velocities (same shape), then the r1/r2
-blocks of all iterations in one call, of shape
-(iterations, 2, n_particles, 1) in shared-draw mode or
-(iterations, 2, n_particles, dimension) in per-dimension mode. The stream
-yields the same values whether that block is drawn in one call or one
-iteration at a time, so block k is exactly what a per-iteration draw would
-give. Run records are therefore a pure function of (config, objective), and
-independent runs are reproducible regardless of batch scheduling.
+blocks of all iterations in one call, of shape (iterations, 2, n_particles,
+1). The stream yields the same values whether that block is drawn in one
+call or one iteration at a time, so block k is exactly what a per-iteration
+draw would give. Run records are therefore a pure function of (config,
+objective), and independent runs are reproducible regardless of batch
+scheduling.
 
 Everything that does not depend on the swarm's state (the coefficient ramps
 of every iteration and the products c1 * r1 and c2 * r2) is computed once
@@ -70,12 +67,9 @@ class SwarmConfig:
     """All tunables of one run.
 
     Defaults are the reference parameter set used by the benchmark suite.
-    ``archive_capacity`` overrides the surrogate archive size (normally the
-    exact interpolation point count); setting it above the total evaluation
-    count of a run forces the surrogate to fall back on every iteration,
-    which is useful for variant-equivalence testing. With fewer particles
-    than interpolation points the engine still runs: the archive simply
-    fills over several iterations.
+    The surrogate archive holds exactly the interpolation point count. With
+    fewer particles than interpolation points the engine still runs: the
+    archive simply fills over several iterations.
     """
 
     dimension: int
@@ -91,8 +85,6 @@ class SwarmConfig:
     gamma_floor: float = 1e-12
     variant: str = VARIANT_STANDARD
     seed: int = 0
-    per_dimension_draws: bool = False
-    archive_capacity: Optional[int] = None
 
     def __post_init__(self):
         if self.dimension < 1:
@@ -114,38 +106,12 @@ class SwarmConfig:
             raise ValueError(f"variant must be one of {VARIANTS}")
         if self.bounds.dimension != self.dimension:
             raise ValueError("bounds dimension does not match config dimension")
-        if self.archive_capacity is not None and self.archive_capacity < 1:
-            raise ValueError("archive_capacity must be >= 1")
-
-
-@dataclass(frozen=True)
-class ScheduleState:
-    """Coefficient values in effect at one iteration."""
-
-    omega: float
-    c1: float
-    c2: float
-    vmax: float
-
-
-def schedule(k: int, config: SwarmConfig) -> ScheduleState:
-    """Coefficient ramps evaluated at iteration ``k`` (0-based).
-
-    omega and c1 decay linearly, c2 grows linearly, and vmax decays
-    exponentially from ``vmax0 * e`` at k=0 to ``vmax0`` at k=iterations.
-    Note the speed cap starts *above* its base value by design.
-    """
-    big_k = config.iterations
-    if not 0 <= k <= big_k:
-        raise ValueError(f"iteration {k} outside [0, {big_k}]")
-    omega, c1, c2, vmax = _ramps(np.array([k]), config)
-    return ScheduleState(float(omega[0]), float(c1[0]), float(c2[0]), vmax[0])
 
 
 def _ramps(ks: np.ndarray, config: SwarmConfig):
     # omega, c1 and c2 (arrays) and vmax (a list) at the iterations ks: the
-    # one formula behind schedule() and the engine's per-run tables. The
-    # speed cap uses math.exp, whose results np.exp does not always match.
+    # one formula behind the engine's per-run tables. The speed cap uses
+    # math.exp, whose results np.exp does not always match.
     frac = ks / config.iterations
     vmax = [config.vmax0 * math.exp(1.0 - f) for f in frac.tolist()]
     return config.omega0 - 0.5 * frac, config.c1_0 - frac, config.c2_0 + frac, vmax
@@ -207,8 +173,7 @@ class Swarm:
         self._vmax = vmax
         self.positions = self.rng.uniform(bounds.lo, bounds.hi, size=(n_particles, n))
         self.velocities = self.rng.uniform(-vmax[0], vmax[0], size=(n_particles, n))
-        r_dims = n if config.per_dimension_draws else 1
-        draws = self.rng.uniform(size=(config.iterations, 2, n_particles, r_dims))
+        draws = self.rng.uniform(size=(config.iterations, 2, n_particles, 1))
         # Block k holds c1_k * r1 and c2_k * r2 of iteration k, spread over
         # the dimensions (as are the bounds) so that each step works on
         # arrays of one shape.
@@ -225,10 +190,7 @@ class Swarm:
         self._history: list[Optional[list[float]]] = [None] * (config.lookback + 1)
 
         if config.variant == VARIANT_SURROGATE:
-            capacity = config.archive_capacity
-            if capacity is None:
-                capacity = required_points(n)
-            self.archive: Optional[Archive] = Archive(capacity)
+            self.archive: Optional[Archive] = Archive(required_points(n))
         else:
             self.archive = None
 

@@ -1,6 +1,7 @@
 """Command-line surface: flags, config files, artifacts, exit codes."""
 
 import csv
+import dataclasses
 import inspect
 import json
 import math
@@ -11,7 +12,9 @@ import pytest
 import qswarm.cli
 import qswarm.experiments
 from qswarm.cli import (
+    _FIELD_KEYS,
     BENCHMARK_ROWS,
+    CONFIG_KEYS,
     DEFAULT_PARAMS,
     PAPER_RUNS,
     ConfigError,
@@ -84,6 +87,10 @@ class TestEffectiveConfig:
             ("seed", {"seed": False}),
             ("bounds", {"bounds": [[True, 5], [2, 5]]}),
             ("bounds", {"bounds": [[-1e308, 1e308], [-1, 1]]}),  # width overflows
+            ("bounds", {"bounds": [[-(10**400), 1], [-1, 1]]}),  # no double holds it
+            # JSON null is no value; defaults fill missing keys only.
+            ("particles", {"particles": None}),
+            ("bounds", {"bounds": None}),
             ("params.S", {"params": {"S": True}}),
             ("params.tau", {"params": {"tau": True}}),
             # Python's json reads NaN and Infinity; neither is a coefficient.
@@ -98,6 +105,12 @@ class TestEffectiveConfig:
         ]:
             with pytest.raises(ConfigError, match=re.escape(key)):
                 effective_config({"objective": "sphere", **cfg}, {})
+
+    def test_every_swarm_config_field_is_set_by_a_config_key(self):
+        params = {f"params.{key}" for key in DEFAULT_PARAMS}
+        for field in dataclasses.fields(SwarmConfig):
+            key = _FIELD_KEYS.get(field.name, field.name)
+            assert key in CONFIG_KEYS or key in params, field.name
 
 
 class TestConfigFile:
@@ -205,6 +218,7 @@ class TestRunCommand:
             5,
             [5, 6],
             [[1, None]],
+            [[-(10**400), 1], [-1, 1]],  # no double holds the low end
             [["a", "b"]],
             [[1, 2, 3]],
             {"lo": 1},

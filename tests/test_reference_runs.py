@@ -11,8 +11,8 @@ Both variants run on every benchmark row for seeds 0-4 and must reproduce
 the digests in ``reference_runs.json``.
 
 The option cases cover the engine branches the benchmark rows leave
-untouched: per-dimension draws, a short lookback and an objective that
-returns NaN or inf on part of the box.
+untouched: a short lookback and an objective that returns NaN or inf on
+part of the box.
 
 The kernel digests in ``reference_kernel.json`` pin what the run digests
 only see through its effect on the swarm: the full output of every
@@ -74,7 +74,6 @@ def holed_sphere(x) -> float:
 
 # case -> (objective, dimension, particles, box limit, SwarmConfig overrides)
 OPTION_CASES = {
-    "per_dimension_draws": ("sphere", 3, 10, 10.0, {"per_dimension_draws": True}),
     "lookback_3": ("griewank", 2, 6, 600.0, {"lookback": 3}),
     "nonfinite": ("holed", 2, 6, 10.0, {}),
 }

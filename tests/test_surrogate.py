@@ -46,6 +46,12 @@ def random_spd_quadratic(rng, dim, cond=100.0):
     return QuadraticModel(const=const, linear=linear, quad=quad)
 
 
+def model_value(model: QuadraticModel, x) -> float:
+    """const + linear . x + x . quad . x, the value of ``model`` at ``x``."""
+    x = np.asarray(x, dtype=float)
+    return float(model.const + model.linear @ x + x @ model.quad @ x)
+
+
 def design_matrix(points):
     """The interpolation matrix that ``fit`` builds for ``points``."""
     return surrogate._design_matrix(np.asarray(points, dtype=float))
@@ -505,7 +511,7 @@ class TestFit:
             for _ in range(25):
                 truth = random_spd_quadratic(rng, dim)
                 pts = sample_points(rng, dim, required_points(dim))
-                values = [truth(p) for p in pts]
+                values = [model_value(truth, p) for p in pts]
                 model = fit(pts, values)
                 scale = max(abs(truth.const), np.abs(truth.linear).max(), np.abs(truth.quad).max())
                 assert abs(model.const - truth.const) <= 1e-6 * scale
@@ -519,7 +525,7 @@ class TestFit:
             values = [float(np.sin(p).sum() + p @ p) for p in pts]
             model = fit(pts, values)
             for p, v in zip(pts, values):
-                assert model(p) == pytest.approx(v, rel=1e-8, abs=1e-10)
+                assert model_value(model, p) == pytest.approx(v, rel=1e-8, abs=1e-10)
 
     def test_quad_exactly_symmetric(self):
         rng = np.random.default_rng(60)
@@ -541,7 +547,7 @@ class TestFit:
 
 def term_size(model: QuadraticModel, x) -> float:
     """|const| + |linear|.|x| + |x|.|quad|.|x|: the size of the terms whose
-    sum is model(x), which bounds the rounding error of evaluating it."""
+    sum is model_value(model, x), which bounds the rounding error of evaluating it."""
     x = np.abs(x)
     return abs(model.const) + np.abs(model.linear) @ x + x @ np.abs(model.quad) @ x
 
@@ -581,7 +587,7 @@ class TestAffineInvariance:
         probes = np.vstack([pts, rng.uniform(-1.0, 1.0, size=(5, dim))])
         for x in probes:
             y = a @ x + t
-            gap = abs(mapped(y) - model(x))
+            gap = abs(model_value(mapped, y) - model_value(model, x))
             assert gap <= self.RTOL * (term_size(model, x) + term_size(mapped, y))
         try:
             x_min, y_min = minimize(model), minimize(mapped)
@@ -630,7 +636,7 @@ class TestSurrogateAttractor:
         objective = make_objective("sphere", 2)
         pts = sample_points(rng, 2, 6) * 5.0
         archive = archive_from(pts, [objective.evaluate(p) for p in pts], 6)
-        worst = max(archive.values())
+        worst = max(archive.sorted_points()[1])
         result = surrogate_attractor(archive, objective, ArchiveEntry(worst, pts[0]))
         assert not result.used_fallback
         assert result.fallback_reason == FALLBACK_NONE
@@ -1045,7 +1051,7 @@ class TestProposalMemo:
                 continue
             memo_objective, reference_objective = pairs[int(rng.random() < 0.2)]
             if arbitrary:
-                stored = reference.values() or [0.0]
+                stored = reference.sorted_points()[1] or [0.0]
                 incumbent = float(rng.choice([rng.normal() * 5.0, rng.choice(stored), math.inf]))
             best = ArchiveEntry(incumbent, rng.uniform(-2.0, 2.0, size=2))
             result = surrogate_attractor(memo, memo_objective, best)

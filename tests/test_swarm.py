@@ -1,12 +1,14 @@
 """Engine semantics: schedules, safeguard, velocity rule, steps, runs.
 
 The vectorized engine is checked against a per-particle transcription of the
-update rules (``Particle``, ``safeguard``, ``update_velocity``) defined here.
+update rules (``Particle``, ``schedule``, ``safeguard``, ``update_velocity``)
+defined here.
 """
 
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -24,13 +26,27 @@ from qswarm.surrogate import (
 from qswarm.swarm import (
     VARIANT_STANDARD,
     VARIANT_SURROGATE,
-    ScheduleState,
     Swarm,
     SwarmConfig,
+    _ramps,
     _stagnation_multipliers,
     run,
-    schedule,
 )
+
+
+class ScheduleState(NamedTuple):
+    """Coefficient values in effect at one iteration."""
+
+    omega: float
+    c1: float
+    c2: float
+    vmax: float
+
+
+def schedule(k: int, config: SwarmConfig) -> ScheduleState:
+    """The engine's coefficient ramps at iteration ``k`` (0-based)."""
+    omega, c1, c2, vmax = _ramps(np.array([k]), config)
+    return ScheduleState(float(omega[0]), float(c1[0]), float(c2[0]), vmax[0])
 
 
 @dataclass
@@ -79,18 +95,16 @@ def update_velocity(
     attractor: np.ndarray,
     sched: ScheduleState,
     rng,
-    per_dimension: bool = False,
 ) -> np.ndarray:
     """New velocity for one particle, clipped to the current speed cap.
 
-    Draws r1 then r2 from ``rng``: one shared U[0,1] value each by default,
-    or one per dimension with ``per_dimension=True``. The inertia term uses
-    ``particle.omega_scale``, which carries the safeguard result.
+    Draws r1 then r2 from ``rng``, one U[0,1] value each, shared across the
+    dimensions. The inertia term uses ``particle.omega_scale``, which
+    carries the safeguard result.
     """
     x = particle.position
-    n = x.size if per_dimension else 1
-    r1 = rng.uniform(size=n)
-    r2 = rng.uniform(size=n)
+    r1 = rng.uniform(size=1)
+    r2 = rng.uniform(size=1)
     v = (
         sched.omega * particle.omega_scale * particle.velocity
         + sched.c1 * r1 * (particle.best_position - x)
@@ -153,13 +167,6 @@ class TestSchedule:
         assert sched.c1 == pytest.approx(2.3, abs=1e-12)
         assert sched.c2 == pytest.approx(2.55, abs=1e-12)
         assert sched.vmax == pytest.approx(2.0 * math.exp(0.5), abs=1e-12)
-
-    def test_out_of_range_iteration_rejected(self):
-        config = sphere_config()
-        with pytest.raises(ValueError):
-            schedule(-1, config)
-        with pytest.raises(ValueError):
-            schedule(config.iterations + 1, config)
 
 
 def particle_with_history(values, lookback):
@@ -258,8 +265,7 @@ class TestUpdateVelocity:
         got = update_velocity(particle, np.array([5.0, 5.0]), sched, _StubRng([0.0, 0.0]))
         np.testing.assert_array_equal(got, np.clip(0.5 * particle.velocity, -1.2, 1.2))
 
-    @pytest.mark.parametrize("per_dimension", [False, True])
-    def test_matches_transcription_oracle_on_random_states(self, per_dimension):
+    def test_matches_transcription_oracle_on_random_states(self):
         rng = np.random.default_rng(101)
         sched = ScheduleState(omega=0.6, c1=2.5, c2=2.2, vmax=3.0)
         for _ in range(2500):
@@ -269,7 +275,7 @@ class TestUpdateVelocity:
             pbest = rng.uniform(-5, 5, size=n)
             attractor = rng.uniform(-5, 5, size=n)
             scale = float(rng.uniform(0.5, 1.5))
-            draws = rng.uniform(size=2 * (n if per_dimension else 1)).tolist()
+            draws = rng.uniform(size=2).tolist()
             particle = Particle(
                 position=x.copy(),
                 velocity=v.copy(),
@@ -278,14 +284,8 @@ class TestUpdateVelocity:
                 value_history=deque(),
                 omega_scale=scale,
             )
-            got = update_velocity(
-                particle, attractor, sched, _StubRng(list(draws)), per_dimension
-            )
-            if per_dimension:
-                r1 = np.array(draws[:n])
-                r2 = np.array(draws[n:])
-            else:
-                r1, r2 = draws
+            got = update_velocity(particle, attractor, sched, _StubRng(list(draws)))
+            r1, r2 = draws
             expected = (
                 sched.omega * scale * v + sched.c1 * r1 * (pbest - x) + sched.c2 * r2 * (attractor - x)
             )
@@ -403,8 +403,7 @@ class TestStep:
 class TestRunTables:
     """The per-run tables built at start-up equal the per-iteration forms."""
 
-    @pytest.mark.parametrize("per_dimension", [False, True])
-    def test_tables_equal_schedule_and_per_iteration_draws(self, per_dimension):
+    def test_tables_equal_schedule_and_per_iteration_draws(self):
         objective = make_objective("sphere", 3)
         config = SwarmConfig(
             dimension=3,
@@ -412,7 +411,6 @@ class TestRunTables:
             bounds=objective.bounds,
             iterations=37,
             seed=2**64 + 8,
-            per_dimension_draws=per_dimension,
         )
         swarm = Swarm(config, objective)
         rng = np.random.Generator(np.random.Philox(key=8))
@@ -422,13 +420,12 @@ class TestRunTables:
         velocities = rng.uniform(-v0, v0, size=shape)
         assert swarm.positions.tobytes() == positions.tobytes()
         assert swarm.velocities.tobytes() == velocities.tobytes()
-        r_dims = 3 if per_dimension else 1
         assert len(swarm._omega) == len(swarm._vmax) == len(swarm._pulls) == 37
         for k in range(config.iterations):
             sched = schedule(k, config)
             assert swarm._omega[k] == sched.omega
             assert swarm._vmax[k] == sched.vmax
-            r = rng.uniform(size=(2, config.n_particles, r_dims))
+            r = rng.uniform(size=(2, config.n_particles, 1))
             # The tables spread a shared draw over the dimensions.
             for table, expected in zip(swarm._pulls[k], (sched.c1 * r[0], sched.c2 * r[1])):
                 expected = np.broadcast_to(expected, shape)
@@ -593,7 +590,6 @@ class TestStateInvariants:
                 iterations=12,
                 variant=str(rng.choice([VARIANT_STANDARD, VARIANT_SURROGATE])),
                 seed=trial,
-                per_dimension_draws=bool(rng.integers(0, 2)),
             )
             swarm = Swarm(config, objective)
             for k in range(config.iterations):
@@ -611,9 +607,7 @@ class TestStateInvariants:
         n_particles=st.integers(1, 10),
         iterations=st.integers(1, 25),
         variant=st.sampled_from([VARIANT_STANDARD, VARIANT_SURROGATE]),
-        per_dimension_draws=st.booleans(),
         lookback=st.integers(1, 10),
-        archive_capacity=st.none() | st.integers(1, 12),
         centers=st.lists(st.floats(-100.0, 100.0), min_size=3, max_size=3),
         half_widths=st.lists(st.floats(0.01, 50.0), min_size=3, max_size=3),
         seed=st.integers(0, 2**32 - 1),
@@ -661,12 +655,9 @@ class TestStateInvariants:
                 seed=seed,
             )
             standard = Swarm(SwarmConfig(**base, variant=VARIANT_STANDARD), objective)
-            forced = Swarm(
-                SwarmConfig(
-                    **base, variant=VARIANT_SURROGATE, archive_capacity=10**9
-                ),
-                objective,
-            )
+            # An archive no run can fill: every surrogate call falls back.
+            forced = Swarm(SwarmConfig(**base, variant=VARIANT_SURROGATE), objective)
+            forced.archive = Archive(10**9)
             for _ in range(40):
                 standard.step()
                 forced.step()

@@ -1,4 +1,5 @@
-"""Count the code lines of the ``qswarm`` sources, per module and in total.
+"""Count the code lines of the ``qswarm`` sources, per module and in total,
+and the size of the package's surface.
 
 A code line is a physical line that holds a Python token other than a
 comment and is not part of a docstring (the string that opens a module,
@@ -6,9 +7,14 @@ class or function body). Blank lines, comment-only lines and docstring
 lines do not count; every line of a statement that spans several lines
 does.
 
+The surface is read from the syntax trees, without importing the package:
+the public names that ``qswarm/__init__.py`` binds at its top level (the
+exports) and the fields of ``SwarmConfig`` in ``qswarm/swarm.py``.
+
 Usage: ``python tools/count_code_lines.py [SRC_DIR]`` (default: the
 ``src`` directory next to ``tools``). Prints one ``<lines> <path>`` line per
-module, sorted by path, then ``<lines> total``.
+module, sorted by path, then ``<lines> total``, ``<count> exports`` and
+``<count> SwarmConfig fields``.
 """
 
 from __future__ import annotations
@@ -54,6 +60,27 @@ def code_lines(source: str) -> int:
     return len(lines - skip)
 
 
+def export_count(source: str) -> int:
+    """The public names bound at the top level of the module ``source``."""
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    return sum(not name.startswith("_") for name in names)
+
+
+def field_count(source: str, class_name: str) -> int:
+    """The annotated fields in the body of class ``class_name`` of ``source``."""
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.ClassDef) and node.name == class_name:
+            return sum(isinstance(item, ast.AnnAssign) for item in node.body)
+    raise LookupError(f"no class {class_name}")
+
+
 def main(argv: list[str]) -> int:
     root = Path(argv[0]) if argv else Path(__file__).resolve().parents[1] / "src"
     total = 0
@@ -62,6 +89,10 @@ def main(argv: list[str]) -> int:
         total += count
         print(f"{count:5d} {path.relative_to(root)}")
     print(f"{total:5d} total")
+    package = root / "qswarm"
+    print(f"{export_count((package / '__init__.py').read_text(encoding='utf-8')):5d} exports")
+    swarm = (package / "swarm.py").read_text(encoding="utf-8")
+    print(f"{field_count(swarm, 'SwarmConfig'):5d} SwarmConfig fields")
     return 0
 
 
