@@ -89,8 +89,9 @@ VARIANT_RUNS = {
 }
 VARIANT_CHOICES = tuple(VARIANT_RUNS)
 
-# Defaults that effective_config applies and `qswarm run --help` names.
-_RUN_DEFAULTS = {"dimension": 2, "runs": 1, "seed": BatchSpec.base_seed, "variant": "both"}
+# Defaults that effective_config applies and `qswarm run --help` names,
+# besides those of SwarmConfig fields.
+_RUN_DEFAULTS = {"dimension": 2, "runs": 1, "variant": "both"}
 
 # The paper's protocol: runs per variant on each benchmark row.
 PAPER_RUNS = 400
@@ -199,7 +200,7 @@ def effective_config(file_cfg: dict, overrides: dict) -> dict:
         "particles": cfg.get("particles", required_points(dimension)),
         "iterations": cfg.get("iterations", SwarmConfig.iterations),
         "runs": cfg.get("runs", _RUN_DEFAULTS["runs"]),
-        "seed": cfg.get("seed", _RUN_DEFAULTS["seed"]),
+        "seed": cfg.get("seed", SwarmConfig.seed),
         "variant": cfg.get("variant", _RUN_DEFAULTS["variant"]),
         "params": params,
     }
@@ -217,24 +218,15 @@ def effective_config(file_cfg: dict, overrides: dict) -> dict:
 def _batch_spec(cfg: dict, jobs: int = BatchSpec.jobs) -> BatchSpec:
     """The batch that the effective config ``cfg`` runs on ``jobs`` workers.
 
-    Raises :class:`ConfigError`, naming the key, where the batch or the
-    :class:`SwarmConfig` of its runs is refused.
+    Raises :class:`ConfigError`, naming the key, where the
+    :class:`SwarmConfig` of its runs or the batch is refused.
     """
-    spec = _build(
-        BatchSpec,
-        objective=cfg["objective"],
-        dimension=cfg["dimension"],
-        n_particles=cfg["particles"],
-        n_runs=cfg["runs"],
-        variants=VARIANT_RUNS[cfg["variant"]],
-        bounds=Bounds.from_pairs(cfg["bounds"]),
-        iterations=cfg["iterations"],
-        base_seed=cfg["seed"],
-        jobs=jobs,
-        params={name: cfg["params"][key] for key, name in _PARAM_FIELDS.items()},
+    params = {name: cfg["params"][key] for key, name in _PARAM_FIELDS.items()}
+    bounds = Bounds.from_pairs(cfg["bounds"])
+    config = _build(
+        SwarmConfig, cfg["dimension"], cfg["particles"], bounds, cfg["iterations"], seed=cfg["seed"], **params
     )
-    _build(SwarmConfig, spec.dimension, spec.n_particles, spec.bounds, spec.iterations, **spec.params)
-    return spec
+    return _build(BatchSpec, cfg["objective"], config, cfg["runs"], VARIANT_RUNS[cfg["variant"]], jobs)
 
 
 def resolve_out_dir(out_flag) -> Path:
@@ -304,11 +296,8 @@ def _gate_text(op: str, ratio: float) -> str:
 def cmd_benchmark(args) -> int:
     specs = [
         _build(
-            BatchSpec, name, dimension, particles, args.runs,
-            keys={**_FIELD_KEYS, "n_runs": "--runs"},
-            bounds=Bounds.symmetric(limit, dimension),
-            base_seed=args.seed,
-            jobs=args.jobs,
+            BatchSpec, name, SwarmConfig(dimension, particles, Bounds.symmetric(limit, dimension), seed=args.seed),
+            args.runs, jobs=args.jobs, keys={**_FIELD_KEYS, "n_runs": "--runs"},
         )
         for name, dimension, particles, limit, *_ in BENCHMARK_ROWS
     ]
@@ -321,7 +310,7 @@ def cmd_benchmark(args) -> int:
         for spec in specs:
             results = run_batch(spec, timing=not args.no_timing)
             rows.append(compare(spec, results))
-            _write_batch(out_dir, spec, results, f"_{spec.objective}_{spec.dimension}d", args.emit_traces)
+            _write_batch(out_dir, spec, results, f"_{spec.objective}_{spec.config.dimension}d", args.emit_traces)
 
     write_comparison_csv(out_dir / "comparison.csv", rows)
     table = comparison_table_text(rows)
@@ -351,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--particles", type=int, help="swarm size (default: interpolation point count)")
     run_p.add_argument("--iterations", type=int, help=f"iterations per run (default {SwarmConfig.iterations})")
     run_p.add_argument("--runs", type=int, help=f"independent runs per variant (default {_RUN_DEFAULTS['runs']})")
-    run_p.add_argument("--seed", type=int, help=f"base seed; run j uses base XOR j (default {_RUN_DEFAULTS['seed']})")
+    run_p.add_argument("--seed", type=int, help=f"base seed; run j uses base XOR j (default {SwarmConfig.seed})")
     run_p.add_argument("--variant", choices=VARIANT_CHOICES, help=f"default: {_RUN_DEFAULTS['variant']}")
     run_p.add_argument("--config", help="JSON config file (flags override its values)")
     run_p.add_argument("--out", help="output directory (default: $QSWARM_OUT/<timestamp>)")
@@ -361,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser("benchmark", help="run the full six-row comparison suite")
     bench.add_argument("--runs", type=int, default=PAPER_RUNS, help="runs per variant per row (default %(default)s)")
-    bench.add_argument("--seed", type=int, default=BatchSpec.base_seed, help="base seed (default %(default)s)")
+    bench.add_argument("--seed", type=int, default=SwarmConfig.seed, help="base seed (default %(default)s)")
     bench.add_argument("--out", help="output directory (default: $QSWARM_OUT/<timestamp>)")
     bench.add_argument("--jobs", type=int, default=BatchSpec.jobs, help="worker processes (default %(default)s)")
     bench.add_argument("--emit-traces", action="store_true", help="also write per-row trace band CSVs")

@@ -1,7 +1,8 @@
 """Seeded multi-run batches, cross-run statistics, and CSV artifacts.
 
-A batch executes ``n_runs`` independent runs per variant, with the seed of
-run ``j`` derived as ``base_seed XOR j``. Each run owns its state, so runs
+A batch executes ``n_runs`` independent runs per variant of one
+:class:`SwarmConfig`, with the seed of run ``j`` derived as
+``config.seed XOR j``. Each run owns its state, so runs
 can execute on any number of worker processes; results are merged by run
 index and the batch output is identical for every parallelism degree.
 
@@ -20,12 +21,12 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
-from dataclasses import astuple, dataclass, field, fields
+from dataclasses import astuple, dataclass, field, fields, replace
 from typing import Optional
 
 import numpy as np
 
-from .objectives import Bounds, Objective, default_bounds, make_objective
+from .objectives import Objective, make_objective
 from .swarm import (
     VARIANT_STANDARD,
     VARIANT_SURROGATE,
@@ -44,22 +45,17 @@ class BatchError(RuntimeError):
 class BatchSpec:
     """What to run: one objective, one or two variants, many seeds.
 
-    ``params`` holds optional :class:`SwarmConfig` keyword overrides
-    (``omega0``, ``c1_0``, ``c2_0``, ``vmax0``, ``lookback``, ``tau``,
-    ``gamma_floor``).
-    ``bounds=None`` selects the registry default box for the objective.
+    Run ``j`` of variant ``v`` is
+    ``dataclasses.replace(config, variant=v, seed=config.seed ^ j)``;
+    ``config.variant`` is not read. ``config.bounds`` is the box of the
+    objective the runs use.
     """
 
     objective: str
-    dimension: int
-    n_particles: int
+    config: SwarmConfig
     n_runs: int
     variants: tuple[str, ...] = (VARIANT_STANDARD, VARIANT_SURROGATE)
-    bounds: Optional[Bounds] = None
-    iterations: int = SwarmConfig.iterations  # the class attribute is the field default
-    base_seed: int = 0
     jobs: int = 1
-    params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.n_runs < 1:
@@ -67,10 +63,12 @@ class BatchSpec:
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
         if not self.variants:
-            raise ValueError("at least one variant is required")
+            raise ValueError("variants must name at least one variant")
+        if len(set(self.variants)) < len(self.variants):
+            raise ValueError(f"variants must not repeat: {self.variants}")
         for variant in self.variants:
             if variant not in VARIANTS:
-                raise ValueError(f"unknown variant {variant!r}")
+                raise ValueError(f"variants: unknown variant {variant!r}")
 
 
 @dataclass(eq=False)
@@ -244,23 +242,17 @@ def run_batch(
 ) -> dict[str, BatchResult]:
     """Run every (variant, seed) combination of the spec.
 
-    ``objective`` overrides the registry lookup, e.g. to inject a stub.
-    Returns one :class:`BatchResult` per variant, keyed by variant name.
-    Pooled runs of all variants share one process pool, which an enclosing
+    ``objective`` overrides the registry lookup, e.g. to inject a stub; its
+    box must be ``spec.config.bounds``, or the batch fails. Returns one
+    :class:`BatchResult` per variant, keyed by variant name. Pooled runs
+    of all variants share one process pool, which an enclosing
     :func:`shared_pool` block keeps open for later batches.
     """
+    config = spec.config
     if objective is None:
-        objective = make_objective(spec.objective, spec.dimension, spec.bounds)
+        objective = make_objective(spec.objective, config.dimension, config.bounds)
     configs = [
-        SwarmConfig(
-            dimension=spec.dimension,
-            n_particles=spec.n_particles,
-            bounds=objective.bounds,
-            iterations=spec.iterations,
-            variant=variant,
-            seed=spec.base_seed ^ j,
-            **spec.params,
-        )
+        replace(config, variant=variant, seed=config.seed ^ j)
         for variant in spec.variants
         for j in range(spec.n_runs)
     ]
@@ -323,14 +315,12 @@ def compare(spec: BatchSpec, results: dict[str, BatchResult]) -> ComparisonRow:
     """Build the comparison row of a batch that ran both variants."""
     qs = results[VARIANT_SURROGATE].summary
     std = results[VARIANT_STANDARD].summary
-    bounds = spec.bounds
-    if bounds is None:
-        bounds = default_bounds(spec.objective, spec.dimension)
+    config = spec.config
     return ComparisonRow(
         objective=spec.objective,
-        dimension=spec.dimension,
-        particles=spec.n_particles,
-        bounds=str(bounds.to_pairs()),
+        dimension=config.dimension,
+        particles=config.n_particles,
+        bounds=str(config.bounds.to_pairs()),
         mean_qs=qs.mean,
         mean_std=std.mean,
         rel_diff_pct=relative_difference_pct(qs.mean, std.mean),
@@ -379,9 +369,9 @@ def _write_csv(path, header, rows):
 
 
 def write_runs_csv(path, spec: BatchSpec, results: dict[str, BatchResult]):
-    """One row per run, variant-major; run ``j`` has seed ``base_seed ^ j``."""
+    """One row per run, variant-major; run ``j`` has seed ``config.seed ^ j``."""
     rows = (
-        (j, spec.base_seed ^ j, variant, spec.objective, r.final_value, r.evaluations, r.wall_time)
+        (j, spec.config.seed ^ j, variant, spec.objective, r.final_value, r.evaluations, r.wall_time)
         for variant in spec.variants
         for j, r in enumerate(results[variant].records)
     )

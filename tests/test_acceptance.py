@@ -54,12 +54,8 @@ def benchmark_batches():
     for name, dim, particles, limit, _, _ in BENCHMARK_ROWS:
         spec = BatchSpec(
             objective=name,
-            dimension=dim,
-            n_particles=particles,
+            config=SwarmConfig(dim, particles, Bounds.symmetric(limit, dim), iterations=200),
             n_runs=N_RUNS,
-            bounds=Bounds.symmetric(limit, dim),
-            iterations=200,
-            base_seed=0,
         )
         batches[(name, dim)] = run_batch(spec, timing=False)
     return batches

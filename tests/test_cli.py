@@ -23,7 +23,6 @@ from qswarm.cli import (
     load_config_file,
     main,
 )
-from qswarm.experiments import BatchSpec
 from qswarm.swarm import SwarmConfig
 
 
@@ -444,6 +443,7 @@ class TestDefaults:
         literal = re.compile(rf"\b{SwarmConfig.iterations}\b")
         for module in (qswarm.cli, qswarm.experiments):
             assert not literal.search(inspect.getsource(module)), module.__name__
-        assert BatchSpec("sphere", 2, 6, 1).iterations == SwarmConfig.iterations
         cfg = effective_config({}, {"objective": "sphere"})
         assert cfg["iterations"] == SwarmConfig.iterations
+        # So is the seed default of both commands.
+        assert cfg["seed"] == build_parser().parse_args(["benchmark"]).seed == SwarmConfig.seed

@@ -27,8 +27,11 @@ from qswarm.experiments import (
     write_runs_csv,
     write_trace_csv,
 )
-from qswarm.objectives import Bounds, Objective, make_objective
+from qswarm.objectives import Bounds, Objective, default_bounds, make_objective
 from qswarm.swarm import VARIANT_STANDARD, VARIANT_SURROGATE, RunRecord, run, SwarmConfig
+
+# The runs of the short pool batches: sphere 2D, 6 particles, 5 iterations.
+SPHERE_2D = SwarmConfig(2, 6, default_bounds("sphere", 2), iterations=5)
 
 
 def sort_quantile_oracle(values, q):
@@ -162,12 +165,9 @@ class TestRunBatch:
     def test_singleton_statistics(self):
         spec = BatchSpec(
             objective="sphere",
-            dimension=2,
-            n_particles=4,
+            config=SwarmConfig(2, 4, default_bounds("sphere", 2), iterations=10, seed=3),
             n_runs=1,
             variants=(VARIANT_STANDARD,),
-            iterations=10,
-            base_seed=3,
         )
         result = run_batch(spec, timing=False)[VARIANT_STANDARD]
         summary = result.summary
@@ -179,12 +179,9 @@ class TestRunBatch:
         stub = constant_series_objective(per_run_evals, [1.0, 2.0, 3.0, 4.0])
         spec = BatchSpec(
             objective="stub",
-            dimension=2,
-            n_particles=2,
+            config=SwarmConfig(2, 2, stub.bounds, iterations=3),
             n_runs=4,
             variants=(VARIANT_STANDARD,),
-            iterations=3,
-            base_seed=0,
         )
         result = run_batch(spec, objective=stub, timing=False)[VARIANT_STANDARD]
         finals = [record.final_value for record in result.records]
@@ -202,10 +199,8 @@ class TestRunBatch:
         )
         spec = BatchSpec(
             objective="never_finite",
-            dimension=2,
-            n_particles=3,
+            config=SwarmConfig(2, 3, never_finite.bounds, iterations=4),
             n_runs=3,
-            iterations=4,
         )
         for result in run_batch(spec, objective=never_finite, timing=False).values():
             summary = result.summary
@@ -216,12 +211,9 @@ class TestRunBatch:
     def test_seeds_derived_by_xor(self):
         spec = BatchSpec(
             objective="sphere",
-            dimension=2,
-            n_particles=4,
+            config=SwarmConfig(2, 4, default_bounds("sphere", 2), iterations=15, seed=5),
             n_runs=3,
             variants=(VARIANT_SURROGATE,),
-            iterations=15,
-            base_seed=5,
         )
         objective = make_objective("sphere", 2)
         batch_records = run_batch(spec, timing=False)[VARIANT_SURROGATE].records
@@ -243,11 +235,8 @@ class TestRunBatch:
         for jobs in (1, 4):
             spec = BatchSpec(
                 objective="ackley",
-                dimension=2,
-                n_particles=6,
+                config=SwarmConfig(2, 6, default_bounds("ackley", 2), iterations=40),
                 n_runs=8,
-                iterations=40,
-                base_seed=0,
                 jobs=jobs,
             )
             results[jobs] = run_batch(spec, timing=False)
@@ -276,25 +265,29 @@ class TestRunBatch:
         )
         spec = BatchSpec(
             objective="stub",
-            dimension=2,
-            n_particles=2,
+            config=SwarmConfig(2, 2, stub.bounds, iterations=2, seed=9),
             n_runs=2,
             variants=(VARIANT_STANDARD,),
-            iterations=2,
-            base_seed=9,
         )
         with pytest.raises(BatchError, match="seed=9"):
             run_batch(spec, objective=stub, timing=False)
 
     def test_spec_validation(self):
+        config = SwarmConfig(2, 4, default_bounds("sphere", 2))
         with pytest.raises(ValueError):
-            BatchSpec(objective="sphere", dimension=2, n_particles=4, n_runs=0)
+            BatchSpec(objective="sphere", config=config, n_runs=0)
         with pytest.raises(ValueError):
-            BatchSpec(objective="sphere", dimension=2, n_particles=4, n_runs=1, jobs=0)
+            BatchSpec(objective="sphere", config=config, n_runs=1, jobs=0)
         with pytest.raises(ValueError):
-            BatchSpec(
-                objective="sphere", dimension=2, n_particles=4, n_runs=1, variants=("x",)
-            )
+            BatchSpec(objective="sphere", config=config, n_runs=1, variants=("x",))
+        # Results are keyed by variant, so a repeated one would lose a batch.
+        with pytest.raises(ValueError, match="^variants"):
+            BatchSpec("sphere", config, n_runs=2, variants=(VARIANT_STANDARD, VARIANT_STANDARD))
+        # The spec holds the config of its runs, so a spec that no run would
+        # accept cannot be built.
+        for name in ("n_particles", "iterations", "lookback"):
+            with pytest.raises(ValueError, match=f"^{name}"):
+                BatchSpec("sphere", dataclasses.replace(config, **{name: 0}), n_runs=1)
 
 
 @pytest.fixture
@@ -330,11 +323,9 @@ class TestPoolSize:
     def test_no_more_workers_than_runs_or_cores(self, pool_sizes, jobs, n_runs, expected):
         spec = BatchSpec(
             objective="sphere",
-            dimension=2,
-            n_particles=6,
+            config=SPHERE_2D,
             n_runs=n_runs,
             variants=(VARIANT_STANDARD,),
-            iterations=5,
             jobs=jobs,
         )
         pooled = run_batch(spec, timing=False)[VARIANT_STANDARD].records
@@ -346,7 +337,7 @@ class TestPoolSize:
 
     def test_unknown_core_count_runs_in_process(self, pool_sizes, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: None)
-        spec = BatchSpec("sphere", 2, 6, 4, variants=(VARIANT_STANDARD,), iterations=5, jobs=4)
+        spec = BatchSpec("sphere", SPHERE_2D, 4, variants=(VARIANT_STANDARD,), jobs=4)
         assert len(run_batch(spec, timing=False)[VARIANT_STANDARD].records) == 4
         assert pool_sizes == []
 
@@ -358,7 +349,7 @@ class TestPoolSize:
             name="stub", dimension=2, bounds=Bounds.symmetric(1.0, 2), evaluate=explode
         )
         spec = BatchSpec(
-            "stub", 2, 2, 2, variants=(VARIANT_STANDARD,), iterations=2, base_seed=9, jobs=2
+            "stub", SwarmConfig(2, 2, stub.bounds, iterations=2, seed=9), 2, variants=(VARIANT_STANDARD,), jobs=2
         )
         with pytest.raises(BatchError, match="seed=9"):
             run_batch(spec, objective=stub, timing=False)
@@ -366,7 +357,7 @@ class TestPoolSize:
 
 
     def test_a_block_keeps_one_pool_per_size_until_it_exits(self, pool_sizes):
-        spec = BatchSpec("sphere", 2, 6, 3, variants=(VARIANT_STANDARD,), iterations=5)
+        spec = BatchSpec("sphere", SPHERE_2D, 3, variants=(VARIANT_STANDARD,))
         shut = qswarm.experiments.ProcessPoolExecutor.shut
         with shared_pool():
             for jobs in (2, 8, 2):
@@ -379,7 +370,7 @@ class TestPoolSize:
         assert sorted(shut) == [2, 3]
 
     def test_a_block_shuts_its_pools_down_on_error(self, pool_sizes):
-        spec = BatchSpec("sphere", 2, 6, 3, variants=(VARIANT_STANDARD,), iterations=5, jobs=2)
+        spec = BatchSpec("sphere", SPHERE_2D, 3, variants=(VARIANT_STANDARD,), jobs=2)
         with pytest.raises(KeyError), shared_pool():
             run_batch(spec, timing=False)
             raise KeyError("after the batch")
@@ -388,7 +379,7 @@ class TestPoolSize:
         assert pool_sizes == [2, 2]
 
     def test_both_variants_share_one_pool(self, pool_sizes):
-        spec = BatchSpec("sphere", 2, 6, 3, iterations=5, jobs=8)
+        spec = BatchSpec("sphere", SPHERE_2D, 3, jobs=8)
         results = run_batch(spec, timing=False)
         assert pool_sizes == [4]  # six runs, four cores
         assert [len(result.records) for result in results.values()] == [3, 3]
@@ -426,13 +417,13 @@ class TestWorkerDeath:
 
     def test_batch_error_names_a_seed(self):
         spec = BatchSpec(
-            "sphere", 2, 6, 2, variants=(VARIANT_STANDARD,), iterations=5, base_seed=9, jobs=2
+            "sphere", dataclasses.replace(SPHERE_2D, seed=9), 2, variants=(VARIANT_STANDARD,), jobs=2
         )
         with pytest.raises(BatchError, match=r"seed=(9|8)\b"):
             run_batch(spec, timing=False)
 
     def test_a_block_replaces_a_broken_pool(self, monkeypatch):
-        spec = BatchSpec("sphere", 2, 6, 2, variants=(VARIANT_STANDARD,), iterations=5, jobs=2)
+        spec = BatchSpec("sphere", SPHERE_2D, 2, variants=(VARIANT_STANDARD,), jobs=2)
         with shared_pool():
             with pytest.raises(BatchError, match=r"seed=(0|1)\b"):
                 run_batch(spec, timing=False)
@@ -451,12 +442,9 @@ class TestSummaryTraces:
     def test_mean_trace_bounded_by_extremes_and_ends_at_mean(self):
         spec = BatchSpec(
             objective="flower",
-            dimension=2,
-            n_particles=6,
+            config=SwarmConfig(2, 6, default_bounds("flower", 2), iterations=30, seed=1),
             n_runs=10,
             variants=(VARIANT_SURROGATE,),
-            iterations=30,
-            base_seed=1,
         )
         result = run_batch(spec, timing=False)[VARIANT_SURROGATE]
         traces = np.stack([r.best_value_trace for r in result.records])
@@ -488,18 +476,14 @@ class TestCompare:
     def test_compare_builds_row(self):
         spec = BatchSpec(
             objective="sphere",
-            dimension=2,
-            n_particles=6,
+            config=SwarmConfig(2, 6, default_bounds("sphere", 2), iterations=25),
             n_runs=4,
-            iterations=25,
-            base_seed=0,
         )
         results = run_batch(spec, timing=False)
         row = compare(spec, results)
         assert row.objective == "sphere"
         assert row.dimension == 2
         assert row.particles == 6
-        # The spec names no box, so the row shows the registry default.
         assert row.bounds == "[[-10.0, 10.0], [-10.0, 10.0]]"
         assert row.mean_qs == results[VARIANT_SURROGATE].summary.mean
         assert row.mean_std == results[VARIANT_STANDARD].summary.mean
@@ -509,6 +493,19 @@ class TestCompare:
         text = comparison_table_text([row])
         assert "sphere 2D" in text
         assert "Mean QS" in text
+
+        # The row of an injected objective shows the box the runs used. The
+        # registry knows no "stub", and its sphere box is +-10.
+        box = Bounds.symmetric(1.0, 2)
+        for name in ("stub", "sphere"):
+            stub = Objective(name=name, dimension=2, bounds=box, evaluate=lambda x: float(x @ x))
+            spec = BatchSpec(name, SwarmConfig(2, 6, box, iterations=5), n_runs=2)
+            row = compare(spec, run_batch(spec, objective=stub, timing=False))
+            assert (row.objective, row.bounds) == (name, "[[-1.0, 1.0], [-1.0, 1.0]]")
+        # An objective on another box than the runs' is refused.
+        spec.config = dataclasses.replace(spec.config, bounds=Bounds.symmetric(2.0, 2))
+        with pytest.raises(BatchError, match="bounds differ"):
+            run_batch(spec, objective=stub, timing=False)
 
     def test_text_table_columns_are_the_shown_row_fields(self):
         row = qswarm.experiments.ComparisonRow(
@@ -532,11 +529,8 @@ class TestCsvArtifacts:
     def test_runs_csv_round_trip(self, tmp_path):
         spec = BatchSpec(
             objective="griewank",
-            dimension=2,
-            n_particles=5,
+            config=SwarmConfig(2, 5, default_bounds("griewank", 2), iterations=20, seed=2),
             n_runs=3,
-            iterations=20,
-            base_seed=2,
         )
         results = run_batch(spec, timing=False)
         path = tmp_path / "runs.csv"
@@ -551,7 +545,7 @@ class TestCsvArtifacts:
         assert len(parsed) == len(expected) == 6  # 3 runs x 2 variants, variant-major
         for row, (j, variant, record) in zip(parsed, expected):
             assert int(row["run_index"]) == j
-            assert int(row["seed"]) == spec.base_seed ^ j
+            assert int(row["seed"]) == spec.config.seed ^ j
             assert row["variant"] == variant
             assert row["objective"] == "griewank"
             assert float(row["final_value"]) == record.final_value  # lossless float round-trip
@@ -561,12 +555,9 @@ class TestCsvArtifacts:
     def test_trace_csv_round_trip(self, tmp_path):
         spec = BatchSpec(
             objective="sphere",
-            dimension=2,
-            n_particles=5,
+            config=SwarmConfig(2, 5, default_bounds("sphere", 2), iterations=12),
             n_runs=2,
             variants=(VARIANT_SURROGATE,),
-            iterations=12,
-            base_seed=0,
         )
         summary = run_batch(spec, timing=False)[VARIANT_SURROGATE].summary
         path = tmp_path / "trace.csv"
@@ -583,12 +574,8 @@ class TestCsvArtifacts:
     def test_comparison_csv_round_trip(self, tmp_path):
         spec = BatchSpec(
             objective="sphere",
-            dimension=2,
-            n_particles=6,
+            config=SwarmConfig(2, 6, Bounds.from_pairs([[-1.0, 2.0], [0.0, 5.0]]), iterations=15),
             n_runs=3,
-            bounds=Bounds.from_pairs([[-1.0, 2.0], [0.0, 5.0]]),
-            iterations=15,
-            base_seed=0,
         )
         results = run_batch(spec, timing=False)
         row = compare(spec, results)

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from qswarm.experiments import BatchSpec
 from qswarm.swarm import SwarmConfig
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -68,6 +69,8 @@ def test_counter_reads_the_surface_of_the_package():
     package = ROOT / "src" / "qswarm"
     swarm = (package / "swarm.py").read_text(encoding="utf-8")
     assert counter.field_count(swarm, "SwarmConfig") == len(dataclasses.fields(SwarmConfig))
+    experiments = (package / "experiments.py").read_text(encoding="utf-8")
+    assert counter.field_count(experiments, "BatchSpec") == len(dataclasses.fields(BatchSpec))
     # A fresh process: importing other modules adds them to the package.
     public = subprocess.run(
         [sys.executable, "-c", "import qswarm; print(sum(not n.startswith('_') for n in vars(qswarm)))"],

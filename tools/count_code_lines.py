@@ -9,12 +9,13 @@ does.
 
 The surface is read from the syntax trees, without importing the package:
 the public names that ``qswarm/__init__.py`` binds at its top level (the
-exports) and the fields of ``SwarmConfig`` in ``qswarm/swarm.py``.
+exports), the fields of ``SwarmConfig`` in ``qswarm/swarm.py`` and those
+of ``BatchSpec`` in ``qswarm/experiments.py``.
 
 Usage: ``python tools/count_code_lines.py [SRC_DIR]`` (default: the
 ``src`` directory next to ``tools``). Prints one ``<lines> <path>`` line per
-module, sorted by path, then ``<lines> total``, ``<count> exports`` and
-``<count> SwarmConfig fields``.
+module, sorted by path, then ``<lines> total``, ``<count> exports``,
+``<count> SwarmConfig fields`` and ``<count> BatchSpec fields``.
 """
 
 from __future__ import annotations
@@ -91,8 +92,8 @@ def main(argv: list[str]) -> int:
     print(f"{total:5d} total")
     package = root / "qswarm"
     print(f"{export_count((package / '__init__.py').read_text(encoding='utf-8')):5d} exports")
-    swarm = (package / "swarm.py").read_text(encoding="utf-8")
-    print(f"{field_count(swarm, 'SwarmConfig'):5d} SwarmConfig fields")
+    for module, name in (("swarm.py", "SwarmConfig"), ("experiments.py", "BatchSpec")):
+        print(f"{field_count((package / module).read_text(encoding='utf-8'), name):5d} {name} fields")
     return 0
 
 
