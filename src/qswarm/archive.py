@@ -76,7 +76,7 @@ class Archive:
             return False
         values = self._values
         full = len(values) >= self.capacity
-        point = tuple(map(float, x))
+        point = tuple(np.asarray(x, dtype=float).tolist())
         for other in self._points:
             if math.dist(point, other) <= DUPLICATE_EPS:
                 return False

@@ -34,12 +34,22 @@ scheduling.
 Everything that does not depend on the swarm's state (the coefficient ramps
 of every iteration and the products c1 * r1 and c2 * r2) is computed once
 when the run starts, so an iteration does only the work that needs its
-evaluations. The stagnation history is a ring of lookback + 1 lists of
-particle values: iteration k writes slot k % (lookback + 1) and compares
-with slot (k - lookback) % (lookback + 1). The inertia scale ``omega_scale``
-is the list of the latest multipliers, 1 or tau per particle; while it holds
-no tau the inertia term is ``omega_k * v``, which has the bits of
-``(omega_k * scale) * v``.
+evaluations. The products fill one (iterations, 2, n_particles, n) pull
+table: a single multiply of the stacked (c1, c2) ramps with the draw block,
+repeated over the dimensions. The personal bests and the attractor share
+one (2, n_particles, n) anchor buffer: row 0 holds the personal best
+positions, row 1 this step's attractor. So both pulls come from one
+subtraction of the positions and one multiply by block k of the pull
+table, and are added to the inertia term in the order of the formula.
+
+The stagnation history is a ring of lookback + 1 lists of particle values:
+iteration k writes slot k % (lookback + 1) and compares with slot
+(k - lookback) % (lookback + 1), which it reads before evaluating. Each
+particle's multiplier is decided in the evaluation loop as soon as its value
+is known, and the step notes whether any particle is stagnant. The inertia
+scale ``omega_scale`` is the list of the latest multipliers, 1 or tau per
+particle; while no particle is stagnant the inertia term is ``omega_k * v``,
+which has the bits of ``(omega_k * scale) * v``.
 """
 
 from __future__ import annotations
@@ -98,6 +108,8 @@ class SwarmConfig:
         for name in ("omega0", "c1_0", "c2_0", "vmax0", "tau", "gamma_floor"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
+        if not self.vmax0 > 0:
+            raise ValueError("vmax0 must be positive")
         if not self.tau > 0:
             raise ValueError("tau must be positive")
         if not self.gamma_floor > 0:
@@ -136,17 +148,6 @@ class RunRecord:
     wall_time: float
 
 
-def _stagnation_multipliers(current, past, tau, floor) -> list[float]:
-    # The stagnation safeguard for every particle, with
-    # gamma = |f_now - f_then| / max(|f_then|, floor). Non-finite pairs yield
-    # a gamma of inf or nan, and both land in the "no stagnation" branch.
-    # The denominator is at least floor > 0, so the division never raises.
-    return [
-        tau if abs(now - then) / max(abs(then), floor) < 0.5 else 1.0
-        for now, then in zip(current, past)
-    ]
-
-
 class Swarm:
     """Mutable engine state for one run; ``step()`` advances one iteration.
 
@@ -176,13 +177,15 @@ class Swarm:
         draws = self.rng.uniform(size=(config.iterations, 2, n_particles, 1))
         # Block k holds c1_k * r1 and c2_k * r2 of iteration k, spread over
         # the dimensions (as are the bounds) so that each step works on
-        # arrays of one shape.
-        self._pulls = np.empty((config.iterations, 2, n_particles, n))
-        np.multiply(c1[:, None, None], draws[:, 0], out=self._pulls[:, 0])
-        np.multiply(c2[:, None, None], draws[:, 1], out=self._pulls[:, 1])
+        # arrays of one shape. One multiply forms the products and a repeat
+        # spreads them, which is faster than multiplying into the wide table.
+        coefs = np.stack((c1, c2), axis=1)[:, :, None, None]
+        self._pulls = np.repeat(coefs * draws, n, axis=3)
         self._lo = np.full((n_particles, n), bounds.lo)
         self._hi = np.full((n_particles, n), bounds.hi)
-        self.pbest_positions = self.positions.copy()
+        # Row 0: the personal best positions; row 1: the step's attractor.
+        self._anchors = np.empty((2, n_particles, n))
+        self._anchors[0] = self.positions
         self.pbest_values = [math.inf] * n_particles
         self.omega_scale = [1.0] * n_particles
         self.gbest_position = self.positions[0].copy()
@@ -200,6 +203,15 @@ class Swarm:
         self.fallback_counts = {reason: 0 for reason in FALLBACK_REASONS}
         self.nonfinite_iterations: list[int] = []
 
+    @property
+    def pbest_positions(self) -> np.ndarray:
+        """Personal best positions, one row per particle (a view)."""
+        return self._anchors[0]
+
+    @pbest_positions.setter
+    def pbest_positions(self, value):
+        self._anchors[0] = value
+
     def step(self):
         """One full iteration: evaluate, update bests, attract, move."""
         config = self.config
@@ -210,8 +222,17 @@ class Swarm:
         archive = self.archive
         evaluate = self.objective.evaluate
 
+        anchors = self._anchors
+        pbest_positions = anchors[0]
         pbest_values = self.pbest_values
-        pbest_positions = self.pbest_positions
+        lookback = config.lookback
+        history = self._history
+        # The values of iteration k - lookback; the slot is still empty
+        # (None) until k reaches the lookback, and it is never slot k's.
+        past = history[(k - lookback) % (lookback + 1)]
+        tau, floor = config.tau, config.gamma_floor
+        scale = []
+        stagnant = False
         # Positions are offered to the archive as row views, so the positions
         # array must never be written in place; every step makes a new one.
         # An offer the archive would refuse is not made: the version and the
@@ -219,9 +240,10 @@ class Swarm:
         admission = -math.inf if archive is None else archive.admission
         values = []
         saw_nonfinite = False
+        isfinite = math.isfinite
         for i, x in enumerate(positions):
             value = float(evaluate(x))
-            if not math.isfinite(value):
+            if not isfinite(value):
                 value = math.inf
                 saw_nonfinite = True
             values.append(value)
@@ -231,46 +253,54 @@ class Swarm:
             if value < admission:
                 archive.observe(x, value)
                 admission = archive.admission
+            if past is not None:
+                # The stagnation safeguard, with gamma = |f_now - f_then| /
+                # max(|f_then|, floor), the max spelled as a conditional (no
+                # value is NaN, so the two agree). Non-finite pairs yield a
+                # gamma of inf or nan, and both land in the "no stagnation"
+                # branch. The denominator is at least floor > 0, so the
+                # division never raises.
+                then = past[i]
+                scale_then = abs(then)
+                if scale_then < floor:
+                    scale_then = floor
+                if abs(value - then) / scale_then < 0.5:
+                    scale.append(tau)
+                    stagnant = True
+                else:
+                    scale.append(1.0)
         self.evaluations += len(values)
         if saw_nonfinite:
             self.nonfinite_iterations.append(k)
+        history[k % (lookback + 1)] = values
+        if past is not None:
+            self.omega_scale = scale
 
         best = min(values)
         if best < self.gbest_value:
             self.gbest_value = best
             self.gbest_position = positions[values.index(best)].copy()
 
-        lookback = config.lookback
-        self._history[k % (lookback + 1)] = values
-
         if archive is not None:
             attractor = self._surrogate_attractor()
         else:
             attractor = self.gbest_position
-
-        if k >= lookback:
-            past = self._history[(k - lookback) % (lookback + 1)]
-            self.omega_scale = _stagnation_multipliers(
-                values, past, config.tau, config.gamma_floor
-            )
 
         # omega_k * scale * v + (c1_k * r1) * (pbest - x) + (c2_k * r2) * (a - x),
         # with the same operations in the same order as the formula. While no
         # particle is stagnant (always before k reaches the lookback) the scale
         # is all ones, and omega_k * 1 is omega_k exactly.
         omega = self._omega[k]
-        if config.tau in self.omega_scale:
-            inertia = np.array([omega * m for m in self.omega_scale])[:, None]
+        if stagnant:
+            inertia = np.array([omega * m for m in scale])[:, None]
             velocities = inertia * self.velocities
         else:
             velocities = omega * self.velocities
-        pulls = self._pulls[k]
-        pull = pbest_positions - positions
-        pull *= pulls[0]
-        velocities += pull
-        np.subtract(attractor, positions, out=pull)
-        pull *= pulls[1]
-        velocities += pull
+        anchors[1] = attractor
+        pull = anchors - positions
+        pull *= self._pulls[k]
+        velocities += pull[0]
+        velocities += pull[1]
         vmax = self._vmax[k]
         np.maximum(velocities, -vmax, out=velocities)
         np.minimum(velocities, vmax, out=velocities)

@@ -101,6 +101,8 @@ class TestEffectiveConfig:
             ("params.tau", {"params": {"tau": 0}}),
             ("params.gamma_floor", {"params": {"gamma_floor": 0}}),
             ("params.gamma_floor", {"params": {"gamma_floor": -1}}),
+            ("params.vmax0", {"params": {"vmax0": 0}}),
+            ("params.vmax0", {"params": {"vmax0": -1}}),
         ]:
             with pytest.raises(ConfigError, match=re.escape(key)):
                 effective_config({"objective": "sphere", **cfg}, {})

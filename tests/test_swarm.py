@@ -7,7 +7,7 @@ defined here.
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -29,7 +29,6 @@ from qswarm.swarm import (
     Swarm,
     SwarmConfig,
     _ramps,
-    _stagnation_multipliers,
     run,
 )
 
@@ -209,20 +208,50 @@ class TestSafeguard:
         particle = particle_with_history([math.inf, math.inf], lookback=1)
         assert safeguard(particle, 1, config) == 1.0
 
-    def test_vectorized_helper_matches_scalar_op(self):
-        config = sphere_config(lookback=1)
+    def test_engine_matches_scalar_op(self):
+        # One particle per (now, then) pair: the objective returns the
+        # "then" values at step 0 and the "now" values at step 1, so after
+        # step 1 the engine has applied its rule to every pair.
         rng = np.random.default_rng(13)
         current = rng.uniform(-2, 2, size=200)
         past = rng.uniform(-2, 2, size=200)
         past[::17] = 0.0
-        # every pair of non-finite, zero and extreme values as well
+        # every pair of non-finite, zero and extreme values as well; the
+        # engine maps a non-finite value to inf before the rule sees it
         edge = [math.inf, -math.inf, math.nan, 0.0, 1.0, -2.5, 1e308, -1e308]
         current = current.tolist() + [now for now in edge for _ in edge]
         past = past.tolist() + [then for _ in edge for then in edge]
-        vector = _stagnation_multipliers(current, past, config.tau, config.gamma_floor)
-        for now, then, got in zip(current, past, vector):
+        values = iter(past + current)
+        objective = Objective("stub", 2, Bounds.symmetric(10.0, 2), lambda x: next(values))
+        config = sphere_config(n_particles=len(current), lookback=1, iterations=2)
+        swarm = Swarm(config, objective)
+        swarm.step()
+        assert swarm.omega_scale == [1.0] * len(current)
+        swarm.step()
+        for now, then, got in zip(current, past, swarm.omega_scale):
             particle = particle_with_history([then, now], lookback=1)
             assert got == safeguard(particle, 1, config), (now, then)
+        assert config.tau in swarm.omega_scale and 1.0 in swarm.omega_scale
+
+    @pytest.mark.parametrize("variant", [VARIANT_STANDARD, VARIANT_SURROGATE])
+    def test_unit_tau_changes_nothing(self, variant):
+        # With tau = 1 a stagnant particle keeps its inertia, so the run
+        # equals the one whose safeguard never fires (griewank 2D row).
+        objective = make_objective("griewank", 2)
+        for seed in range(3):
+            config = sphere_config(bounds=objective.bounds, variant=variant, seed=seed)
+            never = run(replace(config, lookback=config.iterations), objective, timing=False)
+            unit = run(replace(config, tau=1.0), objective, timing=False)
+            assert unit.best_value_trace.tobytes() == never.best_value_trace.tobytes()
+            assert unit.final_position.tobytes() == never.final_position.tobytes()
+            assert unit.evaluations == never.evaluations
+            # The safeguard does fire on this row.
+            swarm = Swarm(config, objective)
+            fired = 0
+            for _ in range(config.iterations):
+                swarm.step()
+                fired += config.tau in swarm.omega_scale
+            assert fired > 0
 
 
 class _StubRng:
@@ -306,6 +335,9 @@ class TestConfigValidation:
             SwarmConfig(**{**good, "tau": 0.0})
         with pytest.raises(ValueError):
             SwarmConfig(**{**good, "gamma_floor": 0.0})
+        for value in (0.0, -1.0):
+            with pytest.raises(ValueError, match="^vmax0"):
+                SwarmConfig(**{**good, "vmax0": value})
         with pytest.raises(ValueError):
             SwarmConfig(**{**good, "variant": "hybrid"})
         with pytest.raises(ValueError):
