@@ -35,7 +35,7 @@ from .experiments import (
     write_runs_csv,
     write_trace_csv,
 )
-from .objectives import Bounds, UnknownObjectiveError, default_bounds, objective_names
+from .objectives import Bounds, UnknownObjectiveError, default_bounds, objective_names, require_int
 from .surrogate import required_points
 from .swarm import VARIANT_STANDARD, VARIANT_SURROGATE, SwarmConfig
 
@@ -68,30 +68,15 @@ _FIELD_KEYS = {
     **{name: f"params.{key}" for key, name in _PARAM_FIELDS.items()},
 }
 
-CONFIG_KEYS = (
-    "objective",
-    "dimension",
-    "bounds",
-    "particles",
-    "iterations",
-    "runs",
-    "seed",
-    "variant",
-    "params",
-)
-
 VARIANT_LABELS = {VARIANT_STANDARD: "standard", VARIANT_SURROGATE: "qs"}
-# --variant choice -> the variants it runs.
-VARIANT_RUNS = {
-    "standard": (VARIANT_STANDARD,),
-    "qs": (VARIANT_SURROGATE,),
-    "both": (VARIANT_STANDARD, VARIANT_SURROGATE),
-}
+# --variant choice -> the variants it runs: one, or "both" in label order.
+VARIANT_RUNS = {**{label: (variant,) for variant, label in VARIANT_LABELS.items()}, "both": tuple(VARIANT_LABELS)}
 VARIANT_CHOICES = tuple(VARIANT_RUNS)
 
-# Defaults that effective_config applies and `qswarm run --help` names,
-# besides those of SwarmConfig fields.
-_RUN_DEFAULTS = {"dimension": 2, "runs": 1, "variant": "both"}
+# Every default that effective_config fills in as it is and `qswarm run
+# --help` names. The particle count, box and parameters are computed instead.
+_RUN_DEFAULTS = dict(dimension=2, iterations=SwarmConfig.iterations, runs=1, seed=SwarmConfig.seed, variant="both")
+CONFIG_KEYS = ("objective", "bounds", "particles", "params", *_RUN_DEFAULTS)
 
 # The paper's protocol: runs per variant on each benchmark row.
 PAPER_RUNS = 400
@@ -122,12 +107,6 @@ def _build(model, *args, keys=_FIELD_KEYS, **fields):
     except ValueError as err:
         field = str(err).split(" ", 1)[0]
         raise ConfigError(f"invalid value for {keys.get(field, field)!r}: {err}") from err
-
-
-# JSON true and false load as bool, a subclass of int; neither is a count or
-# a coefficient.
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 # Finite, too: Python's json reads NaN and Infinity, and a huge int has no double.
@@ -162,12 +141,12 @@ def effective_config(file_cfg: dict, overrides: dict) -> dict:
     """Merge file config and flag overrides, apply defaults, validate.
 
     Checked here is what JSON input needs: the objective and variant names,
-    ints for the counts, ``seed`` and ``params.S`` (JSON true and false are
-    not), finite numbers for the coefficients and bound ends, and the
-    dimension the default box is built from. Every other rule is that of
-    the objective registry, :class:`Bounds`, :class:`BatchSpec` or
-    :class:`SwarmConfig`, whose refusals name the config key. Defaults fill
-    missing keys only: a key that holds JSON null is refused.
+    finite numbers for the coefficients and bound ends (JSON true and false
+    are none), and the dimension the default box is built from. Every other
+    rule is that of the objective registry, :class:`Bounds`,
+    :class:`BatchSpec` or :class:`SwarmConfig`, whose refusals name the
+    config key. Defaults fill missing keys only: a key that holds JSON null
+    is refused.
     """
     cfg = dict(file_cfg)
     for key, value in overrides.items():
@@ -177,7 +156,8 @@ def effective_config(file_cfg: dict, overrides: dict) -> dict:
     objective = cfg.get("objective")
     _require(isinstance(objective, str) and objective, "objective", "a name is required")
     dimension = cfg.get("dimension", _RUN_DEFAULTS["dimension"])
-    _require(_is_int(dimension) and dimension >= 1, "dimension", "need an int >= 1")
+    _build(require_int, "dimension", dimension)
+    _require(dimension >= 1, "dimension", "need an int >= 1")
     try:  # the registry lookup refuses an unknown name
         bounds = default_bounds(objective, dimension)
     except UnknownObjectiveError as err:
@@ -194,19 +174,13 @@ def effective_config(file_cfg: dict, overrides: dict) -> dict:
 
     params = {**DEFAULT_PARAMS, **cfg.get("params", {})}
     effective = {
+        **_RUN_DEFAULTS,
+        "particles": required_points(dimension),
+        **cfg,
         "objective": objective.lower(),
-        "dimension": dimension,
         "bounds": bounds.to_pairs(),
-        "particles": cfg.get("particles", required_points(dimension)),
-        "iterations": cfg.get("iterations", SwarmConfig.iterations),
-        "runs": cfg.get("runs", _RUN_DEFAULTS["runs"]),
-        "seed": cfg.get("seed", SwarmConfig.seed),
-        "variant": cfg.get("variant", _RUN_DEFAULTS["variant"]),
         "params": params,
     }
-    for key in ("particles", "iterations", "runs", "seed"):
-        _require(_is_int(effective[key]), key, "need an int")
-    _require(_is_int(params["S"]), "params.S", "need an int")
     for key in sorted(_PARAM_FIELDS.keys() - {"S"}):
         _require(_is_number(params[key]), f"params.{key}", "need a finite number")
         params[key] = float(params[key])
@@ -338,9 +312,9 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--objective", help=f"one of: {', '.join(objective_names())}")
     run_p.add_argument("--dim", type=int, dest="dimension", metavar="DIM", help=f"problem dimension (default {_RUN_DEFAULTS['dimension']})")
     run_p.add_argument("--particles", type=int, help="swarm size (default: interpolation point count)")
-    run_p.add_argument("--iterations", type=int, help=f"iterations per run (default {SwarmConfig.iterations})")
+    run_p.add_argument("--iterations", type=int, help=f"iterations per run (default {_RUN_DEFAULTS['iterations']})")
     run_p.add_argument("--runs", type=int, help=f"independent runs per variant (default {_RUN_DEFAULTS['runs']})")
-    run_p.add_argument("--seed", type=int, help=f"base seed; run j uses base XOR j (default {SwarmConfig.seed})")
+    run_p.add_argument("--seed", type=int, help=f"base seed; run j uses base XOR j (default {_RUN_DEFAULTS['seed']})")
     run_p.add_argument("--variant", choices=VARIANT_CHOICES, help=f"default: {_RUN_DEFAULTS['variant']}")
     run_p.add_argument("--config", help="JSON config file (flags override its values)")
     run_p.add_argument("--out", help="output directory (default: $QSWARM_OUT/<timestamp>)")

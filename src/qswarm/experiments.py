@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .objectives import Objective, make_objective
+from .objectives import Objective, make_objective, require_int
 from .swarm import (
     VARIANT_STANDARD,
     VARIANT_SURROGATE,
@@ -58,6 +58,8 @@ class BatchSpec:
     jobs: int = 1
 
     def __post_init__(self):
+        for name in ("n_runs", "jobs"):
+            require_int(name, getattr(self, name))
         if self.n_runs < 1:
             raise ValueError("n_runs must be >= 1")
         if self.jobs < 1:

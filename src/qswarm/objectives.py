@@ -12,6 +12,7 @@ these millions of times, where per-call numpy overhead dominates.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -20,6 +21,13 @@ import numpy as np
 
 class UnknownObjectiveError(ValueError):
     """Raised when an objective name is not present in the registry."""
+
+
+def require_int(name: str, value) -> None:
+    """Refuse ``value`` for the count or seed ``name`` unless it is an
+    integer, numpy's included; a bool is refused, though it subclasses int."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an int, not {value!r}")
 
 
 def _coords(x) -> list[float]:
@@ -109,6 +117,7 @@ class Objective:
     evaluate: Callable[[np.ndarray], float]
 
     def __post_init__(self):
+        require_int("dimension", self.dimension)
         if self.dimension < 1:
             raise ValueError("dimension must be >= 1")
         if self.bounds.dimension != self.dimension:

@@ -167,10 +167,6 @@ class SurrogateResult:
     f_min: float
     fallback_reason: str
 
-    def __post_init__(self):
-        if self.fallback_reason not in FALLBACK_REASONS:
-            raise ValueError(f"unknown fallback reason {self.fallback_reason!r}")
-
     @property
     def used_fallback(self) -> bool:
         """True unless the surrogate minimizer was accepted."""

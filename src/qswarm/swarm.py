@@ -62,7 +62,7 @@ from typing import Optional
 import numpy as np
 
 from .archive import Archive, ArchiveEntry
-from .objectives import Bounds, Objective
+from .objectives import Bounds, Objective, require_int
 from .surrogate import FALLBACK_REASONS, load_lapack, required_points, surrogate_attractor
 
 VARIANT_STANDARD = "standard"
@@ -97,6 +97,8 @@ class SwarmConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("dimension", "n_particles", "iterations", "lookback", "seed"):
+            require_int(name, getattr(self, name))
         if self.dimension < 1:
             raise ValueError("dimension must be >= 1")
         if self.n_particles < 1:
@@ -165,16 +167,16 @@ class Swarm:
             raise ValueError("config and objective bounds differ")
         self.config = config
         self.objective = objective
-        self.rng = np.random.Generator(np.random.Philox(key=config.seed & _SEED_MASK))
+        rng = np.random.Generator(np.random.Philox(key=int(config.seed) & _SEED_MASK))
 
         n, n_particles = config.dimension, config.n_particles
         bounds = config.bounds
         omega, c1, c2, vmax = _ramps(np.arange(config.iterations), config)
         self._omega = omega.tolist()
         self._vmax = vmax
-        self.positions = self.rng.uniform(bounds.lo, bounds.hi, size=(n_particles, n))
-        self.velocities = self.rng.uniform(-vmax[0], vmax[0], size=(n_particles, n))
-        draws = self.rng.uniform(size=(config.iterations, 2, n_particles, 1))
+        self.positions = rng.uniform(bounds.lo, bounds.hi, size=(n_particles, n))
+        self.velocities = rng.uniform(-vmax[0], vmax[0], size=(n_particles, n))
+        draws = rng.uniform(size=(config.iterations, 2, n_particles, 1))
         # Block k holds c1_k * r1 and c2_k * r2 of iteration k, spread over
         # the dimensions (as are the bounds) so that each step works on
         # arrays of one shape. One multiply forms the products and a repeat
@@ -202,15 +204,6 @@ class Swarm:
         self.trace: list[float] = []
         self.fallback_counts = {reason: 0 for reason in FALLBACK_REASONS}
         self.nonfinite_iterations: list[int] = []
-
-    @property
-    def pbest_positions(self) -> np.ndarray:
-        """Personal best positions, one row per particle (a view)."""
-        return self._anchors[0]
-
-    @pbest_positions.setter
-    def pbest_positions(self, value):
-        self._anchors[0] = value
 
     def step(self):
         """One full iteration: evaluate, update bests, attract, move."""

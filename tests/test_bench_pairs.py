@@ -1,0 +1,54 @@
+"""The no-regression rule of ``tools/bench_pairs.py`` on synthetic pairs."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+BENCH_PAIRS = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
+
+
+@pytest.fixture(scope="module")
+def bench_pairs():
+    spec = importlib.util.spec_from_file_location("bench_pairs", BENCH_PAIRS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def result(bench_pairs, better, parent, change, bound=0.25):
+    pairs = {
+        str(j): {"parent": {"failed": 0, "m": p}, "change": {"failed": 0, "m": c}}
+        for j, (p, c) in enumerate(zip(parent, change))
+    }
+    _, _, checks = bench_pairs.summarize(pairs, {"m": better}, {"m": bound})
+    return checks["m"]["result"]
+
+
+def test_within_bound(bench_pairs):
+    parent = [100.0, 101.0, 99.0, 100.5, 99.5]
+    # 10% slower on a higher-is-better metric is inside a 25% bound
+    assert result(bench_pairs, "higher", parent, [90.0, 91.0, 89.0, 90.5, 89.5]) == "within bound"
+    assert result(bench_pairs, "lower", parent, [110.0, 111.0, 109.0, 110.5, 109.5]) == "within bound"
+
+
+def test_worse(bench_pairs):
+    parent = [100.0, 101.0, 99.0, 100.5, 99.5]
+    assert result(bench_pairs, "higher", parent, [70.0, 71.0, 69.0, 70.5, 69.5]) == "worse"
+    assert result(bench_pairs, "lower", parent, [130.0, 131.0, 129.0, 130.5, 129.5]) == "worse"
+
+
+def test_unresolved_when_the_parent_spreads_wider_than_the_bound(bench_pairs):
+    # quartiles 60 and 140 around a median of 100: a spread of 80%
+    parent = [20.0, 60.0, 100.0, 140.0, 180.0]
+    change = [95.0, 100.0, 105.0, 98.0, 102.0]
+    assert result(bench_pairs, "higher", parent, change) == "unresolved"
+    assert result(bench_pairs, "lower", parent, change) == "unresolved"
+
+
+def test_dominance_resolves_a_wide_spread(bench_pairs):
+    parent = [20.0, 60.0, 100.0, 140.0, 180.0]
+    assert result(bench_pairs, "higher", parent, [190.0, 200.0, 210.0, 220.0, 230.0]) == "within bound"
+    assert result(bench_pairs, "lower", parent, [1.0, 2.0, 3.0, 4.0, 5.0]) == "within bound"
+    # one change run that does not beat every parent run leaves it unresolved
+    assert result(bench_pairs, "higher", parent, [190.0, 200.0, 210.0, 220.0, 170.0]) == "unresolved"

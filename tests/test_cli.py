@@ -17,13 +17,15 @@ from qswarm.cli import (
     CONFIG_KEYS,
     DEFAULT_PARAMS,
     PAPER_RUNS,
+    VARIANT_CHOICES,
+    VARIANT_RUNS,
     ConfigError,
     build_parser,
     effective_config,
     load_config_file,
     main,
 )
-from qswarm.swarm import SwarmConfig
+from qswarm.swarm import VARIANT_STANDARD, VARIANT_SURROGATE, SwarmConfig
 
 
 def run_cli(*argv):
@@ -112,6 +114,32 @@ class TestEffectiveConfig:
         for field in dataclasses.fields(SwarmConfig):
             key = _FIELD_KEYS.get(field.name, field.name)
             assert key in CONFIG_KEYS or key in params, field.name
+
+    def test_non_integer_counts_name_the_key(self):
+        # The model classes refuse them; the message names the config key.
+        for key, cfg in [
+            ("particles", {"particles": 6.5}),
+            ("iterations", {"iterations": 20.5}),
+            ("iterations", {"iterations": None}),
+            ("runs", {"runs": 2.5}),
+            ("seed", {"seed": 1.5}),
+            ("seed", {"seed": "7"}),
+            ("params.S", {"params": {"S": 3.5}}),
+            ("dimension", {"dimension": 2.0}),
+        ]:
+            with pytest.raises(ConfigError, match=re.escape(f"invalid value for {key!r}")):
+                effective_config({"objective": "sphere", **cfg}, {})
+
+    def test_derived_tables(self):
+        assert VARIANT_RUNS == {
+            "standard": (VARIANT_STANDARD,),
+            "qs": (VARIANT_SURROGATE,),
+            "both": (VARIANT_STANDARD, VARIANT_SURROGATE),
+        }
+        assert VARIANT_CHOICES == ("standard", "qs", "both")
+        effective = effective_config({}, {"objective": "sphere"})
+        assert sorted(effective) == sorted(CONFIG_KEYS)
+        assert len(set(CONFIG_KEYS)) == len(CONFIG_KEYS)
 
 
 class TestConfigFile:

@@ -288,6 +288,12 @@ class TestRunBatch:
         for name in ("n_particles", "iterations", "lookback"):
             with pytest.raises(ValueError, match=f"^{name}"):
                 BatchSpec("sphere", dataclasses.replace(config, **{name: 0}), n_runs=1)
+        for value in (2.5, True, "2", None):
+            with pytest.raises(ValueError, match="^n_runs must be an int"):
+                BatchSpec("sphere", config, n_runs=value)
+            with pytest.raises(ValueError, match="^jobs must be an int"):
+                BatchSpec("sphere", config, n_runs=1, jobs=value)
+        assert BatchSpec("sphere", config, n_runs=np.int64(2), jobs=np.int32(1)).n_runs == 2
 
 
 @pytest.fixture

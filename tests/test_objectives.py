@@ -11,6 +11,7 @@ import pytest
 
 from qswarm.objectives import (
     Bounds,
+    Objective,
     UnknownObjectiveError,
     clip_to_bounds,
     default_bounds,
@@ -231,3 +232,15 @@ class TestRegistry:
         assert obj.bounds is bounds
         assert not bounds.contains(np.zeros(2))
         assert obj.evaluate(np.array([2.0, 3.0])) == 13.0
+
+
+class TestIntegerFields:
+    def test_objective_dimension_must_be_an_int(self):
+        # A surrogate run would fail in the middle otherwise; numpy's
+        # integers are ints, but no bool is.
+        box = Bounds.symmetric(1.0, 2)
+        for value in (2.0, 2.5, np.float64(2.0), True, np.bool_(True), "2", None):
+            with pytest.raises(ValueError, match="^dimension must be an int"):
+                Objective("sphere", value, box, eval_sphere)
+        for value in (2, np.int64(2), np.uint8(2)):
+            assert Objective("sphere", value, box, eval_sphere).dimension == 2

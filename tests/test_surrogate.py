@@ -819,8 +819,6 @@ class TestResultValidation:
         repeated = SurrogateResult(np.zeros(2), 0.0, FALLBACK_REPEATED)
         assert repeated.used_fallback and not repeated.evaluated
         assert FALLBACK_REASONS[-1] == FALLBACK_REPEATED
-        with pytest.raises(ValueError):
-            SurrogateResult(np.zeros(2), 0.0, "because")
 
 
 class TestProposalMemo:

@@ -112,6 +112,12 @@ def update_velocity(
     return np.clip(v, -sched.vmax, sched.vmax)
 
 
+def pbest_positions(swarm: Swarm) -> np.ndarray:
+    """The engine's personal best positions, one row per particle (a view
+    into row 0 of its anchor buffer)."""
+    return swarm._anchors[0]
+
+
 def particle_view(swarm: Swarm, i: int) -> Particle:
     """Snapshot of particle ``i`` of the engine in per-particle form."""
     lookback = swarm.config.lookback
@@ -124,7 +130,7 @@ def particle_view(swarm: Swarm, i: int) -> Particle:
     return Particle(
         position=swarm.positions[i].copy(),
         velocity=swarm.velocities[i].copy(),
-        best_position=swarm.pbest_positions[i].copy(),
+        best_position=pbest_positions(swarm)[i].copy(),
         best_value=float(swarm.pbest_values[i]),
         value_history=history,
         omega_scale=float(swarm.omega_scale[i]),
@@ -346,6 +352,22 @@ class TestConfigValidation:
             for value in (math.nan, math.inf, -math.inf):
                 with pytest.raises(ValueError, match=name):
                     SwarmConfig(**{**good, name: value})
+        # Counts and the seed are ints, refused at construction rather than
+        # in the middle of a run; a bool is none.
+        for name in ("dimension", "n_particles", "iterations", "lookback", "seed"):
+            for value in (1.5, 20.0, True, "7", None):
+                with pytest.raises(ValueError, match=f"^{name} must be an int"):
+                    SwarmConfig(**{**good, name: value})
+
+    def test_numpy_integers_are_ints(self):
+        objective = make_objective("sphere", 2, Bounds.symmetric(1.0, 2))
+        for seed in (3, -3):
+            config = sphere_config(bounds=objective.bounds, iterations=20, lookback=5, seed=seed)
+            counts = dict(dimension=np.int64(2), n_particles=np.int32(6), iterations=np.int64(20))
+            numpy_config = replace(config, **counts, lookback=np.int64(5), seed=np.int64(seed))
+            np.testing.assert_array_equal(
+                run(numpy_config, objective).best_value_trace, run(config, objective).best_value_trace
+            )
 
     def test_fewer_particles_than_interpolation_points_is_allowed(self):
         config = sphere_config(n_particles=3, variant=VARIANT_SURROGATE)
@@ -359,7 +381,7 @@ class TestStep:
         swarm = Swarm(config, objective)
         swarm.positions = np.zeros((1, 2))
         swarm.velocities = np.zeros((1, 2))
-        swarm.pbest_positions = np.zeros((1, 2))
+        pbest_positions(swarm)[:] = 0.0
         for _ in range(10):
             swarm.step()
             np.testing.assert_array_equal(swarm.positions, np.zeros((1, 2)))
@@ -482,7 +504,7 @@ class TestParticleView:
         particle = particle_view(swarm, 3)
         np.testing.assert_array_equal(particle.position, swarm.positions[3])
         np.testing.assert_array_equal(particle.velocity, swarm.velocities[3])
-        np.testing.assert_array_equal(particle.best_position, swarm.pbest_positions[3])
+        np.testing.assert_array_equal(particle.best_position, pbest_positions(swarm)[3])
         assert particle.best_value == swarm.pbest_values[3]
         assert particle.omega_scale == swarm.omega_scale[3]
         # the history window holds the last lookback+1 values, newest last

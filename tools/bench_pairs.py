@@ -19,6 +19,14 @@ existing file keeps its other workloads and top-level fields. With
 ``--trace 1`` each pair is one traced execution per side, stored under
 ``traced.<workload>`` with the per-layer metrics.
 
+For every end-to-end metric it prints, and stores under
+``workloads.<workload>.no_regression``, whether the change stays within the
+metric's ``bound`` from ``BENCHMARK.json``: ``worse`` when the change's
+median is worse than the parent's by more than the bound, relative to the
+parent's median; ``unresolved`` when the parent's quartile spread exceeds
+the bound, relative to its median, unless every change run beats every
+parent run; ``within bound`` otherwise.
+
 ``--claim METRIC`` prints the verdict for one end-to-end metric: the change
 must win at least 9 of 10 pairs (the same share of any pair count), and its
 median must beat the parent's by more than the parent's quartile spread,
@@ -86,9 +94,10 @@ def machine() -> dict:
     return info
 
 
-def summarize(pairs: dict, directions: dict) -> tuple[dict, dict]:
-    """Per-metric quartiles of each side and the change's win count."""
-    summary, wins = {}, {}
+def summarize(pairs: dict, directions: dict, bounds: dict) -> tuple[dict, dict, dict]:
+    """Per-metric quartiles of each side, the change's win count and the
+    no-regression result."""
+    summary, wins, checks = {}, {}, {}
     for name, better in directions.items():
         rows = [pair for pair in pairs.values() if name in pair["parent"] and name in pair["change"]]
         if not rows:
@@ -98,7 +107,31 @@ def summarize(pairs: dict, directions: dict) -> tuple[dict, dict]:
         summary[name] = {"parent": quartiles(parent), "change": quartiles(change)}
         sign = 1.0 if better == "higher" else -1.0
         wins[name] = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
-    return summary, wins
+        checks[name] = no_regression(better, bounds[name], summary[name], parent, change)
+    return summary, wins, checks
+
+
+def _relative(difference: float, base: float) -> float:
+    if base:
+        return difference / abs(base)
+    return 0.0 if difference == 0 else math.copysign(math.inf, difference)
+
+
+def no_regression(better: str, bound: float, summary: dict, parent: list, change: list) -> dict:
+    """Whether the change stays within ``bound`` on one metric, given both
+    sides' quartiles and per-pair values."""
+    sign = 1.0 if better == "higher" else -1.0
+    base, median = summary["parent"]["median"], summary["change"]["median"]
+    gain = _relative(median - base if better == "higher" else base - median, base)
+    spread = _relative(summary["parent"]["q3"] - summary["parent"]["q1"], base)
+    dominates = min(sign * c for c in change) > max(sign * p for p in parent)
+    if gain < -bound:
+        result = "worse"
+    elif spread > bound and not dominates:
+        result = "unresolved"
+    else:
+        result = "within bound"
+    return {"bound": bound, "gain": gain, "parent_spread": spread, "dominates": dominates, "result": result}
 
 
 def verdict(metric: str, better: str, summary: dict, wins: int, pairs: dict) -> str:
@@ -134,6 +167,7 @@ def main(argv=None) -> int:
 
     benchmark = json.loads((args.change / "BENCHMARK.json").read_text())
     directions = {entry["name"]: entry["better"] for entry in benchmark["end_to_end"]}
+    bounds = {entry["name"]: entry["bound"] for entry in benchmark["end_to_end"]}
     if args.claim is not None and args.claim not in directions:
         parser.error(f"--claim must be one of {sorted(directions)}")
     out = args.out or args.change / f"BENCH_{args.label}.json"
@@ -164,14 +198,21 @@ def main(argv=None) -> int:
             "pairs": pairs,
         }
     else:
-        summary, wins = summarize(pairs, directions)
+        summary, wins, checks = summarize(pairs, directions, bounds)
         workloads = record.setdefault("workloads", {})
         workloads[args.workload] = {
             "seeds": args.seeds,
             "summary": summary,
             "change_better_pairs": wins,
+            "no_regression": checks,
             "pairs": pairs,
         }
+        for name, check in checks.items():
+            print(
+                f"{args.workload} {name}: {summary[name]['parent']['median']:.6g} -> "
+                f"{summary[name]['change']['median']:.6g} (gain {check['gain']:+.1%}), parent spread "
+                f"{check['parent_spread']:.1%} of its median, bound {check['bound']:.0%}: {check['result']}"
+            )
         if args.claim is not None:
             text = verdict(args.claim, directions[args.claim], summary[args.claim], wins[args.claim], pairs)
             record["claim"] = f"{args.claim} on {args.workload}"
