@@ -1,5 +1,5 @@
 """Derivative-free optimization: particle swarms with an optional
-quadratic-surrogate attractor, benchmark objectives, and a reproducible
+quadratic-surrogate probe, benchmark objectives, and a reproducible
 batch/statistics harness.
 
 The package exports what a caller needs to run the optimizer and batches

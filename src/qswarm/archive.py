@@ -13,6 +13,9 @@ Two deliberate filtering rules beyond plain top-k selection:
 * An observation whose position lies within Euclidean distance
   ``DUPLICATE_EPS`` of a stored entry is rejected even if its value improves,
   because duplicate rows make the downstream interpolation matrix singular.
+  The best stored entry can therefore lag a swarm's global best once the
+  swarm has contracted below that radius; the swarm pulls to its own global
+  best, never to the archive's.
 
 Positions are stored as handed in and must not be mutated by the caller
 afterwards. The store is not synchronized; each optimization run owns its own
@@ -27,8 +30,10 @@ A consumer that derives data from that set keeps it in ``memo`` together
 with the version it was derived at (the surrogate keeps its fit's record
 there).
 
-An empty archive has no best entry: ``best()`` raises :class:`IndexError`, a
-:class:`LookupError`, and ``sorted_points()`` returns two empty lists.
+The surrogate reads the stored set through ``sorted_points()`` alone;
+``best()`` serves callers that inspect an archive. An empty archive has no
+best entry: ``best()`` raises :class:`IndexError`, a :class:`LookupError`,
+and ``sorted_points()`` returns two empty lists.
 """
 
 from __future__ import annotations

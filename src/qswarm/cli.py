@@ -304,7 +304,7 @@ def cmd_benchmark(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qswarm",
-        description="Particle swarm optimization with a quadratic-surrogate attractor variant.",
+        description="Particle swarm optimization with a quadratic-surrogate probe variant.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

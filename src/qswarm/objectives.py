@@ -72,6 +72,7 @@ class Bounds:
     @classmethod
     def symmetric(cls, limit: float, dimension: int) -> "Bounds":
         """Box [-limit, +limit] in every dimension."""
+        require_int("dimension", dimension)
         limit = float(limit)
         if limit <= 0:
             raise ValueError("limit must be positive")

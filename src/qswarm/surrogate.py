@@ -42,10 +42,11 @@ from dataclasses import dataclass
 from functools import cache
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 from importlib.util import module_from_spec
+from typing import Optional
 
 import numpy as np
 
-from .archive import Archive, ArchiveEntry
+from .archive import Archive
 from .objectives import Bounds, Objective, clip_to_bounds
 
 # Scaled pivot threshold for declaring a matrix singular.
@@ -156,27 +157,41 @@ class QuadraticModel:
 
 @dataclass(frozen=True, eq=False)
 class SurrogateResult:
-    """Attractor proposed for the swarm, with fallback diagnostics.
+    """One iteration's quadratic probe: why it was or was not accepted, and
+    the point it evaluated.
 
-    ``f_min`` is the actual objective value at ``x_min``, never the surrogate
-    prediction. ``repeated`` is the ``non_improving`` result of a proposal
-    already evaluated against the same archive, found without evaluating it.
+    ``x_min`` is the clipped minimizer the call evaluated and ``f_min`` its
+    actual objective value, never the surrogate prediction; both are None
+    when the call made no probe. Such a result carries its reason alone, and
+    one instance per reason serves every call.
     """
 
-    x_min: np.ndarray
-    f_min: float
     fallback_reason: str
+    x_min: Optional[np.ndarray] = None
+    f_min: Optional[float] = None
 
     @property
     def used_fallback(self) -> bool:
-        """True unless the surrogate minimizer was accepted."""
+        """True unless the probe was accepted."""
         return self.fallback_reason != FALLBACK_NONE
 
     @property
     def evaluated(self) -> bool:
-        """True when the call evaluated the objective once, at its proposal:
+        """True when the call evaluated the objective once, at its probe:
         every call that gets as far as a new probe does, accepted or not."""
         return self.fallback_reason in (FALLBACK_NONE, FALLBACK_NON_IMPROVING)
+
+
+# The one result of each reason that makes no probe.
+_NO_PROBE = {
+    reason: SurrogateResult(reason)
+    for reason in (
+        FALLBACK_TOO_FEW_POINTS,
+        FALLBACK_SINGULAR_SYSTEM,
+        FALLBACK_SINGULAR_QUADRATIC,
+        FALLBACK_REPEATED,
+    )
+}
 
 
 @cache
@@ -285,63 +300,59 @@ def minimize(model: QuadraticModel) -> np.ndarray:
 
 
 def surrogate_attractor(
-    archive: Archive, objective: Objective, global_best: ArchiveEntry
+    archive: Archive, objective: Objective, gbest_value: float
 ) -> SurrogateResult:
-    """Propose the swarm attractor from the archived best samples.
+    """Make the iteration's quadratic probe from the archived best samples.
 
     Fit the quadratic to the archive, minimize it analytically, clip the
-    minimizer to the bounds, and evaluate the actual objective there; a
-    non-finite value counts as ``inf``, as a particle's does. The evaluated
-    point is offered back to the archive. The minimizer is accepted only
-    when its actual value strictly improves on ``global_best``; otherwise,
-    and on any degeneracy, the result falls back to a known best point.
-    Fallbacks are ordinary results, never errors: an archive holding fewer
-    points than the fit needs, an empty one included, falls back to
-    ``global_best`` as ``too_few_points``.
+    minimizer to the bounds, and evaluate the actual objective there once; a
+    non-finite value counts as ``inf``, as a particle's does. The probe is
+    offered to the archive. It is accepted (``none``) only when its value
+    strictly improves on ``gbest_value``, and the caller then makes it the
+    global best; otherwise it is ``non_improving``. No probe is made when the
+    archive holds fewer points than the fit needs (``too_few_points``, an
+    empty archive included) or the fit is degenerate (``singular_system``,
+    ``singular_quadratic``). None of these is an error.
 
     The fit is redone only when the archive has stored a point since the
     last call or the bounds object differs. A probe the archive refused is
-    not evaluated again while its value does not beat ``global_best``; the
-    call falls back as ``repeated`` to what evaluating it would return as
+    not evaluated again while its value does not beat ``gbest_value``: the
+    call returns ``repeated`` where evaluating it would return
     ``non_improving``. The cache lives on the archive and keys on neither
     the objective nor an evaluation count, so an archive must serve one
-    deterministic objective. A proposal ``x_min`` is read-only.
+    deterministic objective. A probe ``x_min`` is read-only.
     """
     need = required_points(objective.dimension)
     size = archive.size
     if size < need or size < archive.capacity:
-        # Not enough material yet: fall back to the overall best solution.
-        return _fallback(global_best, FALLBACK_TOO_FEW_POINTS)
+        return _NO_PROBE[FALLBACK_TOO_FEW_POINTS]
     memo = archive.memo
     if memo is None or memo[0] != archive.version or memo[1] is not objective.bounds:
         memo = archive.memo = _memo_record(archive, objective.bounds, need)
-    _, _, x_min, value, fallback = memo
-    if value is not None and not value < global_best.value:
-        # A degenerate fit, or a refused probe that would be refused again.
-        if fallback is None:
-            fallback = memo[4] = _fallback(archive.best(), FALLBACK_REPEATED)
-        return fallback
+    _, _, x_min, value = memo
+    if x_min is None:
+        return _NO_PROBE[value]  # a degenerate fit; value names why
+    if value is not None and not value < gbest_value:
+        return _NO_PROBE[FALLBACK_REPEATED]  # refused, and would be again
     f_min = float(objective.evaluate(x_min))
     if not math.isfinite(f_min):
         f_min = math.inf
     if not archive.observe(x_min, f_min):
         memo[3] = f_min
-    if f_min < global_best.value:
-        return SurrogateResult(x_min=x_min, f_min=f_min, fallback_reason=FALLBACK_NONE)
-    return _fallback(archive.best(), FALLBACK_NON_IMPROVING)
+    reason = FALLBACK_NONE if f_min < gbest_value else FALLBACK_NON_IMPROVING
+    return SurrogateResult(reason, x_min, f_min)
 
 
 def _memo_record(archive: Archive, bounds: Bounds, need: int) -> list:
     """Fit the ``need`` best stored points; return the memo record
-    ``[version, bounds, x_min, value, fallback]``.
+    ``[version, bounds, x_min, value]``.
 
     The record holds while the archive version and the bounds object are
     the ones it names. ``x_min`` is the clipped minimizer, read-only since
-    every call at that version shares it; ``value`` is its probe's value
-    once the archive has refused the probe, else None; ``fallback`` is the
-    result of a skipped probe, built on first use. A degenerate fit has no
-    ``x_min``, the value ``inf`` that beats no incumbent, and its
-    ``singular_system`` or ``singular_quadratic`` fallback.
+    every call at that version shares it, and ``value`` its probe's value
+    once the archive has refused the probe, else None. A degenerate fit has
+    no ``x_min``, and its ``value`` is the reason, ``singular_system`` or
+    ``singular_quadratic``.
     """
     points, values = archive.sorted_points()
     reason = FALLBACK_SINGULAR_SYSTEM
@@ -350,16 +361,7 @@ def _memo_record(archive: Archive, bounds: Bounds, need: int) -> list:
         reason = FALLBACK_SINGULAR_QUADRATIC
         x_min = minimize(model)
     except SingularMatrixError:
-        return [archive.version, bounds, None, math.inf, _fallback(archive.best(), reason)]
+        return [archive.version, bounds, None, reason]
     x_min = clip_to_bounds(x_min, bounds)
     x_min.flags.writeable = False
-    return [archive.version, bounds, x_min, None, None]
-
-
-def _fallback(entry: ArchiveEntry, reason: str) -> SurrogateResult:
-    """The known point ``entry`` as the fallback result for ``reason``."""
-    return SurrogateResult(
-        x_min=np.asarray(entry.position, dtype=float),
-        f_min=float(entry.value),
-        fallback_reason=reason,
-    )
+    return [archive.version, bounds, x_min, None]

@@ -8,11 +8,13 @@ One velocity update per particle per iteration,
 with r1, r2 drawn fresh from U[0, 1] for every particle at every iteration,
 one draw shared across the dimensions of a particle (the classic
 convention; coordinates then contract coherently, which settles the swarm
-markedly deeper on the benchmark suite). The ``standard`` variant uses the
-global best position as the social attractor; the ``quadratic_surrogate``
-variant replaces it with the minimizer of a quadratic interpolated through
-the archived best samples, accepted only when its actual objective value
-improves on the global best (see :mod:`qswarm.surrogate`).
+markedly deeper on the benchmark suite). Both variants use the global best
+position as the social attractor. The ``quadratic_surrogate`` variant is
+that gbest swarm plus one elitist quadratic probe per iteration: after the
+particles are evaluated, it evaluates the minimizer of a quadratic
+interpolated through the archived best samples, and the probe becomes the
+global best, and so the attractor, only when its actual objective value
+improves on it (see :mod:`qswarm.surrogate`).
 
 Coefficients follow linear ramps over the run: the inertia weight and the
 cognitive coefficient decay, the social coefficient grows, and the speed cap
@@ -38,9 +40,10 @@ evaluations. The products fill one (iterations, 2, n_particles, n) pull
 table: a single multiply of the stacked (c1, c2) ramps with the draw block,
 repeated over the dimensions. The personal bests and the attractor share
 one (2, n_particles, n) anchor buffer: row 0 holds the personal best
-positions, row 1 this step's attractor. So both pulls come from one
-subtraction of the positions and one multiply by block k of the pull
-table, and are added to the inertia term in the order of the formula.
+positions, row 1 the global best position after the step's probe. So both
+pulls come from one subtraction of the positions and one multiply by block
+k of the pull table, and are added to the inertia term in the order of the
+formula.
 
 The stagnation history is a ring of lookback + 1 lists of particle values:
 iteration k writes slot k % (lookback + 1) and compares with slot
@@ -61,7 +64,7 @@ from typing import Optional
 
 import numpy as np
 
-from .archive import Archive, ArchiveEntry
+from .archive import Archive
 from .objectives import Bounds, Objective, require_int
 from .surrogate import FALLBACK_REASONS, load_lapack, required_points, surrogate_attractor
 
@@ -185,7 +188,7 @@ class Swarm:
         self._pulls = np.repeat(coefs * draws, n, axis=3)
         self._lo = np.full((n_particles, n), bounds.lo)
         self._hi = np.full((n_particles, n), bounds.hi)
-        # Row 0: the personal best positions; row 1: the step's attractor.
+        # Row 0: the personal best positions; row 1: the global best position.
         self._anchors = np.empty((2, n_particles, n))
         self._anchors[0] = self.positions
         self.pbest_values = [math.inf] * n_particles
@@ -275,9 +278,13 @@ class Swarm:
             self.gbest_position = positions[values.index(best)].copy()
 
         if archive is not None:
-            attractor = self._surrogate_attractor()
-        else:
-            attractor = self.gbest_position
+            probe = surrogate_attractor(archive, self.objective, self.gbest_value)
+            if probe.evaluated:
+                self.evaluations += 1
+            self.fallback_counts[probe.fallback_reason] += 1
+            if not probe.used_fallback:
+                self.gbest_value = probe.f_min
+                self.gbest_position = probe.x_min.copy()
 
         # omega_k * scale * v + (c1_k * r1) * (pbest - x) + (c2_k * r2) * (a - x),
         # with the same operations in the same order as the formula. While no
@@ -289,7 +296,7 @@ class Swarm:
             velocities = inertia * self.velocities
         else:
             velocities = omega * self.velocities
-        anchors[1] = attractor
+        anchors[1] = self.gbest_position
         pull = anchors - positions
         pull *= self._pulls[k]
         velocities += pull[0]
@@ -305,23 +312,6 @@ class Swarm:
 
         self.trace.append(self.gbest_value)
         self.iteration += 1
-
-    def _surrogate_attractor(self) -> np.ndarray:
-        result = surrogate_attractor(
-            self.archive,
-            self.objective,
-            ArchiveEntry(self.gbest_value, self.gbest_position),
-        )
-        # Counting here rather than through a wrapper that refers back to the
-        # swarm keeps the swarm free of reference cycles, so its per-run
-        # tables are freed as soon as the run ends.
-        if result.evaluated:
-            self.evaluations += 1
-        self.fallback_counts[result.fallback_reason] += 1
-        if not result.used_fallback:
-            self.gbest_value = result.f_min
-            self.gbest_position = result.x_min.copy()
-        return result.x_min
 
 
 def run(config: SwarmConfig, objective: Objective, timing: bool = True) -> RunRecord:

@@ -15,7 +15,7 @@ import pytest
 from qswarm.archive import Archive
 from qswarm.cli import BENCHMARK_ROWS
 from qswarm.cli import main as cli_main
-from qswarm.experiments import BatchSpec, run_batch
+from qswarm.experiments import BatchSpec, run_batch, shared_pool
 from qswarm.objectives import Bounds, make_objective
 from qswarm.surrogate import (
     QuadraticModel,
@@ -49,15 +49,20 @@ def report(criterion, ok, detail=""):
 
 @pytest.fixture(scope="module")
 def benchmark_batches():
-    """All six configurations, both variants, 200 runs each."""
+    """All six configurations, both variants, 200 runs each, on two workers.
+
+    A run is a pure function of (config, objective), so the records equal
+    those of one worker; the pool only shortens the wait."""
     batches = {}
-    for name, dim, particles, limit, _, _ in BENCHMARK_ROWS:
-        spec = BatchSpec(
-            objective=name,
-            config=SwarmConfig(dim, particles, Bounds.symmetric(limit, dim), iterations=200),
-            n_runs=N_RUNS,
-        )
-        batches[(name, dim)] = run_batch(spec, timing=False)
+    with shared_pool():
+        for name, dim, particles, limit, _, _ in BENCHMARK_ROWS:
+            spec = BatchSpec(
+                objective=name,
+                config=SwarmConfig(dim, particles, Bounds.symmetric(limit, dim), iterations=200),
+                n_runs=N_RUNS,
+                jobs=2,
+            )
+            batches[(name, dim)] = run_batch(spec, timing=False)
     return batches
 
 

@@ -10,14 +10,14 @@ A change that alters an artifact on purpose re-records the file with
 
     PYTHONPATH=src python tests/test_artifacts.py
 
-and says so in its change notes.
+which prints every digest that changed, and says so in its change notes.
 """
 
 import contextlib
 import hashlib
 import io
 import json
-import sys
+import runpy
 import tempfile
 from pathlib import Path
 
@@ -57,9 +57,9 @@ def test_artifacts_match_recorded_digests(name, tmp_path):
 
 
 if __name__ == "__main__":
+    rewrite = runpy.run_path(str(REFERENCE_FILE.with_name("test_reference_runs.py")))["rewrite"]
     recorded = {}
     for name in INVOCATIONS:
         with tempfile.TemporaryDirectory() as out_dir:
             recorded[name] = artifact_digests(name, Path(out_dir))
-    REFERENCE_FILE.write_text(json.dumps(recorded, indent=1, sort_keys=True) + "\n", encoding="utf-8")
-    print(f"wrote {sum(map(len, recorded.values()))} digests to {REFERENCE_FILE}", file=sys.stderr)
+    rewrite(REFERENCE_FILE, recorded)

@@ -16,7 +16,7 @@ import qswarm.cli
 import qswarm.experiments
 import qswarm.surrogate
 import qswarm.swarm
-from qswarm.archive import Archive, ArchiveEntry
+from qswarm.archive import Archive
 from qswarm.objectives import Bounds, Objective
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -141,7 +141,7 @@ def test_the_surrogate_layers_the_tracer_wraps_are_reached(monkeypatch):
     # A probe value above every archived one is never stored, so the second
     # call finds the archive unchanged and hits the memo.
     objective = Objective("flat", 2, bounds, lambda x: 1e6)
-    weak_best = ArchiveEntry(1e9, np.zeros(2))
+    weak_best = 1e9
     qswarm.surrogate.surrogate_attractor(archive, objective, weak_best)
     assert calls == {"fit": 1, "minimize": 1}
     qswarm.surrogate.surrogate_attractor(archive, objective, weak_best)
@@ -189,3 +189,19 @@ def test_a_surrogate_step_still_offers_particles_to_the_archive(monkeypatch):
     )
     qswarm.run(config, objective, timing=False)
     assert any(from_step)
+
+
+def test_the_benchmark_checks_pass_on_runs_of_every_row():
+    """perfbench counts a run as failed when ``check_record`` finds a problem
+    in it, and that check derives the evaluation count from the fallback
+    counts by its own copy of the probe's evaluation rule. A change to the
+    rule must fail here rather than in a benchmark run."""
+    spec = importlib.util.spec_from_file_location("perfbench_checks", TRACING.with_name("checks.py"))
+    checks = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(checks)
+    for name, dimension, particles, limit, _, _ in qswarm.cli.BENCHMARK_ROWS:
+        objective = qswarm.make_objective(name, dimension, Bounds.symmetric(limit, dimension))
+        for variant in qswarm.swarm.VARIANTS:
+            config = qswarm.SwarmConfig(dimension, particles, objective.bounds, variant=variant)
+            record = qswarm.run(config, objective, timing=False)
+            assert checks.check_record(config, objective, record) == [], (name, dimension, variant)

@@ -244,3 +244,7 @@ class TestIntegerFields:
                 Objective("sphere", value, box, eval_sphere)
         for value in (2, np.int64(2), np.uint8(2)):
             assert Objective("sphere", value, box, eval_sphere).dimension == 2
+        # The default box is built from the dimension before Objective sees it.
+        for value in (2.0, True):
+            with pytest.raises(ValueError, match="^dimension must be an int"):
+                make_objective("sphere", value)

@@ -15,11 +15,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qswarm.archive import Archive, ArchiveEntry
+from qswarm.archive import DUPLICATE_EPS, Archive
+from qswarm.cli import BENCHMARK_ROWS
 from qswarm.objectives import Bounds, Objective, clip_to_bounds, make_objective
 from qswarm.surrogate import (
     FALLBACK_NON_IMPROVING,
     FALLBACK_NONE,
+    FALLBACK_SINGULAR_SYSTEM,
     required_points,
     surrogate_attractor,
 )
@@ -116,6 +118,12 @@ def pbest_positions(swarm: Swarm) -> np.ndarray:
     """The engine's personal best positions, one row per particle (a view
     into row 0 of its anchor buffer)."""
     return swarm._anchors[0]
+
+
+def attractors(swarm: Swarm) -> np.ndarray:
+    """The social attractor of the last step, one row per particle (row 1
+    of the engine's anchor buffer)."""
+    return swarm._anchors[1]
 
 
 def particle_view(swarm: Swarm, i: int) -> Particle:
@@ -454,6 +462,47 @@ class TestStep:
         assert math.isfinite(record.final_value)
 
 
+class TestAttractorIsTheGlobalBest:
+    """Both variants pull every particle to the global best position, which
+    the surrogate variant's probe has updated when it was accepted."""
+
+    @pytest.mark.parametrize("variant", [VARIANT_STANDARD, VARIANT_SURROGATE])
+    def test_after_every_step_on_every_benchmark_row(self, variant):
+        for name, dim, particles, limit, _, _ in BENCHMARK_ROWS:
+            objective = make_objective(name, dim, Bounds.symmetric(limit, dim))
+            for seed in range(3):
+                config = SwarmConfig(dim, particles, objective.bounds, variant=variant, seed=seed)
+                swarm = Swarm(config, objective)
+                for _ in range(config.iterations):
+                    swarm.step()
+                    assert (attractors(swarm) == swarm.gbest_position).all()
+
+    def test_contracted_swarm_pulls_to_a_gbest_the_archive_refused(self):
+        # The swarm lies on a line, so every fit is singular and no probe
+        # moves the gbest. A particle then finds a better point within the
+        # archive's duplicate radius of a stored one: the archive refuses it,
+        # so the archive's best lags the gbest, and the swarm still pulls to
+        # the gbest.
+        objective = make_objective("sphere", 2)
+        swarm = Swarm(sphere_config(variant=VARIANT_SURROGATE, iterations=2), objective)
+        line = np.column_stack([np.arange(1.0, 7.0) * 1e-3, np.zeros(6)])
+        swarm.positions = line.copy()
+        swarm.step()
+        assert swarm.fallback_counts[FALLBACK_SINGULAR_SYSTEM] == 1
+        np.testing.assert_array_equal(swarm.gbest_position, line[0])
+        contracted = line.copy()
+        contracted[0, 0] -= 4e-13
+        swarm.positions = contracted
+        swarm.step()
+        assert swarm.fallback_counts[FALLBACK_SINGULAR_SYSTEM] == 2
+        stored = swarm.archive.best()
+        np.testing.assert_array_equal(stored.position, line[0])
+        assert math.dist(stored.position, contracted[0]) <= DUPLICATE_EPS
+        assert swarm.gbest_value == objective.evaluate(contracted[0]) < stored.value
+        np.testing.assert_array_equal(swarm.gbest_position, contracted[0])
+        assert (attractors(swarm) == contracted[0]).all()
+
+
 class TestRunTables:
     """The per-run tables built at start-up equal the per-iteration forms."""
 
@@ -745,16 +794,12 @@ def reference_step(state, objective, config, k, draws):
         gbest[0] = positions[best_i].copy()
         gbest[1] = values[best_i]
     archive = state[6]
-    if archive is None:
-        attractor = gbest[0]
-    else:
-        result = surrogate_attractor(
-            archive, state[7], ArchiveEntry(gbest[1], gbest[0])
-        )
-        attractor = result.x_min
+    if archive is not None:
+        result = surrogate_attractor(archive, state[7], gbest[1])
         if not result.used_fallback:
             gbest[0] = result.x_min.copy()
             gbest[1] = result.f_min
+    attractor = gbest[0]
     new_velocities = []
     new_positions = []
     for i in range(n_particles):
