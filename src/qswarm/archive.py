@@ -1,10 +1,12 @@
 """Bounded store of the best-performing (value, position) pairs seen so far.
 
 Entries are kept in three parallel lists ordered best-first by value, ties
-in observation order, so the best entry is the first and the surrogate's
-interpolation set is a plain copy. Capacity is fixed at construction; once
-full, a new observation displaces the worst entry (the earliest observed of
-the tied worst ones) only when it strictly improves on it.
+in observation order, so the best entry is the first. The surrogate fits
+once the archive is full, on all its points, which it reads as a plain
+copy; its archive's capacity is the interpolation point count. Capacity is
+fixed at construction; once full, a new observation displaces the worst
+entry (the earliest observed of the tied worst ones) only when it strictly
+improves on it.
 
 Two deliberate filtering rules beyond plain top-k selection:
 
@@ -27,8 +29,8 @@ that version. ``admission`` is the value an offer must beat to be stored:
 the worst stored value once the store is full, else ``inf``. An offer at or
 above it is refused, so a caller may skip it without changing the archive.
 A consumer that derives data from that set keeps it in ``memo`` together
-with the version it was derived at (the surrogate keeps its fit's record
-there).
+with the version it was derived at (the surrogate keeps its probe's record
+there: the version, the clipped minimizer and the value of a refused probe).
 
 The surrogate reads the stored set through ``sorted_points()`` alone;
 ``best()`` serves callers that inspect an archive. An empty archive has no

@@ -8,7 +8,9 @@ has 1 + n + n(n+1)/2 = (n+1)(n+2)/2 independent coefficients, so exactly that
 many distinct sample points determine it. The coefficients come from solving
 the square interpolation system whose row for a point x holds 1, the x_i and
 the products x_i * x_j (i <= j); the stationary point follows from setting
-the gradient to zero, i.e. solving ``2 * quad @ x = -linear``.
+the gradient to zero, i.e. solving ``2 * quad @ x = -linear``. That point is
+all the probe needs, so a fitted model keeps ``linear`` and ``quad`` and
+drops ``const``.
 
 Linear systems are solved by dense LU factorization with partial pivoting
 (LAPACK ``getrf``/``getrs``). Singularity is declared deterministically: the
@@ -24,13 +26,12 @@ scipy.
 
 The fit works on arrays of 3 to 15 rows, where each numpy call costs more
 than its arithmetic, so the kernel makes few of them: a refit that solves
-makes 38 numpy and LAPACK calls, counting every numpy function, method,
+makes 35 numpy and LAPACK calls, counting every numpy function, method,
 operator and index expression and each LAPACK routine, and ``minimize``
-makes 7 more. Scalars it tests (the extents, the pivots, the constant) are
-read out as Python floats. It keeps the floating-point operations of the
-textbook form (``mean``, ``np.linalg.svd``, an LU solve of the design
-matrix) in the same order, so its results are those of that form bit for
-bit.
+makes 7 more. Scalars it tests (the extents and the pivots) are read out as
+Python floats. It keeps the floating-point operations of the textbook form
+(``mean``, ``np.linalg.svd``, an LU solve of the design matrix) in the same
+order, so its results are those of that form bit for bit.
 """
 
 from __future__ import annotations
@@ -144,13 +145,13 @@ def required_points(dimension: int) -> int:
 
 @dataclass(frozen=True, eq=False)
 class QuadraticModel:
-    """Coefficients of the interpolating quadratic.
+    """The linear and quadratic coefficients of the interpolating quadratic;
+    its minimizer does not depend on the constant term, which is not kept.
 
     ``quad`` is exactly symmetric by construction: each fitted cross-product
     coefficient is split evenly between the two mirrored entries.
     """
 
-    const: float
     linear: np.ndarray
     quad: np.ndarray
 
@@ -279,14 +280,12 @@ def fit(points, values) -> QuadraticModel:
     lin_z = theta[1 : dim + 1]
     _, _, _, entry, weight = _index_tables(dim)
     quad_z = theta.take(entry) * weight
-    # Map q(z) = theta0 + lin_z.z + z.quad_z@z back to raw coordinates.
+    # Map lin_z.z + z.quad_z@z back to raw coordinates.
     lin_w = wt @ lin_z
     quad = wt @ quad_z @ w
     quad = 0.5 * (quad + quad.T)  # erase rounding asymmetry from the products
-    quad_center = quad @ center
-    linear = lin_w - 2.0 * quad_center
-    const = theta.item(0) - float(lin_w @ center) + float(center @ quad_center)
-    return QuadraticModel(const=const, linear=linear, quad=quad)
+    linear = lin_w - 2.0 * (quad @ center)
+    return QuadraticModel(linear=linear, quad=quad)
 
 
 def minimize(model: QuadraticModel) -> np.ndarray:
@@ -304,32 +303,33 @@ def surrogate_attractor(
 ) -> SurrogateResult:
     """Make the iteration's quadratic probe from the archived best samples.
 
-    Fit the quadratic to the archive, minimize it analytically, clip the
-    minimizer to the bounds, and evaluate the actual objective there once; a
-    non-finite value counts as ``inf``, as a particle's does. The probe is
-    offered to the archive. It is accepted (``none``) only when its value
-    strictly improves on ``gbest_value``, and the caller then makes it the
-    global best; otherwise it is ``non_improving``. No probe is made when the
-    archive holds fewer points than the fit needs (``too_few_points``, an
-    empty archive included) or the fit is degenerate (``singular_system``,
-    ``singular_quadratic``). None of these is an error.
+    Once the archive is full, fit the quadratic to all its points, minimize
+    it analytically, clip the minimizer to the bounds, and evaluate the
+    actual objective there once; a non-finite value counts as ``inf``, as a
+    particle's does. The probe is offered to the archive. It is accepted
+    (``none``) only when its value strictly improves on ``gbest_value``, and
+    the caller then makes it the global best; otherwise it is
+    ``non_improving``. No probe is made while the archive is not full
+    (``too_few_points``, an empty archive included) or when the fit is
+    degenerate (``singular_system``, ``singular_quadratic``). None of these
+    is an error. A full archive whose capacity is not
+    ``required_points(objective.dimension)`` is: :func:`fit` raises
+    :class:`ValueError` naming both counts.
 
     The fit is redone only when the archive has stored a point since the
-    last call or the bounds object differs. A probe the archive refused is
-    not evaluated again while its value does not beat ``gbest_value``: the
-    call returns ``repeated`` where evaluating it would return
-    ``non_improving``. The cache lives on the archive and keys on neither
-    the objective nor an evaluation count, so an archive must serve one
-    deterministic objective. A probe ``x_min`` is read-only.
+    last fit. A probe the archive refused is not evaluated again while its
+    value does not beat ``gbest_value``: the call returns ``repeated`` where
+    evaluating it would return ``non_improving``. The cache lives on the
+    archive and keys on neither the objective, its bounds nor an evaluation
+    count, so an archive must serve one deterministic objective. A probe
+    ``x_min`` is read-only.
     """
-    need = required_points(objective.dimension)
-    size = archive.size
-    if size < need or size < archive.capacity:
+    if archive.size < archive.capacity:
         return _NO_PROBE[FALLBACK_TOO_FEW_POINTS]
     memo = archive.memo
-    if memo is None or memo[0] != archive.version or memo[1] is not objective.bounds:
-        memo = archive.memo = _memo_record(archive, objective.bounds, need)
-    _, _, x_min, value = memo
+    if memo is None or memo[0] != archive.version:
+        memo = archive.memo = _memo_record(archive, objective.bounds)
+    _, x_min, value = memo
     if x_min is None:
         return _NO_PROBE[value]  # a degenerate fit; value names why
     if value is not None and not value < gbest_value:
@@ -338,30 +338,30 @@ def surrogate_attractor(
     if not math.isfinite(f_min):
         f_min = math.inf
     if not archive.observe(x_min, f_min):
-        memo[3] = f_min
+        memo[2] = f_min
     reason = FALLBACK_NONE if f_min < gbest_value else FALLBACK_NON_IMPROVING
     return SurrogateResult(reason, x_min, f_min)
 
 
-def _memo_record(archive: Archive, bounds: Bounds, need: int) -> list:
-    """Fit the ``need`` best stored points; return the memo record
-    ``[version, bounds, x_min, value]``.
+def _memo_record(archive: Archive, bounds: Bounds) -> list:
+    """Fit all stored points of the full archive; return the memo record
+    ``[version, x_min, value]``.
 
-    The record holds while the archive version and the bounds object are
-    the ones it names. ``x_min`` is the clipped minimizer, read-only since
-    every call at that version shares it, and ``value`` its probe's value
-    once the archive has refused the probe, else None. A degenerate fit has
-    no ``x_min``, and its ``value`` is the reason, ``singular_system`` or
+    The record holds while the archive version is the one it names.
+    ``x_min`` is the minimizer clipped to ``bounds``, read-only since every
+    call at that version shares it, and ``value`` its probe's value once the
+    archive has refused the probe, else None. A degenerate fit has no
+    ``x_min``, and its ``value`` is the reason, ``singular_system`` or
     ``singular_quadratic``.
     """
     points, values = archive.sorted_points()
     reason = FALLBACK_SINGULAR_SYSTEM
     try:
-        model = fit(np.array(points[:need]), values[:need])
+        model = fit(np.array(points), values)
         reason = FALLBACK_SINGULAR_QUADRATIC
         x_min = minimize(model)
     except SingularMatrixError:
-        return [archive.version, bounds, None, reason]
+        return [archive.version, None, reason]
     x_min = clip_to_bounds(x_min, bounds)
     x_min.flags.writeable = False
-    return [archive.version, bounds, x_min, None]
+    return [archive.version, x_min, None]

@@ -6,6 +6,9 @@ output directory is replaced by a fixed token before hashing, so the digests
 do not depend on where the test runs. ``--no-timing`` zeroes the wall-clock
 columns, so every byte is deterministic.
 
+The file also records the numerics envelope, as ``reference_runs.json``
+does, and a mismatch names the first envelope field that differs.
+
 A change that alters an artifact on purpose re-records the file with
 
     PYTHONPATH=src python tests/test_artifacts.py
@@ -16,7 +19,6 @@ which prints every digest that changed, and says so in its change notes.
 import contextlib
 import hashlib
 import io
-import json
 import runpy
 import tempfile
 from pathlib import Path
@@ -26,6 +28,9 @@ import pytest
 from qswarm.cli import main
 
 REFERENCE_FILE = Path(__file__).with_name("reference_artifacts.json")
+# The digest check and the re-recording, shared with the run digests.
+_RECORDING = runpy.run_path(str(REFERENCE_FILE.with_name("test_reference_runs.py")))
+assert_recorded, rewrite = _RECORDING["assert_recorded"], _RECORDING["rewrite"]
 OUT_TOKEN = b"<out>"
 
 INVOCATIONS = {
@@ -52,12 +57,10 @@ def artifact_digests(name, out_dir: Path) -> dict[str, str]:
 
 @pytest.mark.parametrize("name", sorted(INVOCATIONS))
 def test_artifacts_match_recorded_digests(name, tmp_path):
-    reference = json.loads(REFERENCE_FILE.read_text(encoding="utf-8"))
-    assert artifact_digests(name, tmp_path) == reference[name]
+    assert_recorded(REFERENCE_FILE, name, artifact_digests(name, tmp_path))
 
 
 if __name__ == "__main__":
-    rewrite = runpy.run_path(str(REFERENCE_FILE.with_name("test_reference_runs.py")))["rewrite"]
     recorded = {}
     for name in INVOCATIONS:
         with tempfile.TemporaryDirectory() as out_dir:

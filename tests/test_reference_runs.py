@@ -16,10 +16,16 @@ part of the box.
 
 The kernel digests in ``reference_kernel.json`` pin what the run digests
 only see through its effect on the swarm: the full output of every
-surrogate fit (``const``, ``linear`` and ``quad`` bytes, or the singular
-system) and of every minimize (the stationary point, or the singular
-quadratic), for the surrogate variant on every benchmark row and every
-option case, seeds 0-1.
+surrogate fit (``linear`` and ``quad`` bytes, or the singular system) and
+of every minimize (the stationary point, or the singular quadratic), for
+the surrogate variant on every benchmark row and every option case, seeds
+0-1.
+
+Each reference file also records, under ``envelope``, what the digests
+depend on besides the code: the numpy and scipy versions and the core name
+each one's bundled OpenBLAS picked. The surrogate digests hold only within
+one OpenBLAS kernel family, so a digest mismatch names the first envelope
+field that differs from the recording; the test fails either way.
 
 A change that alters numerics or counts on purpose re-records both files
 with
@@ -29,12 +35,12 @@ with
 which prints every digest that changed, and says so in its change notes.
 """
 
+import ctypes
 import hashlib
 import json
 import math
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from qswarm import surrogate
@@ -47,6 +53,58 @@ KERNEL_FILE = Path(__file__).with_name("reference_kernel.json")
 SEEDS = range(5)
 OPTION_SEEDS = range(3)
 KERNEL_SEEDS = range(2)
+ENVELOPE = "envelope"
+
+# Envelope fields, in the order a mismatch message searches them, and for
+# each OpenBLAS core name the package that bundles the library and the
+# library's core-name symbol.
+OPENBLAS_CORES = {
+    "numpy_openblas_core": ("numpy", "scipy_openblas_get_corename64_"),
+    "scipy_openblas_core": ("scipy", "scipy_openblas_get_corename"),
+}
+ENVELOPE_FIELDS = ("numpy", "scipy", *OPENBLAS_CORES)
+
+
+def openblas_core(package: str, symbol: str) -> str:
+    """The core name that the OpenBLAS in the wheel's ``<package>.libs``
+    folder picked in this process, through ctypes; ``unknown`` when there
+    is no such library or it lacks the symbol."""
+    root = Path(__import__(package).__file__).parents[1]
+    for library in sorted(root.joinpath(f"{package}.libs").glob("*openblas*")):
+        try:
+            corename = getattr(ctypes.CDLL(str(library)), symbol)
+        except (OSError, AttributeError):
+            continue
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        return corename().decode()
+    return "unknown"
+
+
+def envelope() -> dict[str, str]:
+    """This process's numpy and scipy versions and OpenBLAS core names."""
+    found = {package: __import__(package).__version__ for package in ("numpy", "scipy")}
+    found.update((field, openblas_core(*where)) for field, where in OPENBLAS_CORES.items())
+    return found
+
+
+def envelope_note(recorded: dict) -> str:
+    """Why recorded digests may not hold here: the first envelope field
+    that differs from the recording, or that none does."""
+    here = envelope()
+    for field in ENVELOPE_FIELDS:
+        if recorded.get(field) != here[field]:
+            return (
+                f"envelope field {field!r} differs: recorded {recorded.get(field)!r}, "
+                f"here {here[field]!r}; the digests are exact only within one envelope"
+            )
+    return "the envelope matches the recording, so the code changed the digests"
+
+
+def assert_recorded(path: Path, key: str, digests) -> None:
+    """``digests`` must equal those recorded under ``key`` in ``path``; a
+    mismatch names the first envelope field that differs."""
+    reference = json.loads(path.read_text(encoding="utf-8"))
+    assert digests == reference[key], envelope_note(reference.get(ENVELOPE, {}))
 
 
 def run_digests(record) -> dict[str, str]:
@@ -136,9 +194,8 @@ CASES = [
 
 @pytest.mark.parametrize("variant,row", CASES)
 def test_runs_match_recorded_digests(variant, row):
-    reference = json.loads(REFERENCE_FILE.read_text(encoding="utf-8"))
     name, dimension, _, _ = row
-    assert row_digests(variant, *row) == reference[row_key(variant, name, dimension)]
+    assert_recorded(REFERENCE_FILE, row_key(variant, name, dimension), row_digests(variant, *row))
 
 
 def option_key(variant, case) -> str:
@@ -154,8 +211,7 @@ def option_key(variant, case) -> str:
     ],
 )
 def test_option_runs_match_recorded_digests(variant, case):
-    reference = json.loads(REFERENCE_FILE.read_text(encoding="utf-8"))
-    assert option_digests(variant, case) == reference[option_key(variant, case)]
+    assert_recorded(REFERENCE_FILE, option_key(variant, case), option_digests(variant, case))
 
 
 def test_reference_file_holds_exactly_the_cases_run_here():
@@ -164,7 +220,13 @@ def test_reference_file_holds_exactly_the_cases_run_here():
     reference = json.loads(REFERENCE_FILE.read_text(encoding="utf-8"))
     keys = {row_key(variant, row[0], row[1]) for variant in VARIANTS for row in BENCHMARK_ROWS}
     keys |= {option_key(variant, case) for variant in VARIANTS for case in OPTION_CASES}
-    assert set(reference) == keys
+    assert set(reference) == keys | {ENVELOPE}
+
+
+@pytest.mark.parametrize("name", ["reference_runs", "reference_kernel", "reference_artifacts"])
+def test_reference_file_records_the_envelope(name):
+    reference = json.loads(REFERENCE_FILE.with_name(f"{name}.json").read_text(encoding="utf-8"))
+    assert set(reference[ENVELOPE]) == set(ENVELOPE_FIELDS)
 
 
 def kernel_digests(objective, particles, overrides=None) -> dict[str, str]:
@@ -188,7 +250,6 @@ def kernel_digests(objective, particles, overrides=None) -> dict[str, str]:
             except surrogate.SingularMatrixError:
                 h.update(surrogate.FALLBACK_SINGULAR_SYSTEM.encode())
                 raise
-            h.update(np.float64(model.const).tobytes())
             h.update(model.linear.tobytes())
             h.update(model.quad.tobytes())
             return model
@@ -234,15 +295,13 @@ def option_kernel_digests(case) -> dict[str, str]:
     "row", [pytest.param(row[:4], id=f"{row[0]}_{row[1]}d") for row in BENCHMARK_ROWS]
 )
 def test_kernel_outputs_match_recorded_digests(row):
-    reference = json.loads(KERNEL_FILE.read_text(encoding="utf-8"))
     name, dimension, _, _ = row
-    assert row_kernel_digests(*row) == reference[f"{name}_{dimension}d"]
+    assert_recorded(KERNEL_FILE, f"{name}_{dimension}d", row_kernel_digests(*row))
 
 
 @pytest.mark.parametrize("case", [pytest.param(case, id=f"option:{case}") for case in OPTION_CASES])
 def test_option_kernel_outputs_match_recorded_digests(case):
-    reference = json.loads(KERNEL_FILE.read_text(encoding="utf-8"))
-    assert option_kernel_digests(case) == reference[f"option:{case}"]
+    assert_recorded(KERNEL_FILE, f"option:{case}", option_kernel_digests(case))
 
 
 def test_nonfinite_case_hits_every_hole():
@@ -276,11 +335,17 @@ def leaf_digests(tree: dict, prefix: str = "") -> dict[str, str]:
 
 
 def rewrite(path: Path, recorded: dict) -> None:
+    """Write ``recorded`` and this process's envelope to ``path``; print the
+    envelope and every digest that changed."""
     old = json.loads(path.read_text(encoding="utf-8")) if path.exists() else {}
-    path.write_text(json.dumps(recorded, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    old.pop(ENVELOPE, None)
+    here = envelope()
+    text = json.dumps({ENVELOPE: here, **recorded}, indent=1, sort_keys=True)
+    path.write_text(text + "\n", encoding="utf-8")
     was, now = leaf_digests(old), leaf_digests(recorded)
     changed = sorted(leaf for leaf in was.keys() | now.keys() if was.get(leaf) != now.get(leaf))
     print(f"wrote {len(recorded)} rows to {path}; {len(changed)} digests changed")
+    print("  envelope: " + ", ".join(f"{field} {here[field]}" for field in ENVELOPE_FIELDS))
     for line in changed:
         print(f"  changed: {line}")
 
