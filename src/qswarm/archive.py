@@ -1,6 +1,6 @@
 """Bounded store of the best-performing (value, position) pairs seen so far.
 
-Entries are kept in three parallel lists ordered best-first by value, ties
+Entries are kept in two parallel lists ordered best-first by value, ties
 in observation order, so the best entry is the first. The surrogate fits
 once the archive is full, on all its points, which it reads as a plain
 copy; its archive's capacity is the interpolation point count. Capacity is
@@ -19,18 +19,18 @@ Two deliberate filtering rules beyond plain top-k selection:
   swarm has contracted below that radius; the swarm pulls to its own global
   best, never to the archive's.
 
-Positions are stored as handed in and must not be mutated by the caller
-afterwards. The store is not synchronized; each optimization run owns its own
-instance.
+The archive owns its coordinates: it stores each position as a tuple of
+floats when the offer is stored, so a caller may reuse or overwrite the
+array it offered. The store is not synchronized; each optimization run owns
+its own instance.
 
-``version`` counts stored observations, so two reads with equal versions see
-the same stored set, and an offer refused at one version is refused again at
-that version. ``admission`` is the value an offer must beat to be stored:
-the worst stored value once the store is full, else ``inf``. An offer at or
-above it is refused, so a caller may skip it without changing the archive.
-A consumer that derives data from that set keeps it in ``memo`` together
-with the version it was derived at (the surrogate keeps its probe's record
-there: the version, the clipped minimizer and the value of a refused probe).
+``admission`` is the value an offer must beat to be stored: the worst
+stored value once the store is full, else ``inf``. An offer at or above it
+is refused, so a caller may skip it without changing the archive. ``memo``
+is one slot for a consumer's note on the stored set; every stored offer
+sets it to None and a refused offer leaves it as it is, so a note stands
+exactly while the set it describes does (the surrogate keeps there why the
+set makes no further probe).
 
 The surrogate reads the stored set through ``sorted_points()`` alone;
 ``best()`` serves callers that inspect an archive. An empty archive has no
@@ -61,12 +61,10 @@ class Archive:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = int(capacity)
-        self.version = 0  # bumped on every stored observation, never otherwise
         self.admission = math.inf  # worst stored value once full, else inf
-        self.memo = None  # consumer-owned cache, valid only for the version it names
+        self.memo = None  # consumer-owned note on the stored set; a store clears it
         self._values: list[float] = []
-        self._positions: list = []
-        self._points: list[tuple[float, ...]] = []  # float tuples, for math.dist
+        self._points: list[tuple[float, ...]] = []  # the positions, as math.dist takes them
 
     @property
     def size(self) -> int:
@@ -90,20 +88,20 @@ class Archive:
         if full:
             # The earliest observed of the tied worst entries.
             i = bisect_left(values, values[-1])
-            del values[i], self._positions[i], self._points[i]
+            del values[i], self._points[i]
         i = bisect_right(values, fx)
         values.insert(i, fx)
-        self._positions.insert(i, x)
         self._points.insert(i, point)
         if len(values) >= self.capacity:
             self.admission = values[-1]
-        self.version += 1
+        self.memo = None
         return True
 
     def best(self) -> ArchiveEntry:
         """The stored entry with the best value (ties: earliest observed)."""
-        return ArchiveEntry(self._values[0], self._positions[0])
+        return ArchiveEntry(self._values[0], np.array(self._points[0]))
 
-    def sorted_points(self) -> tuple[list[np.ndarray], list[float]]:
-        """All stored positions ordered best-first, plus parallel values."""
-        return list(self._positions), list(self._values)
+    def sorted_points(self) -> tuple[list[tuple[float, ...]], list[float]]:
+        """All stored positions ordered best-first, as float tuples, plus
+        parallel values."""
+        return list(self._points), list(self._values)

@@ -97,8 +97,9 @@ class BatchResult:
 
 def _quantiles(arr: np.ndarray, probs, axis=None) -> np.ndarray:
     """Type-7 quantiles of ``arr`` along ``axis``, also for samples holding
-    ``inf`` or ``-inf``: a run that saw only non-finite values ends at
-    ``inf``, and an objective may return ``-inf`` at a particle.
+    ``inf`` or ``-inf``. A run records every non-finite value as ``inf``,
+    so a run that saw only non-finite values ends at ``inf``, and ``-inf``
+    reaches this function only from a caller's own sample.
 
     numpy's linear method computes ``inf - inf`` or ``inf * 0`` next to an
     infinite order statistic. Where that gives NaN and the sample holds no

@@ -48,7 +48,7 @@ from typing import Optional
 import numpy as np
 
 from .archive import Archive
-from .objectives import Bounds, Objective, clip_to_bounds
+from .objectives import Objective, clip_to_bounds
 
 # Scaled pivot threshold for declaring a matrix singular.
 PIVOT_RTOL = 1e-10
@@ -316,52 +316,35 @@ def surrogate_attractor(
     ``required_points(objective.dimension)`` is: :func:`fit` raises
     :class:`ValueError` naming both counts.
 
-    The fit is redone only when the archive has stored a point since the
-    last fit. A probe the archive refused is not evaluated again while its
-    value does not beat ``gbest_value``: the call returns ``repeated`` where
-    evaluating it would return ``non_improving``. The cache lives on the
-    archive and keys on neither the objective, its bounds nor an evaluation
-    count, so an archive must serve one deterministic objective. A probe
-    ``x_min`` is read-only.
+    Each stored set is probed at most once. ``archive.memo`` is None while
+    the current set has made no probe, and otherwise names why it makes
+    none: ``singular_system`` or ``singular_quadratic`` after a degenerate
+    fit, ``repeated`` once its probe was evaluated. The archive clears the
+    memo whenever it stores a point, the probe included, so a probe the
+    archive refused is not evaluated again. For a caller whose
+    ``gbest_value`` never rises, as a swarm's does not, that evaluation
+    could only return ``non_improving``: the probe's value did not beat
+    ``gbest_value`` then, or was accepted and so became it. The memo keys
+    on neither the objective, its bounds nor an evaluation count, so an
+    archive must serve one deterministic objective.
     """
     if archive.size < archive.capacity:
         return _NO_PROBE[FALLBACK_TOO_FEW_POINTS]
-    memo = archive.memo
-    if memo is None or memo[0] != archive.version:
-        memo = archive.memo = _memo_record(archive, objective.bounds)
-    _, x_min, value = memo
-    if x_min is None:
-        return _NO_PROBE[value]  # a degenerate fit; value names why
-    if value is not None and not value < gbest_value:
-        return _NO_PROBE[FALLBACK_REPEATED]  # refused, and would be again
-    f_min = float(objective.evaluate(x_min))
-    if not math.isfinite(f_min):
-        f_min = math.inf
-    if not archive.observe(x_min, f_min):
-        memo[2] = f_min
-    reason = FALLBACK_NONE if f_min < gbest_value else FALLBACK_NON_IMPROVING
-    return SurrogateResult(reason, x_min, f_min)
-
-
-def _memo_record(archive: Archive, bounds: Bounds) -> list:
-    """Fit all stored points of the full archive; return the memo record
-    ``[version, x_min, value]``.
-
-    The record holds while the archive version is the one it names.
-    ``x_min`` is the minimizer clipped to ``bounds``, read-only since every
-    call at that version shares it, and ``value`` its probe's value once the
-    archive has refused the probe, else None. A degenerate fit has no
-    ``x_min``, and its ``value`` is the reason, ``singular_system`` or
-    ``singular_quadratic``.
-    """
+    if archive.memo is not None:
+        return _NO_PROBE[archive.memo]
     points, values = archive.sorted_points()
     reason = FALLBACK_SINGULAR_SYSTEM
     try:
         model = fit(np.array(points), values)
         reason = FALLBACK_SINGULAR_QUADRATIC
-        x_min = minimize(model)
+        x_min = clip_to_bounds(minimize(model), objective.bounds)
     except SingularMatrixError:
-        return [archive.version, None, reason]
-    x_min = clip_to_bounds(x_min, bounds)
-    x_min.flags.writeable = False
-    return [archive.version, x_min, None]
+        archive.memo = reason
+        return _NO_PROBE[reason]
+    archive.memo = FALLBACK_REPEATED
+    f_min = float(objective.evaluate(x_min))
+    if not math.isfinite(f_min):
+        f_min = math.inf
+    archive.observe(x_min, f_min)
+    reason = FALLBACK_NONE if f_min < gbest_value else FALLBACK_NON_IMPROVING
+    return SurrogateResult(reason, x_min, f_min)

@@ -43,7 +43,9 @@ one (2, n_particles, n) anchor buffer: row 0 holds the personal best
 positions, row 1 the global best position after the step's probe. So both
 pulls come from one subtraction of the positions and one multiply by block
 k of the pull table, and are added to the inertia term in the order of the
-formula.
+formula. The positions array moves in place: the archive stores its own
+copy of each point, and the personal and global bests are copied out of
+the array.
 
 The stagnation history is a ring of lookback + 1 lists of particle values:
 iteration k writes slot k % (lookback + 1) and compares with slot
@@ -229,10 +231,8 @@ class Swarm:
         tau, floor = config.tau, config.gamma_floor
         scale = []
         stagnant = False
-        # Positions are offered to the archive as row views, so the positions
-        # array must never be written in place; every step makes a new one.
-        # An offer the archive would refuse is not made: the version and the
-        # stored set are those of offering every particle.
+        # An offer the archive would refuse is not made: the stored set and
+        # the memo are those of offering every particle.
         admission = -math.inf if archive is None else archive.admission
         values = []
         saw_nonfinite = False
@@ -284,7 +284,7 @@ class Swarm:
             self.fallback_counts[probe.fallback_reason] += 1
             if not probe.used_fallback:
                 self.gbest_value = probe.f_min
-                self.gbest_position = probe.x_min.copy()
+                self.gbest_position = probe.x_min
 
         # omega_k * scale * v + (c1_k * r1) * (pbest - x) + (c2_k * r2) * (a - x),
         # with the same operations in the same order as the formula. While no
@@ -305,10 +305,9 @@ class Swarm:
         np.maximum(velocities, -vmax, out=velocities)
         np.minimum(velocities, vmax, out=velocities)
         self.velocities = velocities
-        positions = positions + velocities
+        positions += velocities
         np.maximum(positions, self._lo, out=positions)
         np.minimum(positions, self._hi, out=positions)
-        self.positions = positions
 
         self.trace.append(self.gbest_value)
         self.iteration += 1

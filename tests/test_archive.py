@@ -67,30 +67,48 @@ class TestObserve:
             Archive(0)
 
 
-class TestVersion:
-    def test_counts_stored_offers_while_filling_and_replacing(self):
+class TestMemo:
+    def test_every_stored_offer_clears_it_while_filling_and_replacing(self):
         archive = Archive(3)
-        assert archive.version == 0
+        assert archive.memo is None
         for i, v in enumerate([5.0, 4.0, 3.0, 2.0, 1.0]):
+            archive.memo = "note"
             assert archive.observe((float(i), 0.0), v)
-            assert archive.version == i + 1
+            assert archive.memo is None
 
     def test_rejected_offers_leave_it_unchanged(self):
         archive = fill(Archive(3), [1.0, 2.0, 3.0])
-        assert archive.version == 3
+        archive.memo = "note"
         assert not archive.observe((9.0, 9.0), 3.0)  # ties the worst
         assert not archive.observe((9.0, 9.0), 7.0)  # worse than the worst
         for bad in (math.nan, math.inf, -math.inf):
             assert not archive.observe((9.0, 9.0), bad)
         assert not archive.observe((0.0, 1e-13), 0.5)  # near-duplicate of (0, 0)
-        assert archive.version == 3
+        assert archive.memo == "note"
 
     def test_near_duplicate_rejected_while_filling(self):
         archive = Archive(3)
         archive.observe((1.0, 1.0), 5.0)
+        archive.memo = "note"
         assert not archive.observe((1.0, 1.0), 0.5)
         assert not archive.observe((2.0, 2.0), math.nan)
-        assert archive.version == 1
+        assert archive.memo == "note"
+
+
+class TestOwnsItsPoints:
+    def test_mutating_an_offered_array_leaves_the_archive_unchanged(self):
+        archive = Archive(3)
+        offered = [np.array([1.0, 2.0]), np.array([3.0, 4.0])]
+        for value, x in zip([1.0, 2.0], offered):
+            assert archive.observe(x, value)
+        for x in offered:
+            x[:] = 99.0
+        points, values = archive.sorted_points()
+        assert [tuple(p) for p in points] == [(1.0, 2.0), (3.0, 4.0)]
+        assert tuple(archive.best().position) == (1.0, 2.0)
+        # Nor does mutating what best() returned.
+        archive.best().position[:] = 99.0
+        assert tuple(archive.best().position) == (1.0, 2.0)
 
 
 class TestBest:
@@ -188,7 +206,6 @@ class _OracleArchive:
         self.capacity = capacity
         self.entries = []  # (value, observation number, position)
         self.observed = 0
-        self.version = 0
 
     def worst(self):
         return max(self.entries, key=lambda e: (e[0], -e[1]))
@@ -206,7 +223,6 @@ class _OracleArchive:
             self.entries.remove(self.worst())
         self.observed += 1
         self.entries.append((fx, self.observed, x))
-        self.version += 1
         return True
 
 
@@ -230,8 +246,10 @@ class TestAgainstOracle:
         archive = Archive(capacity)
         oracle = _OracleArchive(capacity)
         for x, fx in offers:
-            assert archive.observe(x, fx) == oracle.observe(x, fx)
-            assert archive.version == oracle.version
+            archive.memo = "note"
+            stored = archive.observe(x, fx)
+            assert stored == oracle.observe(x, fx)
+            assert archive.memo == (None if stored else "note")
             if not oracle.entries:
                 with pytest.raises(LookupError):
                     archive.best()
@@ -241,7 +259,8 @@ class TestAgainstOracle:
             points, values = archive.sorted_points()
             assert values == [e[0] for e in ordered]
             assert [tuple(p) for p in points] == [e[2] for e in ordered]
-            assert archive.best() == (ordered[0][0], ordered[0][2])
+            best = archive.best()
+            assert (best.value, tuple(best.position)) == (ordered[0][0], ordered[0][2])
 
     @settings(max_examples=300, deadline=None)
     @given(capacity=st.integers(1, 8), offers=_offers)
@@ -252,11 +271,13 @@ class TestAgainstOracle:
         for x, fx in offers:
             full = len(oracle.entries) == capacity
             assert archive.admission == (oracle.worst()[0] if full else math.inf)
-            admission, version = archive.admission, archive.version
+            admission, state = archive.admission, archive.sorted_points()
+            archive.memo = "note"
             stored = archive.observe(x, fx)
             assert stored == oracle.observe(x, fx)
             if not fx < admission:
-                assert not stored and archive.version == version
+                assert not stored and archive.memo == "note"
+                assert archive.sorted_points() == state
 
 
 class TestEntry:

@@ -6,14 +6,19 @@ output directory is replaced by a fixed token before hashing, so the digests
 do not depend on where the test runs. ``--no-timing`` zeroes the wall-clock
 columns, so every byte is deterministic.
 
-The file also records the numerics envelope, as ``reference_runs.json``
-does, and a mismatch names the first envelope field that differs.
+Both invocations run the surrogate variant, so the file holds one digest
+set per OpenBLAS kernel family, each with its numerics envelope, as
+``reference_runs.json`` does, and a mismatch names the first envelope field
+that differs.
 
-A change that alters an artifact on purpose re-records the file with
+A change that alters an artifact on purpose re-records the file, once per
+family, with
 
     PYTHONPATH=src python tests/test_artifacts.py
+    OPENBLAS_CORETYPE=Haswell PYTHONPATH=src python tests/test_artifacts.py
 
-which prints every digest that changed, and says so in its change notes.
+(the first on a host whose OpenBLAS picks the SkylakeX kernels), which
+print every digest that changed, and says so in its change notes.
 """
 
 import contextlib

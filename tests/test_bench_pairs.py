@@ -1,6 +1,7 @@
 """The no-regression rule of ``tools/bench_pairs.py`` on synthetic pairs."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -52,3 +53,38 @@ def test_dominance_resolves_a_wide_spread(bench_pairs):
     assert result(bench_pairs, "lower", parent, [1.0, 2.0, 3.0, 4.0, 5.0]) == "within bound"
     # one change run that does not beat every parent run leaves it unresolved
     assert result(bench_pairs, "higher", parent, [190.0, 200.0, 210.0, 220.0, 170.0]) == "unresolved"
+
+
+# A perfbench/run.py stand-in: one result line, or exit 1 at the seed named.
+STUB_RUN = """
+import json, sys
+seed = int(sys.argv[sys.argv.index("--seed") + 1])
+if seed == {fail_at}:
+    sys.exit("stub failure at seed %d" % seed)
+print(json.dumps({{"attempted": 4, "failed": 0, "metrics": {{"runs_per_s": {{"value": seed / 10}}}}}}))
+"""
+
+
+def stub_checkout(root: Path, fail_at: int) -> Path:
+    (root / "perfbench").mkdir(parents=True)
+    (root / "perfbench" / "run.py").write_text(STUB_RUN.format(fail_at=fail_at))
+    metric = {"name": "runs_per_s", "unit": "1/s", "better": "higher", "bound": 0.25}
+    (root / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [metric]}))
+    return root
+
+
+def test_a_failing_execution_keeps_the_finished_pairs(bench_pairs, tmp_path, capsys):
+    parent = stub_checkout(tmp_path / "parent", fail_at=-1)
+    change = stub_checkout(tmp_path / "change", fail_at=102)
+    out = tmp_path / "BENCH_stub.json"
+    argv = ["--parent", str(parent), "--change", str(change), "--workload", "w"]
+    argv += ["--seeds", "101", "102", "103", "--label", "stub", "--out", str(out)]
+    assert bench_pairs.main(argv) == 1
+    entry = json.loads(out.read_text())["workloads"]["w"]
+    assert list(entry["pairs"]) == ["101"]
+    assert entry["pairs"]["101"]["change"]["runs_per_s"] == 10.1
+    failure = entry["failure"]
+    # The second pair runs the change first, so the parent never ran seed 102.
+    assert (failure["side"], failure["seed"], failure["exit_code"]) == ("change", 102, 1)
+    assert "stub failure at seed 102" in failure["stderr_tail"]
+    assert "stub failure at seed 102" in capsys.readouterr().err

@@ -21,18 +21,25 @@ of every minimize (the stationary point, or the singular quadratic), for
 the surrogate variant on every benchmark row and every option case, seeds
 0-1.
 
-Each reference file also records, under ``envelope``, what the digests
-depend on besides the code: the numpy and scipy versions and the core name
-each one's bundled OpenBLAS picked. The surrogate digests hold only within
-one OpenBLAS kernel family, so a digest mismatch names the first envelope
+The surrogate digests hold only within one OpenBLAS kernel family, so
+each reference file holds one digest set per family, keyed by the family's
+core name in ``KERNEL_FAMILIES``. A process checks the set of the family its
+OpenBLAS cores belong to; a core outside the map fails the check, naming
+the core. The standard-variant digests are the same under every family and
+are kept once, in the ``all_families`` set. Each set records, under
+``envelope``, what its digests depend on besides the code: the numpy and
+scipy versions and, for a family's set, the core name each one's bundled
+OpenBLAS picked at recording. A digest mismatch names the first envelope
 field that differs from the recording; the test fails either way.
 
-A change that alters numerics or counts on purpose re-records both files
-with
+A change that alters numerics or counts on purpose re-records both files,
+once per family, with
 
     PYTHONPATH=src python tests/test_reference_runs.py
+    OPENBLAS_CORETYPE=Haswell PYTHONPATH=src python tests/test_reference_runs.py
 
-which prints every digest that changed, and says so in its change notes.
+(the first on a host whose OpenBLAS picks the SkylakeX kernels), which
+print every digest that changed, and says so in its change notes.
 """
 
 import ctypes
@@ -46,7 +53,7 @@ import pytest
 from qswarm import surrogate
 from qswarm.cli import BENCHMARK_ROWS
 from qswarm.objectives import Bounds, Objective, make_objective
-from qswarm.swarm import VARIANT_SURROGATE, VARIANTS, SwarmConfig, run
+from qswarm.swarm import VARIANT_STANDARD, VARIANT_SURROGATE, VARIANTS, SwarmConfig, run
 
 REFERENCE_FILE = Path(__file__).with_name("reference_runs.json")
 KERNEL_FILE = Path(__file__).with_name("reference_kernel.json")
@@ -63,6 +70,10 @@ OPENBLAS_CORES = {
     "scipy_openblas_core": ("scipy", "scipy_openblas_get_corename"),
 }
 ENVELOPE_FIELDS = ("numpy", "scipy", *OPENBLAS_CORES)
+# OpenBLAS core name -> the kernel family whose digests it reproduces.
+KERNEL_FAMILIES = {"SkylakeX": "SkylakeX", "Haswell": "Haswell", "Zen": "Haswell"}
+FAMILIES = sorted(set(KERNEL_FAMILIES.values()))
+ALL_FAMILIES = "all_families"  # the set of kernel-independent digests
 
 
 def openblas_core(package: str, symbol: str) -> str:
@@ -87,24 +98,46 @@ def envelope() -> dict[str, str]:
     return found
 
 
+def kernel_family(here: dict) -> str:
+    """The kernel family of both OpenBLAS cores of the envelope ``here``.
+
+    Raises :class:`LookupError` naming a core outside ``KERNEL_FAMILIES``,
+    or both cores when they belong to two families.
+    """
+    cores = [here[field] for field in OPENBLAS_CORES]
+    for core in cores:
+        if core not in KERNEL_FAMILIES:
+            raise LookupError(
+                f"OpenBLAS core {core!r} belongs to no recorded kernel family; "
+                f"digests are recorded for the cores {sorted(KERNEL_FAMILIES)}"
+            )
+    if len({KERNEL_FAMILIES[core] for core in cores}) > 1:
+        raise LookupError(f"the OpenBLAS cores {cores} belong to two kernel families")
+    return KERNEL_FAMILIES[cores[0]]
+
+
 def envelope_note(recorded: dict) -> str:
-    """Why recorded digests may not hold here: the first envelope field
-    that differs from the recording, or that none does."""
+    """Why recorded digests may not hold here: the first field of the
+    recorded envelope that differs from this process's, or that none does."""
     here = envelope()
     for field in ENVELOPE_FIELDS:
-        if recorded.get(field) != here[field]:
+        if field in recorded and recorded[field] != here[field]:
             return (
-                f"envelope field {field!r} differs: recorded {recorded.get(field)!r}, "
+                f"envelope field {field!r} differs: recorded {recorded[field]!r}, "
                 f"here {here[field]!r}; the digests are exact only within one envelope"
             )
     return "the envelope matches the recording, so the code changed the digests"
 
 
 def assert_recorded(path: Path, key: str, digests) -> None:
-    """``digests`` must equal those recorded under ``key`` in ``path``; a
-    mismatch names the first envelope field that differs."""
+    """``digests`` must equal those recorded under ``key`` in ``path``, in
+    the ``all_families`` set or else in the set of this process's kernel
+    family; a mismatch names the first envelope field that differs."""
     reference = json.loads(path.read_text(encoding="utf-8"))
-    assert digests == reference[key], envelope_note(reference.get(ENVELOPE, {}))
+    recorded = reference.get(ALL_FAMILIES, {})
+    if key not in recorded:
+        recorded = reference[kernel_family(envelope())]
+    assert digests == recorded[key], envelope_note(recorded[ENVELOPE])
 
 
 def run_digests(record) -> dict[str, str]:
@@ -214,27 +247,41 @@ def test_option_runs_match_recorded_digests(variant, case):
     assert_recorded(REFERENCE_FILE, option_key(variant, case), option_digests(variant, case))
 
 
+def variant_keys(variant) -> set[str]:
+    keys = {row_key(variant, row[0], row[1]) for row in BENCHMARK_ROWS}
+    return keys | {option_key(variant, case) for case in OPTION_CASES}
+
+
 def test_reference_file_holds_exactly_the_cases_run_here():
     # A deleted case must take its digests along; a case without digests
-    # fails here, without running the engine.
+    # fails here, without running the engine. Standard-variant digests are
+    # kept once, surrogate digests once per family.
     reference = json.loads(REFERENCE_FILE.read_text(encoding="utf-8"))
-    keys = {row_key(variant, row[0], row[1]) for variant in VARIANTS for row in BENCHMARK_ROWS}
-    keys |= {option_key(variant, case) for variant in VARIANTS for case in OPTION_CASES}
-    assert set(reference) == keys | {ENVELOPE}
+    assert set(reference) == {ALL_FAMILIES, *FAMILIES}
+    assert set(reference[ALL_FAMILIES]) == variant_keys(VARIANT_STANDARD) | {ENVELOPE}
+    for family in FAMILIES:
+        assert set(reference[family]) == variant_keys(VARIANT_SURROGATE) | {ENVELOPE}
 
 
 @pytest.mark.parametrize("name", ["reference_runs", "reference_kernel", "reference_artifacts"])
 def test_reference_file_records_the_envelope(name):
+    # Each family's set was recorded under a core of that family.
     reference = json.loads(REFERENCE_FILE.with_name(f"{name}.json").read_text(encoding="utf-8"))
-    assert set(reference[ENVELOPE]) == set(ENVELOPE_FIELDS)
+    assert set(reference) - {ALL_FAMILIES} == set(FAMILIES)
+    for family in FAMILIES:
+        recorded = reference[family][ENVELOPE]
+        assert set(recorded) == set(ENVELOPE_FIELDS)
+        assert kernel_family(recorded) == family
+    if ALL_FAMILIES in reference:
+        assert set(reference[ALL_FAMILIES][ENVELOPE]) == {"numpy", "scipy"}
 
 
 def kernel_digests(objective, particles, overrides=None) -> dict[str, str]:
     """Per seed, a sha256 over the output of every ``fit`` and ``minimize``
     call of a surrogate run, in call order, plus the number of fits.
 
-    Both names are replaced where ``surrogate._memo_record`` looks them up,
-    the module globals, as the benchmark's tracer does.
+    Both names are replaced where ``surrogate.surrogate_attractor`` looks
+    them up, the module globals, as the benchmark's tracer does.
     """
     real_fit, real_minimize = surrogate.fit, surrogate.minimize
     digests = {}
@@ -334,34 +381,38 @@ def leaf_digests(tree: dict, prefix: str = "") -> dict[str, str]:
     return leaves
 
 
-def rewrite(path: Path, recorded: dict) -> None:
-    """Write ``recorded`` and this process's envelope to ``path``; print the
-    envelope and every digest that changed."""
+def rewrite(path: Path, recorded: dict, shared: dict | None = None) -> None:
+    """Write ``recorded`` to ``path`` as the set of this process's kernel
+    family, and ``shared``, when given, as the ``all_families`` set, each
+    with this process's envelope; keep the other families' sets. Print the
+    envelope and every digest or envelope field that changed."""
     old = json.loads(path.read_text(encoding="utf-8")) if path.exists() else {}
-    old.pop(ENVELOPE, None)
     here = envelope()
-    text = json.dumps({ENVELOPE: here, **recorded}, indent=1, sort_keys=True)
-    path.write_text(text + "\n", encoding="utf-8")
-    was, now = leaf_digests(old), leaf_digests(recorded)
+    family = kernel_family(here)
+    new = {**old, family: {ENVELOPE: here, **recorded}}
+    if shared is not None:
+        versions = {field: here[field] for field in ("numpy", "scipy")}
+        new[ALL_FAMILIES] = {ENVELOPE: versions, **shared}
+    path.write_text(json.dumps(new, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    was, now = leaf_digests(old), leaf_digests(new)
     changed = sorted(leaf for leaf in was.keys() | now.keys() if was.get(leaf) != now.get(leaf))
-    print(f"wrote {len(recorded)} rows to {path}; {len(changed)} digests changed")
+    rows = len(recorded) + len(shared or {})
+    print(f"wrote {rows} rows ({family} family) to {path}; {len(changed)} entries changed")
     print("  envelope: " + ", ".join(f"{field} {here[field]}" for field in ENVELOPE_FIELDS))
     for line in changed:
         print(f"  changed: {line}")
 
 
-if __name__ == "__main__":
-    recorded = {
-        row_key(variant, row[0], row[1]): row_digests(variant, *row[:4])
-        for variant in VARIANTS
-        for row in BENCHMARK_ROWS
+def variant_digests(variant) -> dict:
+    digests = {
+        row_key(variant, row[0], row[1]): row_digests(variant, *row[:4]) for row in BENCHMARK_ROWS
     }
-    recorded.update(
-        (option_key(variant, case), option_digests(variant, case))
-        for variant in VARIANTS
-        for case in OPTION_CASES
-    )
-    rewrite(REFERENCE_FILE, recorded)
+    digests.update((option_key(variant, case), option_digests(variant, case)) for case in OPTION_CASES)
+    return digests
+
+
+if __name__ == "__main__":
+    rewrite(REFERENCE_FILE, variant_digests(VARIANT_SURROGATE), variant_digests(VARIANT_STANDARD))
     kernel = {f"{row[0]}_{row[1]}d": row_kernel_digests(*row[:4]) for row in BENCHMARK_ROWS}
     kernel.update((f"option:{case}", option_kernel_digests(case)) for case in OPTION_CASES)
     rewrite(KERNEL_FILE, kernel)

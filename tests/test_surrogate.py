@@ -849,8 +849,9 @@ class TestResultValidation:
 
 
 class TestProposalMemo:
-    """The proposal is refit only when the archive stores a point; hits must
-    reproduce a fresh fit bit for bit."""
+    """Each stored set is fitted and probed at most once: the archive's memo
+    names why the set makes no further probe, and a store clears it. A probe
+    reproduces a fresh fit bit for bit."""
 
     @staticmethod
     def bowl_archive():
@@ -893,16 +894,15 @@ class TestProposalMemo:
         fits = self.counting_fit(monkeypatch)
         weak_best = 1e9
         first = surrogate_attractor(archive, objective, weak_best)
-        version = archive.version
-        second = surrogate_attractor(archive, objective, weak_best)
-        assert archive.version == version
+        assert not first.used_fallback and first.f_min == 1e6
+        assert np.array_equal(first.x_min, self.fresh_proposal(archive, objective.bounds))
+        # The archive refused the accepted probe, whose value is now the
+        # incumbent: the stored set makes no second probe.
+        assert archive.memo == FALLBACK_REPEATED
+        second = surrogate_attractor(archive, objective, first.f_min)
+        assert_no_probe(second, FALLBACK_REPEATED)
         assert len(fits) == 1
-        assert len(evaluations) == 2  # a hit still evaluates the proposal
-        assert not second.used_fallback
-        assert second.f_min == 1e6
-        assert np.array_equal(second.x_min, first.x_min)
-        assert np.array_equal(second.x_min, self.fresh_proposal(archive, objective.bounds))
-        assert not second.x_min.flags.writeable
+        assert len(evaluations) == 1
 
     def test_stored_observation_invalidates(self, monkeypatch):
         archive = self.bowl_archive()
@@ -925,23 +925,20 @@ class TestProposalMemo:
         first = surrogate_attractor(archive, objective, strong_best)
         assert first.fallback_reason == FALLBACK_NON_IMPROVING
         assert len(evaluations) == 1
-        version = archive.version
         points, values = archive.sorted_points()
         second = surrogate_attractor(archive, objective, strong_best)
         assert_no_probe(second, FALLBACK_REPEATED)
         assert len(evaluations) == 1
         assert len(fits) == 1
-        assert archive.version == version
-        again_points, again_values = archive.sorted_points()
-        assert again_values == values
-        assert all(a is b for a, b in zip(again_points, points))
+        assert archive.sorted_points() == (points, values)
         # The skipped probe is the one evaluated: without the memo, the call
         # evaluates it again, and it is refused again.
         archive.memo = None
         third = surrogate_attractor(archive, objective, strong_best)
         assert third.fallback_reason == FALLBACK_NON_IMPROVING
         assert probe_bytes(third) == probe_bytes(first)
-        assert archive.version == version
+        assert archive.sorted_points() == (points, values)
+        assert archive.memo == FALLBACK_REPEATED
 
     @pytest.mark.parametrize("bad", [-math.inf, math.nan, math.inf])
     def test_non_finite_probe_value_counts_as_inf(self, bad):
@@ -954,12 +951,10 @@ class TestProposalMemo:
 
         objective = Objective("holed", 2, Bounds.symmetric(10.0, 2), evaluate)
         weak_best = 1e9
-        version = archive.version
         first = surrogate_attractor(archive, objective, weak_best)
         assert first.fallback_reason == FALLBACK_NON_IMPROVING
         assert first.f_min == math.inf
-        assert archive.version == version
-        # The probe is kept as inf, which beats no incumbent, not even inf.
+        assert archive.memo == FALLBACK_REPEATED  # the archive refused it
         second = surrogate_attractor(archive, objective, math.inf)
         assert_no_probe(second, FALLBACK_REPEATED)
         assert len(calls) == 1
@@ -1029,7 +1024,9 @@ class TestProposalMemo:
     def memo_sequence(self, seed, reasons):
         """Drive a memo archive and a reference archive, whose memo is
         cleared before every call, through one random sequence of offers
-        and calls; every result and every stored point must agree."""
+        and calls with a nonincreasing incumbent, as a swarm's is; every
+        result and every stored point must agree, and only a stored offer
+        clears the memo."""
         rng = np.random.default_rng(seed)
         f = self.MEMO_OBJECTIVES[seed % 3]
         evaluations = []
@@ -1045,7 +1042,6 @@ class TestProposalMemo:
         memo, reference = Archive(capacity), Archive(capacity)
         collinear = rng.random() < 0.25  # every offer on one line: singular_system
         direction = rng.normal(size=2)
-        arbitrary = rng.random() < 0.5  # else the incumbent never rises
         incumbent = math.inf
         offered, evaluated = [], 0
         for _ in range(40):
@@ -1058,13 +1054,13 @@ class TestProposalMemo:
                     x = rng.uniform(-2.0, 2.0, size=2)
                 value = f(x) if rng.random() < 0.9 else float(rng.choice([math.inf, math.nan, 50.0]))
                 offered.append(x)
-                assert memo.observe(x, value) == reference.observe(x, value)
+                before = memo.memo
+                stored = memo.observe(x, value)
+                assert stored == reference.observe(x, value)
+                assert memo.memo == (None if stored else before)
                 if math.isfinite(value):
                     incumbent = min(incumbent, value)
                 continue
-            if arbitrary:
-                stored = reference.sorted_points()[1] or [0.0]
-                incumbent = float(rng.choice([rng.normal() * 5.0, rng.choice(stored), math.inf]))
             result = surrogate_attractor(memo, memo_objective, incumbent)
             reference.memo = None
             expected = surrogate_attractor(reference, reference_objective, incumbent)
@@ -1077,15 +1073,14 @@ class TestProposalMemo:
             else:
                 assert expected.fallback_reason == reason
                 assert probe_bytes(result) == probe_bytes(expected)
-            assert memo.version == reference.version
             if reference.size:
                 points, values = memo.sorted_points()
                 reference_points, reference_values = reference.sorted_points()
                 assert values == reference_values
-                assert [p.tobytes() for p in points] == [p.tobytes() for p in reference_points]
+                assert np.array(points).tobytes() == np.array(reference_points).tobytes()
             evaluated += result.evaluated
             assert len(evaluations) == evaluated
-            if not arbitrary and reason == FALLBACK_NONE:
+            if reason == FALLBACK_NONE:
                 incumbent = result.f_min
 
     def test_memo_matches_refitting_and_evaluating_every_call(self):
@@ -1112,26 +1107,49 @@ class TestProposalMemo:
     @settings(max_examples=300, deadline=None)
     @given(stream=STREAM)
     def test_fit_runs_exactly_when_the_full_archive_stored_a_point(self, stream):
-        # Counted through the module global, where the probe looks fit up.
+        # Stores are seen through observe's return value, the probe's
+        # included; fits through the module global, where the probe looks
+        # fit up. The incumbent never rises, as a swarm's does not.
         fits = []
+        stored = True  # the archive stored a point since the last fit
+        probed = False  # the objective was evaluated on the current stored set
         real_fit = surrogate.fit
 
         def counting(points, values):
             fits.append(1)
             return real_fit(points, values)
 
-        objective = Objective("ripple", 2, Bounds.symmetric(2.0, 2), self.MEMO_OBJECTIVES[2])
+        def ripple(x):
+            nonlocal probed
+            assert not probed, "a stored set was evaluated twice"
+            probed = True
+            return self.MEMO_OBJECTIVES[2](x)
+
+        objective = Objective("ripple", 2, Bounds.symmetric(2.0, 2), ripple)
         archive = Archive(required_points(2))
-        fitted_version = None  # the archive version of the last fit
+        real_observe = archive.observe
+
+        def observe(x, fx):
+            nonlocal stored, probed
+            if not real_observe(x, fx):
+                return False
+            stored, probed = True, False
+            return True
+
+        incumbent = math.inf
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(surrogate, "fit", counting)
+            patch.setattr(archive, "observe", observe)
             for kind, *args in stream:
                 if kind == "offer":
                     archive.observe(np.array(args[0]), args[1])
                     continue
-                full, version, before = archive.size == archive.capacity, archive.version, len(fits)
-                surrogate_attractor(archive, objective, args[0])
-                refit = full and version != fitted_version
-                assert len(fits) - before == refit
+                incumbent = min(incumbent, args[0])
+                refit = archive.size == archive.capacity and stored
                 if refit:
-                    fitted_version = version
+                    stored = False
+                before = len(fits)
+                result = surrogate_attractor(archive, objective, incumbent)
+                assert len(fits) - before == refit
+                if not result.used_fallback:
+                    incumbent = result.f_min

@@ -492,7 +492,7 @@ class TestAttractorIsTheGlobalBest:
         np.testing.assert_array_equal(swarm.gbest_position, line[0])
         contracted = line.copy()
         contracted[0, 0] -= 4e-13
-        swarm.positions = contracted
+        swarm.positions = contracted.copy()
         swarm.step()
         assert swarm.fallback_counts[FALLBACK_SINGULAR_SYSTEM] == 2
         stored = swarm.archive.best()

@@ -31,6 +31,11 @@ parent run; ``within bound`` otherwise.
 must win at least 9 of 10 pairs (the same share of any pair count), and its
 median must beat the parent's by more than the parent's quartile spread,
 with no more failed runs than the parent. The exit code is 0 when the pairs ran, whatever the verdict.
+
+When an execution exits non-zero or prints nothing, no further one runs:
+the file gets the pairs finished so far and, under ``failure``, the failing
+side, its seed, its exit code and the tail of its stderr, and the exit code
+is 1.
 """
 
 from __future__ import annotations
@@ -61,8 +66,14 @@ def quartiles(values) -> dict:
     return {"median": percentile(values, 50), "q1": percentile(values, 25), "q3": percentile(values, 75)}
 
 
+class SideFailed(Exception):
+    """A ``perfbench/run.py`` execution that exited non-zero or printed
+    nothing; its ``args`` are the exit code and the tail of its stderr."""
+
+
 def run_side(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    """One ``perfbench/run.py`` execution; its last stdout line as a dict."""
+    """One ``perfbench/run.py`` execution; its last stdout line as a dict.
+    Raises :class:`SideFailed` when the execution fails."""
     command = [
         sys.executable, "perfbench/run.py", "--workload", workload,
         "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace),
@@ -70,7 +81,7 @@ def run_side(checkout: Path, workload: str, seed: int, seconds: float, trace: in
     proc = subprocess.run(command, cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
-        raise SystemExit(f"{checkout}: {' '.join(command)} exited {proc.returncode}\n{proc.stderr[-2000:]}")
+        raise SideFailed(proc.returncode, proc.stderr[-2000:])
     result = json.loads(lines[-1])
     flat = {"attempted": result["attempted"], "failed": result["failed"]}
     flat.update({name: entry["value"] for name, entry in result["metrics"].items()})
@@ -179,19 +190,27 @@ def main(argv=None) -> int:
         "command", f"python3 perfbench/run.py --workload <w> --seed <s> --seconds {args.seconds:g} --trace 0"
     )
 
-    pairs = {}
+    pairs, failure = {}, None
     for j, seed in enumerate(args.seeds):
         parent_first = j % 2 == 0
         sides = ("parent", "change") if parent_first else ("change", "parent")
         pair = {}
-        for side in sides:
-            checkout = args.parent if side == "parent" else args.change
-            pair[side] = {"first": side == sides[0], **run_side(checkout, args.workload, seed, args.seconds, args.trace)}
+        try:
+            for side in sides:
+                checkout = args.parent if side == "parent" else args.change
+                pair[side] = {"first": side == sides[0], **run_side(checkout, args.workload, seed, args.seconds, args.trace)}
+        except SideFailed as error:
+            exit_code, stderr_tail = error.args
+            failure = {"side": side, "seed": seed, "exit_code": exit_code, "stderr_tail": stderr_tail}
+            break
         pairs[str(seed)] = {"parent": pair["parent"], "change": pair["change"]}
         line = {side: pair[side].get(args.claim) for side in ("parent", "change")} if args.claim else {}
         print(f"pair {j + 1}/{len(args.seeds)} seed {seed}: {line}", file=sys.stderr, flush=True)
 
-    if args.trace:
+    if failure is not None:
+        group = record.setdefault("traced" if args.trace else "workloads", {})
+        group[args.workload] = {"seeds": args.seeds, "pairs": pairs, "failure": failure}
+    elif args.trace:
         traced = record.setdefault("traced", {})
         traced[args.workload] = {
             "command": f"python3 perfbench/run.py --workload {args.workload} --seed <s> --seconds {args.seconds:g} --trace 1",
@@ -220,6 +239,13 @@ def main(argv=None) -> int:
             print(text)
     out.write_text(json.dumps(record, indent=1) + "\n")
     print(f"wrote {out}", file=sys.stderr)
+    if failure is not None:
+        print(
+            f"the {failure['side']} side failed at seed {failure['seed']}, exit code "
+            f"{failure['exit_code']}; {len(pairs)} finished pairs kept\n{failure['stderr_tail']}",
+            file=sys.stderr,
+        )
+        return 1
     return 0
 
 
