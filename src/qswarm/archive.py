@@ -46,6 +46,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .objectives import require_int
+
 DUPLICATE_EPS = 1e-12
 
 
@@ -58,8 +60,7 @@ class Archive:
     """Best-first store of the ``capacity`` lowest-valued entries."""
 
     def __init__(self, capacity: int):
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
+        require_int("capacity", capacity, minimum=1)
         self.capacity = int(capacity)
         self.admission = math.inf  # worst stored value once full, else inf
         self.memo = None  # consumer-owned note on the stored set; a store clears it

@@ -59,11 +59,7 @@ class BatchSpec:
 
     def __post_init__(self):
         for name in ("n_runs", "jobs"):
-            require_int(name, getattr(self, name))
-        if self.n_runs < 1:
-            raise ValueError("n_runs must be >= 1")
-        if self.jobs < 1:
-            raise ValueError("jobs must be >= 1")
+            require_int(name, getattr(self, name), minimum=1)
         if not self.variants:
             raise ValueError("variants must name at least one variant")
         if len(set(self.variants)) < len(self.variants):

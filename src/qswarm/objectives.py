@@ -23,11 +23,14 @@ class UnknownObjectiveError(ValueError):
     """Raised when an objective name is not present in the registry."""
 
 
-def require_int(name: str, value) -> None:
+def require_int(name: str, value, minimum: Optional[int] = None) -> None:
     """Refuse ``value`` for the count or seed ``name`` unless it is an
-    integer, numpy's included; a bool is refused, though it subclasses int."""
+    integer, numpy's included, and at least ``minimum`` when one is given;
+    a bool is refused, though it subclasses int."""
     if not isinstance(value, numbers.Integral) or isinstance(value, bool):
         raise ValueError(f"{name} must be an int, not {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}")
 
 
 def _coords(x) -> list[float]:
@@ -118,9 +121,7 @@ class Objective:
     evaluate: Callable[[np.ndarray], float]
 
     def __post_init__(self):
-        require_int("dimension", self.dimension)
-        if self.dimension < 1:
-            raise ValueError("dimension must be >= 1")
+        require_int("dimension", self.dimension, minimum=1)
         if self.bounds.dimension != self.dimension:
             raise ValueError("bounds dimension does not match objective dimension")
 

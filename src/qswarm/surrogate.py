@@ -48,7 +48,7 @@ from typing import Optional
 import numpy as np
 
 from .archive import Archive
-from .objectives import Objective, clip_to_bounds
+from .objectives import Objective, clip_to_bounds, require_int
 
 # Scaled pivot threshold for declaring a matrix singular.
 PIVOT_RTOL = 1e-10
@@ -138,8 +138,7 @@ def _pivot_below(diagonal: list[float], threshold: float) -> bool:
 
 def required_points(dimension: int) -> int:
     """Number of distinct samples that uniquely determine the quadratic."""
-    if dimension < 1:
-        raise ValueError("dimension must be >= 1")
+    require_int("dimension", dimension, minimum=1)
     return (dimension + 1) * (dimension + 2) // 2
 
 
@@ -266,11 +265,11 @@ def fit(points, values) -> QuadraticModel:
     if info > 0:
         raise SingularMatrixError("SVD did not converge")
     # sigma is in descending order, so the floor changes nothing when the
-    # smallest value clears it.
+    # smallest value clears it; when every extent is 0, it makes them all 1.
     extents = sigma.tolist()
-    top = extents[0]
-    if not extents[-1] > top * 1e-15:
-        sigma = np.where(sigma > top * 1e-15, sigma, 1.0) if top > 0 else np.ones(dim)
+    floor = extents[0] * 1e-15
+    if not extents[-1] > floor:
+        sigma = np.where(sigma > floor, sigma, 1.0)
     # rows: principal directions over their extents. LAPACK's vt is
     # Fortran-ordered; a C-ordered w keeps the products below on the BLAS
     # path, and so the bits, of np.linalg.svd's output.

@@ -47,14 +47,15 @@ formula. The positions array moves in place: the archive stores its own
 copy of each point, and the personal and global bests are copied out of
 the array.
 
-The stagnation history is a ring of lookback + 1 lists of particle values:
-iteration k writes slot k % (lookback + 1) and compares with slot
-(k - lookback) % (lookback + 1), which it reads before evaluating. Each
-particle's multiplier is decided in the evaluation loop as soon as its value
-is known, and the step notes whether any particle is stagnant. The inertia
-scale ``omega_scale`` is the list of the latest multipliers, 1 or tau per
-particle; while no particle is stagnant the inertia term is ``omega_k * v``,
-which has the bits of ``(omega_k * scale) * v``.
+The swarm keeps one record of particle values: iteration k appends the list
+of its particles' values, a non-finite value stored as ``inf``, so the
+record's length is the number of iterations run and entry k - lookback is
+the stagnation window iteration k compares with. Each particle's multiplier,
+1 or tau, is decided in the evaluation loop as soon as its value is known,
+and the step notes whether any particle is stagnant; while none is, the
+inertia term is ``omega_k * v``, which has the bits of
+``(omega_k * scale) * v``. A run's ``nonfinite_iterations`` are the entries
+of the record that hold ``inf``, which no finite value equals.
 """
 
 from __future__ import annotations
@@ -102,16 +103,9 @@ class SwarmConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("dimension", "n_particles", "iterations", "lookback", "seed"):
-            require_int(name, getattr(self, name))
-        if self.dimension < 1:
-            raise ValueError("dimension must be >= 1")
-        if self.n_particles < 1:
-            raise ValueError("n_particles must be >= 1")
-        if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
-        if self.lookback < 1:
-            raise ValueError("lookback must be >= 1")
+        for name in ("dimension", "n_particles", "iterations", "lookback"):
+            require_int(name, getattr(self, name), minimum=1)
+        require_int("seed", self.seed)
         for name in ("omega0", "c1_0", "c2_0", "vmax0", "tau", "gamma_floor"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
@@ -194,26 +188,25 @@ class Swarm:
         self._anchors = np.empty((2, n_particles, n))
         self._anchors[0] = self.positions
         self.pbest_values = [math.inf] * n_particles
-        self.omega_scale = [1.0] * n_particles
         self.gbest_position = self.positions[0].copy()
         self.gbest_value = math.inf
-        self._history: list[Optional[list[float]]] = [None] * (config.lookback + 1)
+        # One list of particle values per iteration run, non-finite ones as inf.
+        self._values: list[list[float]] = []
 
         if config.variant == VARIANT_SURROGATE:
             self.archive: Optional[Archive] = Archive(required_points(n))
         else:
             self.archive = None
 
-        self.iteration = 0
         self.evaluations = 0
         self.trace: list[float] = []
         self.fallback_counts = {reason: 0 for reason in FALLBACK_REASONS}
-        self.nonfinite_iterations: list[int] = []
 
     def step(self):
         """One full iteration: evaluate, update bests, attract, move."""
         config = self.config
-        k = self.iteration
+        record = self._values
+        k = len(record)
         if k >= config.iterations:
             raise ValueError(f"the run has {config.iterations} iterations")
         positions = self.positions
@@ -224,10 +217,8 @@ class Swarm:
         pbest_positions = anchors[0]
         pbest_values = self.pbest_values
         lookback = config.lookback
-        history = self._history
-        # The values of iteration k - lookback; the slot is still empty
-        # (None) until k reaches the lookback, and it is never slot k's.
-        past = history[(k - lookback) % (lookback + 1)]
+        # The values of iteration k - lookback; none before k reaches it.
+        past = record[k - lookback] if k >= lookback else None
         tau, floor = config.tau, config.gamma_floor
         scale = []
         stagnant = False
@@ -235,13 +226,11 @@ class Swarm:
         # the memo are those of offering every particle.
         admission = -math.inf if archive is None else archive.admission
         values = []
-        saw_nonfinite = False
         isfinite = math.isfinite
         for i, x in enumerate(positions):
             value = float(evaluate(x))
             if not isfinite(value):
                 value = math.inf
-                saw_nonfinite = True
             values.append(value)
             if value < pbest_values[i]:
                 pbest_values[i] = value
@@ -266,11 +255,7 @@ class Swarm:
                 else:
                     scale.append(1.0)
         self.evaluations += len(values)
-        if saw_nonfinite:
-            self.nonfinite_iterations.append(k)
-        history[k % (lookback + 1)] = values
-        if past is not None:
-            self.omega_scale = scale
+        record.append(values)
 
         best = min(values)
         if best < self.gbest_value:
@@ -310,7 +295,6 @@ class Swarm:
         np.minimum(positions, self._hi, out=positions)
 
         self.trace.append(self.gbest_value)
-        self.iteration += 1
 
 
 def run(config: SwarmConfig, objective: Objective, timing: bool = True) -> RunRecord:
@@ -334,6 +318,6 @@ def run(config: SwarmConfig, objective: Objective, timing: bool = True) -> RunRe
         final_value=swarm.gbest_value,
         evaluations=swarm.evaluations,
         fallback_counts=dict(swarm.fallback_counts),
-        nonfinite_iterations=tuple(swarm.nonfinite_iterations),
+        nonfinite_iterations=tuple(k for k, values in enumerate(swarm._values) if math.inf in values),
         wall_time=wall,
     )

@@ -63,8 +63,13 @@ class TestObserve:
         assert all(b <= a for a, b in zip(worst_values, worst_values[1:]))
 
     def test_capacity_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^capacity must be >= 1$"):
             Archive(0)
+        # Neither truncated nor read as 1: a capacity is an int, and no bool.
+        for value in (2.5, 2.0, True, np.bool_(True), "3", None):
+            with pytest.raises(ValueError, match="^capacity must be an int"):
+                Archive(value)
+        assert Archive(np.int64(3)).capacity == 3
 
 
 class TestMemo:

@@ -55,19 +55,23 @@ def test_dominance_resolves_a_wide_spread(bench_pairs):
     assert result(bench_pairs, "higher", parent, [190.0, 200.0, 210.0, 220.0, 170.0]) == "unresolved"
 
 
-# A perfbench/run.py stand-in: one result line, or exit 1 at the seed named.
+# A perfbench/run.py stand-in: one result line; at the seed named, exit 1,
+# or exit 0 after printing the line given instead of the result.
 STUB_RUN = """
 import json, sys
 seed = int(sys.argv[sys.argv.index("--seed") + 1])
 if seed == {fail_at}:
+    if {bad_line!r} is not None:
+        print({bad_line!r})
+        sys.exit(0)
     sys.exit("stub failure at seed %d" % seed)
 print(json.dumps({{"attempted": 4, "failed": 0, "metrics": {{"runs_per_s": {{"value": seed / 10}}}}}}))
 """
 
 
-def stub_checkout(root: Path, fail_at: int) -> Path:
+def stub_checkout(root: Path, fail_at: int, bad_line=None) -> Path:
     (root / "perfbench").mkdir(parents=True)
-    (root / "perfbench" / "run.py").write_text(STUB_RUN.format(fail_at=fail_at))
+    (root / "perfbench" / "run.py").write_text(STUB_RUN.format(fail_at=fail_at, bad_line=bad_line))
     metric = {"name": "runs_per_s", "unit": "1/s", "better": "higher", "bound": 0.25}
     (root / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [metric]}))
     return root
@@ -88,3 +92,30 @@ def test_a_failing_execution_keeps_the_finished_pairs(bench_pairs, tmp_path, cap
     assert (failure["side"], failure["seed"], failure["exit_code"]) == ("change", 102, 1)
     assert "stub failure at seed 102" in failure["stderr_tail"]
     assert "stub failure at seed 102" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "bad_line",
+    [
+        "Traceback (most recent call last): not a result",
+        '{"attempted": 4, "failed": 0}',
+        '{"attempted": 4, "failed": 0, "metrics": {"runs_per_s": 3.5}}',
+        "[1, 2]",
+    ],
+)
+def test_a_malformed_result_line_keeps_the_finished_pairs(bench_pairs, tmp_path, capsys, bad_line):
+    parent = stub_checkout(tmp_path / "parent", fail_at=102, bad_line=bad_line)
+    change = stub_checkout(tmp_path / "change", fail_at=-1)
+    out = tmp_path / "BENCH_stub.json"
+    argv = ["--parent", str(parent), "--change", str(change), "--workload", "w"]
+    argv += ["--seeds", "101", "102", "103", "--label", "stub", "--out", str(out)]
+    assert bench_pairs.main(argv) == 1
+    entry = json.loads(out.read_text())["workloads"]["w"]
+    assert list(entry["pairs"]) == ["101"]
+    assert entry["pairs"]["101"]["parent"]["runs_per_s"] == 10.1
+    failure = entry["failure"]
+    # The change ran seed 102 first; the parent's execution exited 0.
+    assert (failure["side"], failure["seed"], failure["exit_code"]) == ("parent", 102, 0)
+    assert failure["stderr_tail"].startswith("malformed result line")
+    assert bad_line in failure["stderr_tail"]
+    assert "malformed result line" in capsys.readouterr().err

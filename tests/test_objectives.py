@@ -9,6 +9,8 @@ import math
 import numpy as np
 import pytest
 
+from qswarm.archive import Archive
+from qswarm.experiments import BatchSpec
 from qswarm.objectives import (
     Bounds,
     Objective,
@@ -22,6 +24,8 @@ from qswarm.objectives import (
     make_objective,
     objective_names,
 )
+from qswarm.surrogate import required_points
+from qswarm.swarm import SwarmConfig
 
 # Independent one-expression oracles (kept deliberately separate from the
 # package implementations).
@@ -248,3 +252,28 @@ class TestIntegerFields:
         for value in (2.0, True):
             with pytest.raises(ValueError, match="^dimension must be an int"):
                 make_objective("sphere", value)
+
+    def test_every_count_follows_one_rule(self):
+        # A count is an int of at least 1, and each holder names its field
+        # in the same words.
+        box = Bounds.symmetric(1.0, 2)
+        config = SwarmConfig(2, 4, box)
+        holders = {
+            "SwarmConfig.dimension": ("dimension", lambda v: SwarmConfig(v, 4, box)),
+            "SwarmConfig.n_particles": ("n_particles", lambda v: SwarmConfig(2, v, box)),
+            "SwarmConfig.iterations": ("iterations", lambda v: SwarmConfig(2, 4, box, iterations=v)),
+            "SwarmConfig.lookback": ("lookback", lambda v: SwarmConfig(2, 4, box, lookback=v)),
+            "BatchSpec.n_runs": ("n_runs", lambda v: BatchSpec("sphere", config, n_runs=v)),
+            "BatchSpec.jobs": ("jobs", lambda v: BatchSpec("sphere", config, n_runs=1, jobs=v)),
+            "Objective.dimension": ("dimension", lambda v: Objective("sphere", v, box, eval_sphere)),
+            "Archive.capacity": ("capacity", Archive),
+            "required_points.dimension": ("dimension", required_points),
+        }
+        for holder, (name, make) in holders.items():
+            for value in (0, -3):
+                with pytest.raises(ValueError) as err:
+                    make(value)
+                assert str(err.value) == f"{name} must be >= 1", holder
+            for value in (2.5, 2.0, True, "3", None):
+                with pytest.raises(ValueError, match=f"^{name} must be an int"):
+                    make(value)

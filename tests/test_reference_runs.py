@@ -53,7 +53,7 @@ import pytest
 from qswarm import surrogate
 from qswarm.cli import BENCHMARK_ROWS
 from qswarm.objectives import Bounds, Objective, make_objective
-from qswarm.swarm import VARIANT_STANDARD, VARIANT_SURROGATE, VARIANTS, SwarmConfig, run
+from qswarm.swarm import VARIANT_STANDARD, VARIANT_SURROGATE, VARIANTS, Swarm, SwarmConfig, run
 
 REFERENCE_FILE = Path(__file__).with_name("reference_runs.json")
 KERNEL_FILE = Path(__file__).with_name("reference_kernel.json")
@@ -367,6 +367,44 @@ def test_nonfinite_case_hits_every_hole():
     for seed in OPTION_SEEDS:
         config = SwarmConfig(dimension=2, n_particles=6, bounds=bounds, seed=seed)
         run(config, objective, timing=False)
+    assert seen == {"nan", "-inf", "inf"}
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_nonfinite_iterations_are_those_of_a_nonfinite_particle_value(variant, monkeypatch):
+    # The objective records, per step, the values it returned in call order:
+    # the particles' first, then the surrogate probe's, if one was made. A
+    # run flags exactly the steps where some particle's value was NaN, -inf
+    # or +inf.
+    bounds = Bounds.symmetric(10.0, 2)
+    steps = []
+    real_step = Swarm.step
+
+    def step(swarm):
+        steps.append([])
+        real_step(swarm)
+
+    def recording(x):
+        value = holed_sphere(x)
+        steps[-1].append(value)
+        return value
+
+    monkeypatch.setattr(Swarm, "step", step)
+    objective = Objective(name="holed", dimension=2, bounds=bounds, evaluate=recording)
+    seen = set()
+    for seed in range(5):
+        config = SwarmConfig(dimension=2, n_particles=6, bounds=bounds, variant=variant, seed=seed)
+        steps.clear()
+        record = run(config, objective, timing=False)
+        assert len(steps) == config.iterations
+        flagged = set()
+        for k, values in enumerate(steps):
+            bad = [repr(value) for value in values[: config.n_particles] if not math.isfinite(value)]
+            seen.update(bad)
+            if bad:
+                flagged.add(k)
+        assert flagged
+        assert record.nonfinite_iterations == tuple(sorted(flagged))
     assert seen == {"nan", "-inf", "inf"}
 
 

@@ -78,10 +78,18 @@ class TestRequiredPoints:
         assert required_points(4) == 15
 
     def test_rejects_nonpositive_dimension(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^dimension must be >= 1$"):
             required_points(0)
         with pytest.raises(ValueError):
             required_points(-3)
+
+    def test_rejects_a_dimension_that_is_no_int(self):
+        # A float count would come back as a float, a bool as 1, and a string
+        # would fail with a TypeError.
+        for value in (2.0, 2.5, True, "3", None):
+            with pytest.raises(ValueError, match="^dimension must be an int"):
+                required_points(value)
+        assert required_points(np.int64(2)) == 6
 
 
 class TestDesignMatrix:
@@ -542,6 +550,16 @@ class TestFit:
         pts = np.column_stack([t, 2.0 * t])  # all six on a line
         with pytest.raises(SingularMatrixError):
             fit(pts, np.ones(6))
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_coincident_points_are_singular(self, dim):
+        # The centred points are all zero, so every extent is 0 and the
+        # floor leaves every axis unscaled.
+        pts = np.full((required_points(dim), dim), 1.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularMatrixError):
+                fit(pts, np.arange(float(len(pts))))
 
     def test_count_mismatch_is_an_error(self):
         with pytest.raises(ValueError):

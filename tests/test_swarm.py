@@ -5,6 +5,7 @@ update rules (``Particle``, ``schedule``, ``safeguard``, ``update_velocity``)
 defined here.
 """
 
+import copy
 import math
 from collections import deque
 from dataclasses import dataclass, field, replace
@@ -127,22 +128,34 @@ def attractors(swarm: Swarm) -> np.ndarray:
 
 
 def particle_view(swarm: Swarm, i: int) -> Particle:
-    """Snapshot of particle ``i`` of the engine in per-particle form."""
-    lookback = swarm.config.lookback
-    k = swarm.iteration
-    depth = min(k, lookback + 1)
-    history = deque(
-        (swarm._history[j % (lookback + 1)][i] for j in range(k - depth, k)),
-        maxlen=lookback + 1,
-    )
-    return Particle(
+    """Snapshot of particle ``i`` of the engine in per-particle form, after
+    at least one step. Its history is read from the engine's record of
+    values, and its ``omega_scale`` is the multiplier ``safeguard`` gives
+    the last step."""
+    config = swarm.config
+    record = swarm._values
+    particle = Particle(
         position=swarm.positions[i].copy(),
         velocity=swarm.velocities[i].copy(),
         best_position=pbest_positions(swarm)[i].copy(),
         best_value=float(swarm.pbest_values[i]),
-        value_history=history,
-        omega_scale=float(swarm.omega_scale[i]),
+        value_history=deque((values[i] for values in record), maxlen=config.lookback + 1),
     )
+    particle.omega_scale = safeguard(particle, len(record) - 1, config)
+    return particle
+
+
+def step_multipliers(swarm: Swarm, unit: Swarm) -> list[float]:
+    """Step ``swarm`` and ``unit``, which hold the same state but for a tau
+    of 1 in ``unit``, and return the inertia multiplier of each particle in
+    the engine's step: tau where its velocity differs from ``unit``'s, else
+    1. A multiplier of 1 leaves the bits of the inertia term as they are.
+    The speed cap must be large enough that no velocity is clipped, so the
+    inertia term of a stagnant particle outweighs its pulls."""
+    swarm.step()
+    unit.step()
+    moved = (swarm.velocities != unit.velocities).any(axis=1).tolist()
+    return [swarm.config.tau if m else 1.0 for m in moved]
 
 
 def sphere_config(**overrides):
@@ -224,8 +237,9 @@ class TestSafeguard:
 
     def test_engine_matches_scalar_op(self):
         # One particle per (now, then) pair: the objective returns the
-        # "then" values at step 0 and the "now" values at step 1, so after
-        # step 1 the engine has applied its rule to every pair.
+        # "then" values at step 0 and the "now" values at step 1, so step 1
+        # applies the engine's rule to every pair. A twin run at tau = 1
+        # shows the multipliers (see step_multipliers).
         rng = np.random.default_rng(13)
         current = rng.uniform(-2, 2, size=200)
         past = rng.uniform(-2, 2, size=200)
@@ -235,17 +249,24 @@ class TestSafeguard:
         edge = [math.inf, -math.inf, math.nan, 0.0, 1.0, -2.5, 1e308, -1e308]
         current = current.tolist() + [now for now in edge for _ in edge]
         past = past.tolist() + [then for _ in edge for then in edge]
-        values = iter(past + current)
-        objective = Objective("stub", 2, Bounds.symmetric(10.0, 2), lambda x: next(values))
-        config = sphere_config(n_particles=len(current), lookback=1, iterations=2)
-        swarm = Swarm(config, objective)
-        swarm.step()
-        assert swarm.omega_scale == [1.0] * len(current)
-        swarm.step()
-        for now, then, got in zip(current, past, swarm.omega_scale):
+        # and a relative change of exactly 0.5 either way, which is no stagnation
+        current += [3.0, 1.0]
+        past += [2.0, 2.0]
+        config = sphere_config(n_particles=len(current), lookback=1, iterations=2, vmax0=1e6)
+
+        def swarm_at(tau):
+            values = iter(past + current)
+            objective = Objective("stub", 2, Bounds.symmetric(10.0, 2), lambda x: next(values))
+            return Swarm(replace(config, tau=tau), objective)
+
+        swarm, unit = swarm_at(config.tau), swarm_at(1.0)
+        assert step_multipliers(swarm, unit) == [1.0] * len(current)
+        got = step_multipliers(swarm, unit)
+        assert len(got) == len(current) == 266
+        for now, then, scale in zip(current, past, got):
             particle = particle_with_history([then, now], lookback=1)
-            assert got == safeguard(particle, 1, config), (now, then)
-        assert config.tau in swarm.omega_scale and 1.0 in swarm.omega_scale
+            assert scale == safeguard(particle, 1, config), (now, then)
+        assert config.tau in got and 1.0 in got
 
     @pytest.mark.parametrize("variant", [VARIANT_STANDARD, VARIANT_SURROGATE])
     def test_unit_tau_changes_nothing(self, variant):
@@ -259,13 +280,13 @@ class TestSafeguard:
             assert unit.best_value_trace.tobytes() == never.best_value_trace.tobytes()
             assert unit.final_position.tobytes() == never.final_position.tobytes()
             assert unit.evaluations == never.evaluations
-            # The safeguard does fire on this row.
-            swarm = Swarm(config, objective)
-            fired = 0
+            # The safeguard does fire on this row: tau enters a step through
+            # it alone, and the particles end elsewhere at the default tau.
+            swarm, twin = Swarm(config, objective), Swarm(replace(config, tau=1.0), objective)
             for _ in range(config.iterations):
                 swarm.step()
-                fired += config.tau in swarm.omega_scale
-            assert fired > 0
+                twin.step()
+            assert swarm.positions.tobytes() != twin.positions.tobytes()
 
 
 class _StubRng:
@@ -545,20 +566,27 @@ class TestRunTables:
 
 class TestParticleView:
     def test_snapshot_reflects_engine_state(self):
-        config = sphere_config(lookback=4, iterations=30, seed=2)
+        config = sphere_config(lookback=4, iterations=30, seed=2, vmax0=1e6)
         objective = make_objective("sphere", 2)
         swarm = Swarm(config, objective)
-        for _ in range(7):
-            swarm.step()
+        fired = 0
+        for k in range(config.iterations):
+            # a twin of the state before the step, at tau = 1
+            unit = copy.deepcopy(swarm)
+            unit.config = replace(config, tau=1.0)
+            scales = step_multipliers(swarm, unit)
+            views = [particle_view(swarm, i) for i in range(config.n_particles)]
+            assert [view.omega_scale for view in views] == scales, k
+            fired += scales.count(config.tau)
+        assert fired > 0
         particle = particle_view(swarm, 3)
         np.testing.assert_array_equal(particle.position, swarm.positions[3])
         np.testing.assert_array_equal(particle.velocity, swarm.velocities[3])
         np.testing.assert_array_equal(particle.best_position, pbest_positions(swarm)[3])
         assert particle.best_value == swarm.pbest_values[3]
-        assert particle.omega_scale == swarm.omega_scale[3]
         # the history window holds the last lookback+1 values, newest last
-        assert len(particle.value_history) == config.lookback + 1
-        assert particle.value_history[-1] == swarm._history[6 % (config.lookback + 1)][3]
+        window = swarm._values[-(config.lookback + 1) :]
+        assert list(particle.value_history) == [values[3] for values in window]
         # mutating the snapshot leaves the engine untouched
         particle.position[0] = 99.0
         assert swarm.positions[3, 0] != 99.0

@@ -32,10 +32,12 @@ must win at least 9 of 10 pairs (the same share of any pair count), and its
 median must beat the parent's by more than the parent's quartile spread,
 with no more failed runs than the parent. The exit code is 0 when the pairs ran, whatever the verdict.
 
-When an execution exits non-zero or prints nothing, no further one runs:
-the file gets the pairs finished so far and, under ``failure``, the failing
-side, its seed, its exit code and the tail of its stderr, and the exit code
-is 1.
+When an execution exits non-zero, prints nothing, or ends its stdout with
+a line that is not a result (a JSON object with ``attempted``, ``failed``
+and ``metrics``), no further one runs: the file gets the pairs finished so
+far and, under ``failure``, the failing side, its seed, its exit code and
+the tail of its stderr, led by the bad line if there was one, and the exit
+code is 1.
 """
 
 from __future__ import annotations
@@ -67,8 +69,9 @@ def quartiles(values) -> dict:
 
 
 class SideFailed(Exception):
-    """A ``perfbench/run.py`` execution that exited non-zero or printed
-    nothing; its ``args`` are the exit code and the tail of its stderr."""
+    """A ``perfbench/run.py`` execution that exited non-zero, printed
+    nothing or printed no result; its ``args`` are the exit code and the
+    tail of its stderr."""
 
 
 def run_side(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -82,9 +85,13 @@ def run_side(checkout: Path, workload: str, seed: int, seconds: float, trace: in
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         raise SideFailed(proc.returncode, proc.stderr[-2000:])
-    result = json.loads(lines[-1])
-    flat = {"attempted": result["attempted"], "failed": result["failed"]}
-    flat.update({name: entry["value"] for name, entry in result["metrics"].items()})
+    try:
+        result = json.loads(lines[-1])
+        flat = {"attempted": result["attempted"], "failed": result["failed"]}
+        flat.update({name: entry["value"] for name, entry in result["metrics"].items()})
+    except (ValueError, LookupError, TypeError, AttributeError) as error:
+        note = f"malformed result line ({error!r}): {lines[-1][:500]}\n"
+        raise SideFailed(proc.returncode, note + proc.stderr[-2000:]) from error
     return flat
 
 
