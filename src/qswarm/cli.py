@@ -60,7 +60,8 @@ DEFAULT_PARAMS = {key: getattr(SwarmConfig, name) for key, name in _PARAM_FIELDS
 
 # SwarmConfig or BatchSpec field -> the config key or flag that sets it; a
 # field not listed is its own key. The ValueError messages of those classes
-# start with the field name.
+# start with the field name, and the CLI checks no value of a field itself:
+# it reports each refusal under the key that sets the field.
 _FIELD_KEYS = {
     "n_particles": "particles",
     "n_runs": "runs",
@@ -93,11 +94,6 @@ BENCHMARK_ROWS = (
 )
 
 
-def _require(condition: bool, key: str, message: str):
-    if not condition:
-        raise ConfigError(f"invalid value for {key!r}: {message}")
-
-
 def _build(model, *args, keys=_FIELD_KEYS, **fields):
     """``model(*args, **fields)``; a ValueError it raises becomes the
     ConfigError of the key that ``keys`` gives for the field its message
@@ -107,12 +103,6 @@ def _build(model, *args, keys=_FIELD_KEYS, **fields):
     except ValueError as err:
         field = str(err).split(" ", 1)[0]
         raise ConfigError(f"invalid value for {keys.get(field, field)!r}: {err}") from err
-
-
-# Finite, too: Python's json reads NaN and Infinity, and a huge int has no double.
-def _is_number(value) -> bool:
-    number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    return number and abs(value) <= sys.float_info.max
 
 
 def load_config_file(path: str) -> dict:
@@ -140,13 +130,12 @@ def load_config_file(path: str) -> dict:
 def effective_config(file_cfg: dict, overrides: dict) -> dict:
     """Merge file config and flag overrides, apply defaults, validate.
 
-    Checked here is what JSON input needs: the objective and variant names,
-    finite numbers for the coefficients and bound ends (JSON true and false
-    are none), and the dimension the default box is built from. Every other
-    rule is that of the objective registry, :class:`Bounds`,
+    Checked here is only the CLI's own vocabulary: the variant label. Every
+    value rule is that of the objective registry, :class:`Bounds`,
     :class:`BatchSpec` or :class:`SwarmConfig`, whose refusals name the
-    config key. Defaults fill missing keys only: a key that holds JSON null
-    is refused.
+    config key; the dimension is checked first because the default box is
+    built from it. Defaults fill missing keys only: a key that holds JSON
+    null is refused.
     """
     cfg = dict(file_cfg)
     for key, value in overrides.items():
@@ -154,38 +143,32 @@ def effective_config(file_cfg: dict, overrides: dict) -> dict:
             cfg[key] = value
 
     objective = cfg.get("objective")
-    _require(isinstance(objective, str) and objective, "objective", "a name is required")
     dimension = cfg.get("dimension", _RUN_DEFAULTS["dimension"])
-    _build(require_int, "dimension", dimension)
-    _require(dimension >= 1, "dimension", "need an int >= 1")
+    _build(require_int, "dimension", dimension, minimum=1)
     try:  # the registry lookup refuses an unknown name
         bounds = default_bounds(objective, dimension)
     except UnknownObjectiveError as err:
         raise ConfigError(f"invalid value for 'objective': {err}") from err
 
     if "bounds" in cfg:
-        bounds_pairs = cfg["bounds"]
         try:
-            bounds = Bounds.from_pairs(bounds_pairs)
-        except (ValueError, TypeError, OverflowError) as err:
+            bounds = Bounds.from_pairs(cfg["bounds"])
+        except ValueError as err:
             raise ConfigError(f"invalid value for 'bounds': {err}") from err
-        numbers = all(_is_number(v) for pair in bounds_pairs for v in pair)
-        _require(numbers, "bounds", "need numbers")
 
-    params = {**DEFAULT_PARAMS, **cfg.get("params", {})}
     effective = {
         **_RUN_DEFAULTS,
         "particles": required_points(dimension),
         **cfg,
         "objective": objective.lower(),
         "bounds": bounds.to_pairs(),
-        "params": params,
+        "params": {**DEFAULT_PARAMS, **cfg.get("params", {})},
     }
-    for key in sorted(_PARAM_FIELDS.keys() - {"S"}):
-        _require(_is_number(params[key]), f"params.{key}", "need a finite number")
-        params[key] = float(params[key])
-    _require(effective["variant"] in VARIANT_CHOICES, "variant", f"must be one of {VARIANT_CHOICES}")
-    _batch_spec(effective)
+    if effective["variant"] not in VARIANT_CHOICES:
+        raise ConfigError(f"invalid value for 'variant': must be one of {VARIANT_CHOICES}")
+    # The echo holds the coefficients as the floats the runs use.
+    config = _batch_spec(effective).config
+    effective["params"] = {key: getattr(config, name) for key, name in _PARAM_FIELDS.items()}
     return effective
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import reprlib
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -31,6 +32,23 @@ def require_int(name: str, value, minimum: Optional[int] = None) -> None:
         raise ValueError(f"{name} must be an int, not {value!r}")
     if minimum is not None and value < minimum:
         raise ValueError(f"{name} must be >= {minimum}")
+
+
+_REALS = (float, int, np.floating, np.integer)
+
+
+def require_finite(name: str, value) -> float:
+    """``value`` as a float; refuse it for the number ``name`` unless it is
+    an int or float, numpy's included, that a double holds finitely. A bool
+    is refused, and so are NaN, ±inf and an int too large for a double."""
+    if isinstance(value, _REALS) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:  # an int too large for a double
+            number = math.inf
+        if math.isfinite(number):
+            return number
+    raise ValueError(f"{name} must be a finite number, not {reprlib.repr(value)}")
 
 
 def _coords(x) -> list[float]:
@@ -75,18 +93,22 @@ class Bounds:
     @classmethod
     def symmetric(cls, limit: float, dimension: int) -> "Bounds":
         """Box [-limit, +limit] in every dimension."""
-        require_int("dimension", dimension)
-        limit = float(limit)
+        require_int("dimension", dimension, minimum=1)
+        limit = require_finite("limit", limit)
         if limit <= 0:
             raise ValueError("limit must be positive")
         return cls(np.full(dimension, -limit), np.full(dimension, limit))
 
     @classmethod
     def from_pairs(cls, pairs: Sequence[Sequence[float]]) -> "Bounds":
-        """Build from a sequence of (lo, hi) pairs, one per dimension."""
-        arr = np.asarray(pairs, dtype=float)
+        """Build from a sequence of (lo, hi) pairs, one per dimension, each
+        end a finite number (see :func:`require_finite`)."""
+        arr = np.asarray(pairs, dtype=object)
         if arr.ndim != 2 or arr.shape[1] != 2:
             raise ValueError("expected a sequence of (lo, hi) pairs")
+        for (i, j), end in np.ndenumerate(arr):
+            require_finite(f"bounds[{i}][{j}]", end)
+        arr = arr.astype(float)
         return cls(arr[:, 0], arr[:, 1])
 
     def to_pairs(self) -> list[list[float]]:
@@ -200,8 +222,9 @@ def objective_names() -> tuple[str, ...]:
 
 
 def _lookup(name: str) -> tuple[str, Callable, float]:
-    """Registry key, evaluator and default box limit for ``name``."""
-    key = name.lower()
+    """Registry key, evaluator and default box limit for ``name``; a name
+    that is no str is unknown."""
+    key = name.lower() if isinstance(name, str) else None
     if key not in _REGISTRY:
         raise UnknownObjectiveError(
             f"unknown objective {name!r}; valid names: {', '.join(objective_names())}"

@@ -68,7 +68,7 @@ from typing import Optional
 import numpy as np
 
 from .archive import Archive
-from .objectives import Bounds, Objective, require_int
+from .objectives import Bounds, Objective, require_finite, require_int
 from .surrogate import FALLBACK_REASONS, load_lapack, required_points, surrogate_attractor
 
 VARIANT_STANDARD = "standard"
@@ -106,15 +106,12 @@ class SwarmConfig:
         for name in ("dimension", "n_particles", "iterations", "lookback"):
             require_int(name, getattr(self, name), minimum=1)
         require_int("seed", self.seed)
+        # Stored as floats, so a numpy scalar runs as the float it equals.
         for name in ("omega0", "c1_0", "c2_0", "vmax0", "tau", "gamma_floor"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        if not self.vmax0 > 0:
-            raise ValueError("vmax0 must be positive")
-        if not self.tau > 0:
-            raise ValueError("tau must be positive")
-        if not self.gamma_floor > 0:
-            raise ValueError("gamma_floor must be positive")
+            object.__setattr__(self, name, require_finite(name, getattr(self, name)))
+        for name in ("vmax0", "tau", "gamma_floor"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive")
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}")
         if self.bounds.dimension != self.dimension:

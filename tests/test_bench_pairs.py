@@ -119,3 +119,17 @@ def test_a_malformed_result_line_keeps_the_finished_pairs(bench_pairs, tmp_path,
     assert failure["stderr_tail"].startswith("malformed result line")
     assert bad_line in failure["stderr_tail"]
     assert "malformed result line" in capsys.readouterr().err
+
+
+def test_a_repeated_seed_is_refused_before_any_execution(bench_pairs, tmp_path, capsys):
+    # Pairs are keyed by seed, so a repeated one would silently drop a pair.
+    parent = stub_checkout(tmp_path / "parent", fail_at=-1)
+    change = stub_checkout(tmp_path / "change", fail_at=-1)
+    out = tmp_path / "BENCH_stub.json"
+    argv = ["--parent", str(parent), "--change", str(change), "--workload", "w"]
+    argv += ["--seeds", "101", "101", "102", "--label", "stub", "--out", str(out)]
+    with pytest.raises(SystemExit) as exit_info:
+        bench_pairs.main(argv)
+    assert exit_info.value.code == 2
+    assert "--seeds repeats 101" in capsys.readouterr().err
+    assert not out.exists()

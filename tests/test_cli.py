@@ -105,9 +105,34 @@ class TestEffectiveConfig:
             ("params.gamma_floor", {"params": {"gamma_floor": -1}}),
             ("params.vmax0", {"params": {"vmax0": 0}}),
             ("params.vmax0", {"params": {"vmax0": -1}}),
+            # No number is a str or null, and no objective name a number or list.
+            ("objective", {"objective": 5}),
+            ("objective", {"objective": ["sphere"]}),
+            ("bounds", {"bounds": [["1", 5], [2, 5]]}),
+            ("bounds", {"bounds": 5}),
+            ("params.omega0", {"params": {"omega0": "0.7"}}),
+            ("params.tau", {"params": {"tau": None}}),
         ]:
             with pytest.raises(ConfigError, match=re.escape(key)):
                 effective_config({"objective": "sphere", **cfg}, {})
+
+    def test_the_message_after_the_key_is_that_of_the_model_class(self):
+        names = ", ".join(("ackley", "flower", "griewank", "sphere"))
+        for cfg, message in [
+            ({"dimension": 0}, "'dimension': dimension must be >= 1"),
+            ({"objective": 5}, f"'objective': unknown objective 5; valid names: {names}"),
+            ({"bounds": [[1, 2], [True, 5]]}, "'bounds': bounds[1][0] must be a finite number, not True"),
+            ({"params": {"omega0": "0.7"}}, "'params.omega0': omega0 must be a finite number, not '0.7'"),
+            ({"params": {"tau": 0}}, "'params.tau': tau must be positive"),
+        ]:
+            with pytest.raises(ConfigError) as err:
+                effective_config({"objective": "sphere", **cfg}, {})
+            assert str(err.value) == f"invalid value for {message}"
+
+    def test_echo_holds_the_coefficients_as_floats(self):
+        params = effective_config({"objective": "sphere", "params": {"vmax0": 3, "S": 7}}, {})["params"]
+        assert type(params["vmax0"]) is float and params["vmax0"] == 3.0
+        assert type(params["S"]) is int and params["S"] == 7
 
     def test_every_swarm_config_field_is_set_by_a_config_key(self):
         params = {f"params.{key}" for key in DEFAULT_PARAMS}

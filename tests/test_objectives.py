@@ -230,6 +230,12 @@ class TestRegistry:
         for name in objective_names():
             assert name in message
 
+    @pytest.mark.parametrize("name", [None, 5, ["sphere"]])
+    def test_a_name_that_is_no_str_is_unknown(self, name):
+        for lookup in (make_objective, default_bounds):
+            with pytest.raises(UnknownObjectiveError, match="^unknown objective"):
+                lookup(name, 2)
+
     def test_box_without_the_origin_is_allowed(self):
         bounds = Bounds.from_pairs([[2.0, 5.0], [2.0, 5.0]])
         obj = make_objective("sphere", 2, bounds)
@@ -268,6 +274,7 @@ class TestIntegerFields:
             "Objective.dimension": ("dimension", lambda v: Objective("sphere", v, box, eval_sphere)),
             "Archive.capacity": ("capacity", Archive),
             "required_points.dimension": ("dimension", required_points),
+            "Bounds.symmetric.dimension": ("dimension", lambda v: Bounds.symmetric(1.0, v)),
         }
         for holder, (name, make) in holders.items():
             for value in (0, -3):
@@ -277,3 +284,46 @@ class TestIntegerFields:
             for value in (2.5, 2.0, True, "3", None):
                 with pytest.raises(ValueError, match=f"^{name} must be an int"):
                     make(value)
+
+
+COEFFICIENTS = ("omega0", "c1_0", "c2_0", "vmax0", "tau", "gamma_floor")
+
+
+class TestNumberFields:
+    # Python's json reads NaN, Infinity and ints of any size, and a bool is
+    # an int to isinstance; none of them is a finite number.
+    NOT_NUMBERS = (True, "0.7", None, [1.0], 10**400, math.nan, math.inf, -math.inf)
+
+    def test_every_coefficient_must_be_a_finite_number(self):
+        box = Bounds.symmetric(1.0, 2)
+        for name in COEFFICIENTS:
+            for value in self.NOT_NUMBERS:
+                with pytest.raises(ValueError, match=f"^{name} must be a finite number"):
+                    SwarmConfig(2, 4, box, **{name: value})
+
+    def test_box_limit_must_be_a_finite_number(self):
+        for value in (True, "5", None, 10**400):
+            with pytest.raises(ValueError, match="^limit must be a finite number"):
+                Bounds.symmetric(value, 2)
+
+    @pytest.mark.parametrize(
+        "pairs", [[["1", 5]], [[True, 5]], [[None, 1]], [[0, 10**400]], [[1, [2, 3]]]]
+    )
+    def test_box_ends_must_be_finite_numbers(self, pairs):
+        with pytest.raises(ValueError, match=r"^bounds\[0\]\[[01]\] must be a finite number"):
+            Bounds.from_pairs(pairs)
+
+    @pytest.mark.parametrize("pairs", [5, None, "ab", [[1, 2], [3]], [[1, 2, 3]], {}, [], [[]]])
+    def test_pairs_must_be_a_sequence_of_pairs(self, pairs):
+        with pytest.raises(ValueError, match="^expected a sequence of"):
+            Bounds.from_pairs(pairs)
+
+    def test_numpy_scalars_are_numbers(self):
+        pairs = Bounds.from_pairs([[np.float32(-1.5), np.int64(2)]]).to_pairs()
+        assert pairs == [[-1.5, 2.0]]
+        assert Bounds.symmetric(np.float32(2.5), 1).to_pairs() == [[-2.5, 2.5]]
+        box = Bounds.symmetric(1.0, 2)
+        for name in COEFFICIENTS:
+            for value in (np.float32(0.7), np.int64(3), np.float64(1.2)):
+                stored = getattr(SwarmConfig(2, 4, box, **{name: value}), name)
+                assert type(stored) is float and stored == value

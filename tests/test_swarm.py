@@ -398,6 +398,23 @@ class TestConfigValidation:
                 run(numpy_config, objective).best_value_trace, run(config, objective).best_value_trace
             )
 
+    @pytest.mark.parametrize("variant", [VARIANT_STANDARD, VARIANT_SURROGATE])
+    def test_numpy_scalars_run_as_the_floats_they_equal(self, variant):
+        # float32 arithmetic would round the speed caps and the inertia
+        # scale; the config stores every coefficient as a float.
+        objective = make_objective("sphere", 2, Bounds.from_pairs([[np.float32(-7.5), np.int64(9)]] * 2))
+        coefficients = dict(
+            omega0=np.float32(0.7), c1_0=np.float32(2.7), c2_0=np.int64(2),
+            vmax0=np.float32(1.9), tau=np.float32(1.3), gamma_floor=np.float32(1e-9),
+        )
+        floats = {name: float(value) for name, value in coefficients.items()}
+        base = sphere_config(bounds=objective.bounds, iterations=60, lookback=5, variant=variant)
+        numpy_run = run(replace(base, **coefficients), objective)
+        float_run = run(replace(base, **floats), objective)
+        assert numpy_run.best_value_trace.tobytes() == float_run.best_value_trace.tobytes()
+        assert numpy_run.final_position.tobytes() == float_run.final_position.tobytes()
+        assert numpy_run.fallback_counts == float_run.fallback_counts
+
     def test_fewer_particles_than_interpolation_points_is_allowed(self):
         config = sphere_config(n_particles=3, variant=VARIANT_SURROGATE)
         assert config.n_particles < required_points(config.dimension)

@@ -10,8 +10,9 @@ Each side runs its own ``perfbench/run.py`` from its own directory.
         --workload std_suite --seeds 101 102 103 --seconds 25 \\
         --label lean_iteration --claim runs_per_s
 
-The pairs go into ``BENCH_<label>.json`` (``--out`` names another file) in
-the schema of the committed ``BENCH_*.json`` files: under
+The seeds must differ. The pairs go into ``BENCH_<label>.json``
+(``--out`` names another file) in the schema of the committed
+``BENCH_*.json`` files: under
 ``workloads.<workload>`` the seeds, per end-to-end metric the parent and
 change medians and quartiles (linear percentiles of the per-pair values),
 the number of pairs the change won, and every pair's raw metrics. An
@@ -182,6 +183,9 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=Path, help="default: BENCH_<label>.json in the change checkout")
     parser.add_argument("--claim", help="end-to-end metric whose verdict is printed")
     args = parser.parse_args(argv)
+    repeated = sorted({seed for seed in args.seeds if args.seeds.count(seed) > 1})
+    if repeated:
+        parser.error(f"--seeds repeats {', '.join(map(str, repeated))}: each pair is keyed by its seed")
 
     benchmark = json.loads((args.change / "BENCHMARK.json").read_text())
     directions = {entry["name"]: entry["better"] for entry in benchmark["end_to_end"]}
