@@ -1,7 +1,8 @@
 """Command-line interface: single runs, batches, and the benchmark suite.
 
 ``qswarm run`` executes one configuration (from flags or a JSON config file)
-and writes its artifacts to a fresh output directory: ``config.echo.json``
+and writes its artifacts to a fresh output directory (an ``--out`` that
+exists and is not an empty directory is refused): ``config.echo.json``
 (the effective configuration with all defaults applied), ``runs.csv``,
 ``trace_<variant>.csv`` per variant, and ``comparison.csv`` when both
 variants run. Re-running from the echoed config reproduces the same CSVs.
@@ -35,7 +36,7 @@ from .experiments import (
     write_runs_csv,
     write_trace_csv,
 )
-from .objectives import Bounds, UnknownObjectiveError, default_bounds, objective_names, require_int
+from .objectives import Bounds, default_bounds, objective_names
 from .surrogate import required_points
 from .swarm import VARIANT_STANDARD, VARIANT_SURROGATE, SwarmConfig
 
@@ -59,9 +60,10 @@ _PARAM_FIELDS = {
 DEFAULT_PARAMS = {key: getattr(SwarmConfig, name) for key, name in _PARAM_FIELDS.items()}
 
 # SwarmConfig or BatchSpec field -> the config key or flag that sets it; a
-# field not listed is its own key. The ValueError messages of those classes
-# start with the field name, and the CLI checks no value of a field itself:
-# it reports each refusal under the key that sets the field.
+# field not listed is its own key. The ValueError messages of those classes,
+# of Bounds.symmetric and of the objective registry start with the field
+# name, and the CLI checks no value of a field itself: it reports each
+# refusal under the key that sets the field.
 _FIELD_KEYS = {
     "n_particles": "particles",
     "n_runs": "runs",
@@ -127,63 +129,45 @@ def load_config_file(path: str) -> dict:
     return data
 
 
-def effective_config(file_cfg: dict, overrides: dict) -> dict:
+def effective_config(file_cfg: dict, overrides: dict, jobs: int = BatchSpec.jobs) -> tuple[dict, BatchSpec]:
     """Merge file config and flag overrides, apply defaults, validate.
 
-    Checked here is only the CLI's own vocabulary: the variant label. Every
-    value rule is that of the objective registry, :class:`Bounds`,
-    :class:`BatchSpec` or :class:`SwarmConfig`, whose refusals name the
-    config key; the dimension is checked first because the default box is
-    built from it. Defaults fill missing keys only: a key that holds JSON
-    null is refused.
+    Returns the echo (the effective config, every default filled in) and
+    the batch it runs on ``jobs`` workers. Checked here is only the CLI's
+    own vocabulary: the variant label. Every value rule is that of the
+    objective registry, :class:`Bounds`, :class:`BatchSpec` or
+    :class:`SwarmConfig`, whose refusals name the config key; the default
+    box comes first, so the registry checks the name, then
+    ``Bounds.symmetric`` the dimension. Defaults fill missing keys only: a
+    key that holds JSON null is refused.
     """
-    cfg = dict(file_cfg)
-    for key, value in overrides.items():
-        if value is not None:
-            cfg[key] = value
+    cfg = {**_RUN_DEFAULTS, **file_cfg, **{key: value for key, value in overrides.items() if value is not None}}
 
-    objective = cfg.get("objective")
-    dimension = cfg.get("dimension", _RUN_DEFAULTS["dimension"])
-    _build(require_int, "dimension", dimension, minimum=1)
-    try:  # the registry lookup refuses an unknown name
-        bounds = default_bounds(objective, dimension)
-    except UnknownObjectiveError as err:
-        raise ConfigError(f"invalid value for 'objective': {err}") from err
-
+    objective, dimension = cfg.get("objective"), cfg["dimension"]
+    bounds = _build(default_bounds, objective, dimension)
     if "bounds" in cfg:
         try:
             bounds = Bounds.from_pairs(cfg["bounds"])
         except ValueError as err:
             raise ConfigError(f"invalid value for 'bounds': {err}") from err
-
-    effective = {
-        **_RUN_DEFAULTS,
-        "particles": required_points(dimension),
-        **cfg,
-        "objective": objective.lower(),
-        "bounds": bounds.to_pairs(),
-        "params": {**DEFAULT_PARAMS, **cfg.get("params", {})},
-    }
-    if effective["variant"] not in VARIANT_CHOICES:
+    if cfg["variant"] not in VARIANT_CHOICES:
         raise ConfigError(f"invalid value for 'variant': must be one of {VARIANT_CHOICES}")
-    # The echo holds the coefficients as the floats the runs use.
-    config = _batch_spec(effective).config
-    effective["params"] = {key: getattr(config, name) for key, name in _PARAM_FIELDS.items()}
-    return effective
 
-
-def _batch_spec(cfg: dict, jobs: int = BatchSpec.jobs) -> BatchSpec:
-    """The batch that the effective config ``cfg`` runs on ``jobs`` workers.
-
-    Raises :class:`ConfigError`, naming the key, where the
-    :class:`SwarmConfig` of its runs or the batch is refused.
-    """
-    params = {name: cfg["params"][key] for key, name in _PARAM_FIELDS.items()}
-    bounds = Bounds.from_pairs(cfg["bounds"])
+    cfg.setdefault("particles", required_points(dimension))
+    params = {**DEFAULT_PARAMS, **cfg.get("params", {})}
     config = _build(
-        SwarmConfig, cfg["dimension"], cfg["particles"], bounds, cfg["iterations"], seed=cfg["seed"], **params
+        SwarmConfig, dimension, cfg["particles"], bounds, cfg["iterations"], seed=cfg["seed"],
+        **{name: params[key] for key, name in _PARAM_FIELDS.items()},
     )
-    return _build(BatchSpec, cfg["objective"], config, cfg["runs"], VARIANT_RUNS[cfg["variant"]], jobs)
+    spec = _build(BatchSpec, objective.lower(), config, cfg["runs"], VARIANT_RUNS[cfg["variant"]], jobs)
+    # The echo holds the box and the coefficients as the floats the runs use.
+    echo = {
+        **cfg,
+        "objective": spec.objective,
+        "bounds": bounds.to_pairs(),
+        "params": {key: getattr(config, name) for key, name in _PARAM_FIELDS.items()},
+    }
+    return echo, spec
 
 
 def resolve_out_dir(out_flag) -> Path:
@@ -193,6 +177,8 @@ def resolve_out_dir(out_flag) -> Path:
         root = Path(os.environ.get("QSWARM_OUT", "."))
         stamp = datetime.now(timezone.utc).strftime("%Y%m%d_%H%M%S_%f")
         path = root / f"qswarm_{stamp}"
+    if path.exists() and not (path.is_dir() and not any(path.iterdir())):
+        raise ConfigError(f"invalid value for '--out': {path} is not an empty directory")
     path.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -210,12 +196,11 @@ def _write_batch(out_dir: Path, spec: BatchSpec, results, suffix: str = "", trac
 def cmd_run(args) -> int:
     file_cfg = load_config_file(args.config) if args.config else {}
     # Each flag's dest is its config key; bounds and params have no flag.
-    cfg = effective_config(file_cfg, {key: getattr(args, key, None) for key in CONFIG_KEYS})
-    spec = _batch_spec(cfg, args.jobs)
+    echo, spec = effective_config(file_cfg, {key: getattr(args, key, None) for key in CONFIG_KEYS}, args.jobs)
 
     out_dir = resolve_out_dir(args.out)
     with open(out_dir / "config.echo.json", "w", encoding="utf-8") as handle:
-        json.dump(cfg, handle, indent=2, sort_keys=True)
+        json.dump(echo, handle, indent=2, sort_keys=True)
         handle.write("\n")
 
     results = run_batch(spec, timing=not args.no_timing)
@@ -225,7 +210,7 @@ def cmd_run(args) -> int:
     for variant in spec.variants:
         summary = results[variant].summary
         print(
-            f"{cfg['objective']} {cfg['dimension']}D [{VARIANT_LABELS[variant]}] "
+            f"{spec.objective} {spec.config.dimension}D [{VARIANT_LABELS[variant]}] "
             f"runs={summary.n_runs} mean={summary.mean:.6e} median={summary.q50:.6e} "
             f"log_median={summary.log_median:.6e}"
         )

@@ -62,22 +62,27 @@ class Bounds:
     """Per-dimension box bounds.
 
     ``lo`` and ``hi`` are length-n arrays with ``lo[j] < hi[j]`` everywhere,
-    and every width ``hi[j] - lo[j]`` is a finite double.
+    every end a finite number (see :func:`require_finite`), stored as a
+    float64, and every width ``hi[j] - lo[j]`` is a finite double.
     """
 
     lo: np.ndarray
     hi: np.ndarray
 
     def __post_init__(self):
-        lo = np.atleast_1d(np.asarray(self.lo, dtype=float))
-        hi = np.atleast_1d(np.asarray(self.hi, dtype=float))
+        # Each end is checked as the object it is, before any conversion.
+        lo, hi = (np.atleast_1d(np.asarray(end, dtype=object)) for end in (self.lo, self.hi))
         if lo.ndim != 1 or hi.ndim != 1 or lo.shape != hi.shape:
             raise ValueError("lo and hi must be 1-D arrays of equal length")
         if lo.size < 1:
             raise ValueError("bounds need at least one dimension")
-        # The width is inf or nan when an end is, and inf when a finite box
-        # is too wide for a double; neither may warn.
-        with np.errstate(over="ignore", invalid="ignore"):
+        lo, hi = (
+            np.array([require_finite(f"{name}[{j}]", v) for j, v in enumerate(ends)])
+            for name, ends in (("lo", lo), ("hi", hi))
+        )
+        # A finite box can be too wide for a double; its width is then inf,
+        # which may not warn.
+        with np.errstate(over="ignore"):
             width = hi - lo
         if not np.isfinite(width).all():
             raise ValueError("bounds and their widths hi - lo must be finite")
@@ -101,14 +106,10 @@ class Bounds:
 
     @classmethod
     def from_pairs(cls, pairs: Sequence[Sequence[float]]) -> "Bounds":
-        """Build from a sequence of (lo, hi) pairs, one per dimension, each
-        end a finite number (see :func:`require_finite`)."""
+        """Build from a sequence of (lo, hi) pairs, one per dimension."""
         arr = np.asarray(pairs, dtype=object)
         if arr.ndim != 2 or arr.shape[1] != 2:
             raise ValueError("expected a sequence of (lo, hi) pairs")
-        for (i, j), end in np.ndenumerate(arr):
-            require_finite(f"bounds[{i}][{j}]", end)
-        arr = arr.astype(float)
         return cls(arr[:, 0], arr[:, 1])
 
     def to_pairs(self) -> list[list[float]]:
@@ -227,7 +228,7 @@ def _lookup(name: str) -> tuple[str, Callable, float]:
     key = name.lower() if isinstance(name, str) else None
     if key not in _REGISTRY:
         raise UnknownObjectiveError(
-            f"unknown objective {name!r}; valid names: {', '.join(objective_names())}"
+            f"objective {name!r} is unknown; valid names: {', '.join(objective_names())}"
         )
     return (key, *_REGISTRY[key])
 
@@ -244,9 +245,9 @@ def make_objective(name: str, dimension: int, bounds: Optional[Bounds] = None) -
     Unknown names raise :class:`UnknownObjectiveError` rather than silently
     defaulting. When ``bounds`` is omitted the registry default box is used.
     """
-    key, evaluate, limit = _lookup(name)
+    key, evaluate, _ = _lookup(name)
     if bounds is None:
-        bounds = Bounds.symmetric(limit, dimension)
+        bounds = default_bounds(key, dimension)
     return Objective(
         name=key,
         dimension=dimension,

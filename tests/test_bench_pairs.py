@@ -19,7 +19,7 @@ def bench_pairs():
 
 def result(bench_pairs, better, parent, change, bound=0.25):
     pairs = {
-        str(j): {"parent": {"failed": 0, "m": p}, "change": {"failed": 0, "m": c}}
+        str(j): {"parent": {"attempted": 10, "failed": 0, "m": p}, "change": {"attempted": 10, "failed": 0, "m": c}}
         for j, (p, c) in enumerate(zip(parent, change))
     }
     _, _, checks = bench_pairs.summarize(pairs, {"m": better}, {"m": bound})
@@ -53,6 +53,28 @@ def test_dominance_resolves_a_wide_spread(bench_pairs):
     assert result(bench_pairs, "lower", parent, [1.0, 2.0, 3.0, 4.0, 5.0]) == "within bound"
     # one change run that does not beat every parent run leaves it unresolved
     assert result(bench_pairs, "higher", parent, [190.0, 200.0, 210.0, 220.0, 170.0]) == "unresolved"
+
+
+def test_a_larger_failed_share_is_worse_at_equal_failed_counts(bench_pairs):
+    # A faster change attempts more runs in the same time; one failed run
+    # in 10 is a larger share than one in 20.
+    pairs = {
+        str(j): {
+            "parent": {"attempted": 20, "failed": 1, "m": 100.0 + j},
+            "change": {"attempted": 10, "failed": 1, "m": 200.0 + j},
+        }
+        for j in range(10)
+    }
+    summary, wins, checks = bench_pairs.summarize(pairs, {"m": "higher"}, {"m": 0.25})
+    assert checks["failed_share"] == {"parent": 0.05, "change": 0.1, "result": "worse"}
+    assert checks["m"]["result"] == "within bound"
+    text = bench_pairs.verdict("m", "higher", summary["m"], wins["m"], pairs)
+    assert text.endswith("failed share 5.00% -> 10.00%: FAIL")
+    for pair in pairs.values():
+        pair["change"]["attempted"] = 40
+    _, _, checks = bench_pairs.summarize(pairs, {"m": "higher"}, {"m": 0.25})
+    assert checks["failed_share"] == {"parent": 0.05, "change": 0.025, "result": "within bound"}
+    assert bench_pairs.verdict("m", "higher", summary["m"], wins["m"], pairs).endswith(": PASS")
 
 
 # A perfbench/run.py stand-in: one result line; at the seed named, exit 1,

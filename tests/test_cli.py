@@ -34,7 +34,7 @@ def run_cli(*argv):
 
 class TestEffectiveConfig:
     def test_defaults_match_reference_parameter_set(self):
-        cfg = effective_config({}, {"objective": "sphere"})
+        cfg, _ = effective_config({}, {"objective": "sphere"})
         assert cfg["params"] == {
             "omega0": 0.72984,
             "c1_0": 2.8,
@@ -52,7 +52,7 @@ class TestEffectiveConfig:
         assert cfg["bounds"] == [[-10.0, 10.0], [-10.0, 10.0]]
 
     def test_flag_overrides_win(self):
-        cfg = effective_config(
+        cfg, _ = effective_config(
             {"objective": "sphere", "runs": 7}, {"objective": "ackley", "runs": None}
         )
         assert cfg["objective"] == "ackley"
@@ -120,8 +120,11 @@ class TestEffectiveConfig:
         names = ", ".join(("ackley", "flower", "griewank", "sphere"))
         for cfg, message in [
             ({"dimension": 0}, "'dimension': dimension must be >= 1"),
-            ({"objective": 5}, f"'objective': unknown objective 5; valid names: {names}"),
-            ({"bounds": [[1, 2], [True, 5]]}, "'bounds': bounds[1][0] must be a finite number, not True"),
+            ({"objective": 5}, f"'objective': objective 5 is unknown; valid names: {names}"),
+            # The registry checks the name before the default box checks the dimension.
+            ({"dimension": 0, "objective": "nope"}, f"'objective': objective 'nope' is unknown; valid names: {names}"),
+            ({"bounds": [[1, 2], [True, 5]]}, "'bounds': lo[1] must be a finite number, not True"),
+            ({"bounds": [[True, 5], [0, 1]]}, "'bounds': lo[0] must be a finite number, not True"),
             ({"params": {"omega0": "0.7"}}, "'params.omega0': omega0 must be a finite number, not '0.7'"),
             ({"params": {"tau": 0}}, "'params.tau': tau must be positive"),
         ]:
@@ -130,7 +133,7 @@ class TestEffectiveConfig:
             assert str(err.value) == f"invalid value for {message}"
 
     def test_echo_holds_the_coefficients_as_floats(self):
-        params = effective_config({"objective": "sphere", "params": {"vmax0": 3, "S": 7}}, {})["params"]
+        params = effective_config({"objective": "sphere", "params": {"vmax0": 3, "S": 7}}, {})[0]["params"]
         assert type(params["vmax0"]) is float and params["vmax0"] == 3.0
         assert type(params["S"]) is int and params["S"] == 7
 
@@ -162,7 +165,7 @@ class TestEffectiveConfig:
             "both": (VARIANT_STANDARD, VARIANT_SURROGATE),
         }
         assert VARIANT_CHOICES == ("standard", "qs", "both")
-        effective = effective_config({}, {"objective": "sphere"})
+        effective, _ = effective_config({}, {"objective": "sphere"})
         assert sorted(effective) == sorted(CONFIG_KEYS)
         assert len(set(CONFIG_KEYS)) == len(CONFIG_KEYS)
 
@@ -446,6 +449,40 @@ class TestFlagValidation:
         assert captured.out == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("run", "--objective", "sphere", "--runs", "2", "--iterations", "10", "--no-timing"),
+            ("benchmark", "--runs", "2", "--no-timing"),
+        ],
+    )
+    @pytest.mark.parametrize("kind", ["non-empty directory", "file"])
+    def test_an_out_that_is_no_empty_directory_exits_2(self, tmp_path, capsys, argv, kind):
+        # Artifacts of an earlier invocation would otherwise sit beside the
+        # new ones; the CLI refuses and deletes nothing.
+        out = tmp_path / "out"
+        if kind == "file":
+            out.write_text("keep\n")
+            before = out.read_bytes()
+        else:
+            out.mkdir()
+            (out / "comparison.csv").write_text("earlier\n")
+            before = {path.name: path.read_bytes() for path in out.iterdir()}
+        assert run_cli(*argv, "--out", str(out)) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: invalid value for '--out': {out} is not an empty directory\n"
+        assert captured.out == ""
+        if kind == "file":
+            assert out.read_bytes() == before
+        else:
+            assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+    def test_an_empty_out_directory_is_used(self, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        assert run_cli("run", "--objective", "sphere", "--iterations", "10", "--out", str(out)) == 0
+        assert (out / "config.echo.json").exists()
+
 
 class TestDefaults:
     def test_benchmark_rows_cover_the_six_configurations(self):
@@ -479,7 +516,7 @@ class TestDefaults:
                 main([command, "--help"])
             return " ".join(capsys.readouterr().out.split())
 
-        cfg = effective_config({}, {"objective": "sphere"})
+        cfg, _ = effective_config({}, {"objective": "sphere"})
         run_args = build_parser().parse_args(["run"])
         run_help = help_text("run")
         assert f"problem dimension (default {cfg['dimension']})" in run_help
@@ -498,7 +535,7 @@ class TestDefaults:
         literal = re.compile(rf"\b{SwarmConfig.iterations}\b")
         for module in (qswarm.cli, qswarm.experiments):
             assert not literal.search(inspect.getsource(module)), module.__name__
-        cfg = effective_config({}, {"objective": "sphere"})
+        cfg, _ = effective_config({}, {"objective": "sphere"})
         assert cfg["iterations"] == SwarmConfig.iterations
         # So is the seed default of both commands.
         assert cfg["seed"] == build_parser().parse_args(["benchmark"]).seed == SwarmConfig.seed

@@ -5,6 +5,7 @@ oracle on random points, plus hand-computed spot values.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -203,6 +204,37 @@ class TestBoundsAndClipping:
             # Both ends are finite, but hi - lo overflows to inf.
             Bounds.from_pairs([[-1e308, 1e308], [-1.0, 1.0]])
 
+    @pytest.mark.parametrize(
+        "lo,hi,end",
+        [
+            (["1", False], ["3", True], "lo[0]"),
+            ([True], [2], "lo[0]"),
+            ([0], [None], "hi[0]"),
+            ([0], [math.nan], "hi[0]"),
+            ([0, [1]], [2, 3], "lo[1]"),
+        ],
+    )
+    def test_the_constructor_refuses_an_end_that_is_no_finite_number(self, lo, hi, end):
+        # Each end is checked before any conversion, so a str or a bool
+        # never becomes a float.
+        with pytest.raises(ValueError, match=f"^{re.escape(end)} must be a finite number"):
+            Bounds(lo, hi)
+
+    def test_number_ends_build_the_same_float64_box(self):
+        box = Bounds([-7.5, 2.0], [9.0, 5.0])
+        for lo, hi in [
+            (np.array([-7.5, 2.0], dtype=np.float32), np.array([9.0, 5.0], dtype=np.float32)),
+            (np.array([-7.5, 2], dtype=object), np.array([9, 5], dtype=np.int64)),
+            ([np.float32(-7.5), np.int64(2)], [9, 5]),
+        ]:
+            other = Bounds(lo, hi)
+            for ends, expected in ((other.lo, box.lo), (other.hi, box.hi)):
+                assert ends.dtype == np.float64
+                assert ends.tobytes() == expected.tobytes()
+        ints = Bounds([-7, 2], [9, 5])
+        assert ints.lo.dtype == ints.hi.dtype == np.float64
+        assert ints.to_pairs() == [[-7.0, 9.0], [2.0, 5.0]]
+
     def test_bounds_pairs_round_trip(self):
         pairs = [[-1.0, 2.0], [0.0, 5.0]]
         assert Bounds.from_pairs(pairs).to_pairs() == pairs
@@ -233,7 +265,7 @@ class TestRegistry:
     @pytest.mark.parametrize("name", [None, 5, ["sphere"]])
     def test_a_name_that_is_no_str_is_unknown(self, name):
         for lookup in (make_objective, default_bounds):
-            with pytest.raises(UnknownObjectiveError, match="^unknown objective"):
+            with pytest.raises(UnknownObjectiveError, match="^objective .* is unknown; valid names"):
                 lookup(name, 2)
 
     def test_box_without_the_origin_is_allowed(self):
@@ -310,7 +342,7 @@ class TestNumberFields:
         "pairs", [[["1", 5]], [[True, 5]], [[None, 1]], [[0, 10**400]], [[1, [2, 3]]]]
     )
     def test_box_ends_must_be_finite_numbers(self, pairs):
-        with pytest.raises(ValueError, match=r"^bounds\[0\]\[[01]\] must be a finite number"):
+        with pytest.raises(ValueError, match=r"^(lo|hi)\[0\] must be a finite number"):
             Bounds.from_pairs(pairs)
 
     @pytest.mark.parametrize("pairs", [5, None, "ab", [[1, 2], [3]], [[1, 2, 3]], {}, [], [[]]])

@@ -415,6 +415,26 @@ class TestConfigValidation:
         assert numpy_run.final_position.tobytes() == float_run.final_position.tobytes()
         assert numpy_run.fallback_counts == float_run.fallback_counts
 
+    @pytest.mark.parametrize("variant", [VARIANT_STANDARD, VARIANT_SURROGATE])
+    def test_number_box_ends_run_as_the_floats_they_equal(self, variant):
+        # Bounds stores every end as a float64, whatever number type it was.
+        float_box = Bounds([-7.5, -3.0], [9.0, 4.0])
+        for box in (
+            Bounds(np.array([-7.5, -3], dtype=np.float32), np.array([9, 4], dtype=np.float32)),
+            Bounds(np.array([-7.5, -3.0]), np.array([9, 4], dtype=np.int64)),
+            Bounds([np.float32(-7.5), -3], [9, np.int64(4)]),
+        ):
+            runs = [
+                run(
+                    sphere_config(bounds=bounds, iterations=60, lookback=5, variant=variant),
+                    make_objective("sphere", 2, bounds),
+                )
+                for bounds in (box, float_box)
+            ]
+            assert runs[0].best_value_trace.tobytes() == runs[1].best_value_trace.tobytes()
+            assert runs[0].final_position.tobytes() == runs[1].final_position.tobytes()
+            assert runs[0].fallback_counts == runs[1].fallback_counts
+
     def test_fewer_particles_than_interpolation_points_is_allowed(self):
         config = sphere_config(n_particles=3, variant=VARIANT_SURROGATE)
         assert config.n_particles < required_points(config.dimension)

@@ -26,12 +26,17 @@ metric's ``bound`` from ``BENCHMARK.json``: ``worse`` when the change's
 median is worse than the parent's by more than the bound, relative to the
 parent's median; ``unresolved`` when the parent's quartile spread exceeds
 the bound, relative to its median, unless every change run beats every
-parent run; ``within bound`` otherwise.
+parent run; ``within bound`` otherwise. Beside them, under
+``failed_share``, it stores each side's failed runs over its attempted
+runs, summed over the pairs: ``worse`` when the change's share is larger,
+``within bound`` otherwise. A share, not a count, because a faster change
+attempts more runs in the same time.
 
 ``--claim METRIC`` prints the verdict for one end-to-end metric: the change
 must win at least 9 of 10 pairs (the same share of any pair count), and its
 median must beat the parent's by more than the parent's quartile spread,
-with no more failed runs than the parent. The exit code is 0 when the pairs ran, whatever the verdict.
+with no larger failed share than the parent. The exit code is 0 when the
+pairs ran, whatever the verdict.
 
 When an execution exits non-zero, prints nothing, or ends its stdout with
 a line that is not a result (a JSON object with ``attempted``, ``failed``
@@ -113,9 +118,20 @@ def machine() -> dict:
     return info
 
 
+def failed_share(pairs: dict) -> dict:
+    """Each side's failed runs over its attempted runs, summed over the
+    pairs, and ``worse`` when the change's share is larger."""
+    share = {}
+    for side in ("parent", "change"):
+        attempted = sum(pair[side]["attempted"] for pair in pairs.values())
+        share[side] = sum(pair[side]["failed"] for pair in pairs.values()) / attempted if attempted else 0.0
+    share["result"] = "worse" if share["change"] > share["parent"] else "within bound"
+    return share
+
+
 def summarize(pairs: dict, directions: dict, bounds: dict) -> tuple[dict, dict, dict]:
     """Per-metric quartiles of each side, the change's win count and the
-    no-regression result."""
+    no-regression results: one per metric, and the failed share."""
     summary, wins, checks = {}, {}, {}
     for name, better in directions.items():
         rows = [pair for pair in pairs.values() if name in pair["parent"] and name in pair["change"]]
@@ -127,6 +143,7 @@ def summarize(pairs: dict, directions: dict, bounds: dict) -> tuple[dict, dict, 
         sign = 1.0 if better == "higher" else -1.0
         wins[name] = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
         checks[name] = no_regression(better, bounds[name], summary[name], parent, change)
+    checks["failed_share"] = failed_share(pairs)
     return summary, wins, checks
 
 
@@ -155,18 +172,18 @@ def no_regression(better: str, bound: float, summary: dict, parent: list, change
 
 def verdict(metric: str, better: str, summary: dict, wins: int, pairs: dict) -> str:
     count = len(pairs)
-    failed = {side: sum(pair[side]["failed"] for pair in pairs.values()) for side in ("parent", "change")}
+    failed = failed_share(pairs)
     parent, change = summary["parent"], summary["change"]
     sign = 1.0 if better == "higher" else -1.0
     gain = sign * (change["median"] - parent["median"])
     spread = parent["q3"] - parent["q1"]
     relative = gain / abs(parent["median"]) if parent["median"] else math.nan
-    ok = wins >= math.ceil(WIN_SHARE * count) and gain > spread and failed["change"] <= failed["parent"]
+    ok = wins >= math.ceil(WIN_SHARE * count) and gain > spread and failed["result"] != "worse"
     text = (
         f"{metric} {parent['median']:.6g} -> {change['median']:.6g} ({relative:+.1%}), "
         f"better in {wins} of {count} pairs; median difference {gain:.4g} "
-        f"against the parent's quartile spread {spread:.4g}; failed runs "
-        f"{failed['parent']} -> {failed['change']}: {'PASS' if ok else 'FAIL'}"
+        f"against the parent's quartile spread {spread:.4g}; failed share "
+        f"{failed['parent']:.2%} -> {failed['change']:.2%}: {'PASS' if ok else 'FAIL'}"
     )
     return text
 
@@ -237,12 +254,15 @@ def main(argv=None) -> int:
             "no_regression": checks,
             "pairs": pairs,
         }
-        for name, check in checks.items():
+        for name in summary:
+            check = checks[name]
             print(
                 f"{args.workload} {name}: {summary[name]['parent']['median']:.6g} -> "
                 f"{summary[name]['change']['median']:.6g} (gain {check['gain']:+.1%}), parent spread "
                 f"{check['parent_spread']:.1%} of its median, bound {check['bound']:.0%}: {check['result']}"
             )
+        share = checks["failed_share"]
+        print(f"{args.workload} failed share: {share['parent']:.2%} -> {share['change']:.2%}: {share['result']}")
         if args.claim is not None:
             text = verdict(args.claim, directions[args.claim], summary[args.claim], wins[args.claim], pairs)
             record["claim"] = f"{args.claim} on {args.workload}"
