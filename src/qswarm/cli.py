@@ -171,7 +171,7 @@ def effective_config(file_cfg: dict, overrides: dict, jobs: int = BatchSpec.jobs
 
 
 def resolve_out_dir(out_flag) -> Path:
-    if out_flag:
+    if out_flag is not None:
         path = Path(out_flag)
     else:
         root = Path(os.environ.get("QSWARM_OUT", "."))

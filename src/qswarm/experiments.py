@@ -135,14 +135,16 @@ def log_median(values) -> float:
     """exp(median(log(values))); nan when any value is negative.
 
     Zeros are tolerated: they contribute -inf in log space, and the result
-    collapses to 0.0 when the median lands on one.
+    collapses to 0.0 when the median lands on one. A median that falls
+    between a zero and an ``inf`` is undefined and gives nan, without a
+    warning.
     """
     arr = np.asarray(values, dtype=float)
     if arr.size == 0:
         raise ValueError("cannot summarize an empty sample")
     if np.any(arr < 0):
         return float("nan")
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):
         return float(np.exp(np.median(np.log(arr))))
 
 

@@ -20,10 +20,6 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 
-class UnknownObjectiveError(ValueError):
-    """Raised when an objective name is not present in the registry."""
-
-
 def require_int(name: str, value, minimum: Optional[int] = None) -> None:
     """Refuse ``value`` for the count or seed ``name`` unless it is an
     integer, numpy's included, and at least ``minimum`` when one is given;
@@ -227,7 +223,7 @@ def _lookup(name: str) -> tuple[str, Callable, float]:
     that is no str is unknown."""
     key = name.lower() if isinstance(name, str) else None
     if key not in _REGISTRY:
-        raise UnknownObjectiveError(
+        raise ValueError(
             f"objective {name!r} is unknown; valid names: {', '.join(objective_names())}"
         )
     return (key, *_REGISTRY[key])
@@ -242,7 +238,7 @@ def default_bounds(name: str, dimension: int) -> Bounds:
 def make_objective(name: str, dimension: int, bounds: Optional[Bounds] = None) -> Objective:
     """Look up an objective by name (case-insensitive).
 
-    Unknown names raise :class:`UnknownObjectiveError` rather than silently
+    Unknown names raise :class:`ValueError` rather than silently
     defaulting. When ``bounds`` is omitted the registry default box is used.
     """
     key, evaluate, _ = _lookup(name)

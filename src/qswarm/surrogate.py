@@ -39,11 +39,10 @@ from __future__ import annotations
 import math
 import os
 import sys
-from dataclasses import dataclass
 from functools import cache
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 from importlib.util import module_from_spec
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -142,8 +141,7 @@ def required_points(dimension: int) -> int:
     return (dimension + 1) * (dimension + 2) // 2
 
 
-@dataclass(frozen=True, eq=False)
-class QuadraticModel:
+class QuadraticModel(NamedTuple):
     """The linear and quadratic coefficients of the interpolating quadratic;
     its minimizer does not depend on the constant term, which is not kept.
 
@@ -155,43 +153,19 @@ class QuadraticModel:
     quad: np.ndarray
 
 
-@dataclass(frozen=True, eq=False)
-class SurrogateResult:
+class SurrogateResult(NamedTuple):
     """One iteration's quadratic probe: why it was or was not accepted, and
     the point it evaluated.
 
-    ``x_min`` is the clipped minimizer the call evaluated and ``f_min`` its
-    actual objective value, never the surrogate prediction; both are None
-    when the call made no probe. Such a result carries its reason alone, and
-    one instance per reason serves every call.
+    A result carries a point and a value exactly when the call evaluated a
+    probe: ``x_min`` is the clipped minimizer and ``f_min`` its actual
+    objective value, never the surrogate prediction. Both are None when the
+    call made no probe. Only the reason ``none`` marks an accepted probe.
     """
 
     fallback_reason: str
     x_min: Optional[np.ndarray] = None
     f_min: Optional[float] = None
-
-    @property
-    def used_fallback(self) -> bool:
-        """True unless the probe was accepted."""
-        return self.fallback_reason != FALLBACK_NONE
-
-    @property
-    def evaluated(self) -> bool:
-        """True when the call evaluated the objective once, at its probe:
-        every call that gets as far as a new probe does, accepted or not."""
-        return self.fallback_reason in (FALLBACK_NONE, FALLBACK_NON_IMPROVING)
-
-
-# The one result of each reason that makes no probe.
-_NO_PROBE = {
-    reason: SurrogateResult(reason)
-    for reason in (
-        FALLBACK_TOO_FEW_POINTS,
-        FALLBACK_SINGULAR_SYSTEM,
-        FALLBACK_SINGULAR_QUADRATIC,
-        FALLBACK_REPEATED,
-    )
-}
 
 
 @cache
@@ -328,9 +302,9 @@ def surrogate_attractor(
     archive must serve one deterministic objective.
     """
     if archive.size < archive.capacity:
-        return _NO_PROBE[FALLBACK_TOO_FEW_POINTS]
+        return SurrogateResult(FALLBACK_TOO_FEW_POINTS)
     if archive.memo is not None:
-        return _NO_PROBE[archive.memo]
+        return SurrogateResult(archive.memo)
     points, values = archive.sorted_points()
     reason = FALLBACK_SINGULAR_SYSTEM
     try:
@@ -339,7 +313,7 @@ def surrogate_attractor(
         x_min = clip_to_bounds(minimize(model), objective.bounds)
     except SingularMatrixError:
         archive.memo = reason
-        return _NO_PROBE[reason]
+        return SurrogateResult(reason)
     archive.memo = FALLBACK_REPEATED
     f_min = float(objective.evaluate(x_min))
     if not math.isfinite(f_min):

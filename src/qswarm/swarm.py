@@ -69,7 +69,7 @@ import numpy as np
 
 from .archive import Archive
 from .objectives import Bounds, Objective, require_finite, require_int
-from .surrogate import FALLBACK_REASONS, load_lapack, required_points, surrogate_attractor
+from .surrogate import FALLBACK_NONE, FALLBACK_REASONS, load_lapack, required_points, surrogate_attractor
 
 VARIANT_STANDARD = "standard"
 VARIANT_SURROGATE = "quadratic_surrogate"
@@ -261,10 +261,10 @@ class Swarm:
 
         if archive is not None:
             probe = surrogate_attractor(archive, self.objective, self.gbest_value)
-            if probe.evaluated:
+            if probe.x_min is not None:
                 self.evaluations += 1
             self.fallback_counts[probe.fallback_reason] += 1
-            if not probe.used_fallback:
+            if probe.fallback_reason == FALLBACK_NONE:
                 self.gbest_value = probe.f_min
                 self.gbest_position = probe.x_min
 

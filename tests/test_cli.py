@@ -483,6 +483,30 @@ class TestFlagValidation:
         assert run_cli("run", "--objective", "sphere", "--iterations", "10", "--out", str(out)) == 0
         assert (out / "config.echo.json").exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("run", "--objective", "sphere", "--runs", "2", "--iterations", "10", "--no-timing"),
+            ("benchmark", "--runs", "2", "--no-timing"),
+        ],
+    )
+    def test_an_empty_out_is_the_working_directory(self, tmp_path, monkeypatch, capsys, argv):
+        # '' names a path, the working directory, so the default root under
+        # $QSWARM_OUT is not used and the empty-directory rule applies.
+        work = tmp_path / "work"
+        work.mkdir()
+        (work / "comparison.csv").write_text("earlier\n")
+        root = tmp_path / "root"
+        monkeypatch.setenv("QSWARM_OUT", str(root))
+        monkeypatch.chdir(work)
+        assert run_cli(*argv, "--out", "") == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: invalid value for '--out': . is not an empty directory\n"
+        assert captured.out == ""
+        assert [path.name for path in work.iterdir()] == ["comparison.csv"]
+        assert (work / "comparison.csv").read_text() == "earlier\n"
+        assert not root.exists() or not list(root.glob("qswarm_*"))
+
 
 class TestDefaults:
     def test_benchmark_rows_cover_the_six_configurations(self):

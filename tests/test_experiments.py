@@ -5,6 +5,7 @@ import dataclasses
 import math
 import os
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -145,6 +146,25 @@ class TestSummarize:
         assert log_median([0.0, 1.0, 4.0]) == pytest.approx(1.0, rel=1e-12)
         assert log_median([0.0, 0.0, 1.0]) == 0.0
         assert math.isnan(log_median([-1.0, 1.0]))
+
+    def test_log_median_between_zero_and_inf_is_nan_without_a_warning(self):
+        # The median of the logs falls between -inf and inf.
+        records = [
+            RunRecord(
+                best_value_trace=np.array(trace),
+                final_position=np.zeros(2),
+                final_value=trace[-1],
+                evaluations=0,
+                fallback_counts={},
+                nonfinite_iterations=(),
+                wall_time=0.0,
+            )
+            for trace in ([2.0, 0.0], [math.inf, math.inf])
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert math.isnan(log_median([0.0, math.inf]))
+            assert math.isnan(summarize_records(records).log_median)
 
 
 def constant_series_objective(per_run_evals, values):

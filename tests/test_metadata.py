@@ -71,12 +71,30 @@ def test_counter_reads_the_surface_of_the_package():
     assert counter.field_count(swarm, "SwarmConfig") == len(dataclasses.fields(SwarmConfig))
     experiments = (package / "experiments.py").read_text(encoding="utf-8")
     assert counter.field_count(experiments, "BatchSpec") == len(dataclasses.fields(BatchSpec))
-    # A fresh process: importing other modules adds them to the package.
+    public = public_names()
+    assert counter.export_count((package / "__init__.py").read_text(encoding="utf-8")) == len(public)
+
+
+def public_names() -> set[str]:
+    """The public names of ``qswarm``, read in a fresh process: importing
+    other modules adds them to the package."""
     public = subprocess.run(
-        [sys.executable, "-c", "import qswarm; print(sum(not n.startswith('_') for n in vars(qswarm)))"],
+        [sys.executable, "-c", "import qswarm; print(*(n for n in vars(qswarm) if not n.startswith('_')))"],
         capture_output=True,
         text=True,
         check=True,
         env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
     )
-    assert counter.export_count((package / "__init__.py").read_text(encoding="utf-8")) == int(public.stdout)
+    return set(public.stdout.split())
+
+
+def test_the_readme_lists_every_export_and_no_other_name():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    marker = "The top-level `qswarm` package exports these names"
+    assert readme.count(marker) == 1
+    # The sentence, then the list, each a paragraph of its own.
+    listing = readme.split(marker, 1)[1].split("\n\n")[1]
+    assert listing.startswith("- ")
+    listed = re.findall(r"`([^`]+)`", listing)
+    assert len(listed) == len(set(listed))
+    assert set(listed) == public_names()

@@ -658,8 +658,7 @@ def archive_from(points, values, capacity):
 
 def assert_no_probe(result, reason):
     """A call that made no probe carries its reason and no point or value."""
-    assert result.fallback_reason == reason
-    assert result.used_fallback and not result.evaluated
+    assert result.fallback_reason == reason != FALLBACK_NONE
     assert result.x_min is None and result.f_min is None
 
 
@@ -678,7 +677,7 @@ class TestSurrogateAttractor:
         archive = archive_from(pts, [objective.evaluate(p) for p in pts], 6)
         worst = max(archive.sorted_points()[1])
         result = surrogate_attractor(archive, objective, worst)
-        assert not result.used_fallback
+        assert result.fallback_reason == FALLBACK_NONE
         assert result.fallback_reason == FALLBACK_NONE
         np.testing.assert_allclose(result.x_min, np.zeros(2), atol=1e-8)
         assert result.f_min == pytest.approx(0.0, abs=1e-14)
@@ -736,7 +735,7 @@ class TestSurrogateAttractor:
             archive.observe(p, v)
         best = archive.best().value
         result = surrogate_attractor(archive, objective, best)
-        if result.evaluated:
+        if result.x_min is not None:
             assert result.fallback_reason == FALLBACK_NON_IMPROVING
             assert result.f_min == objective.evaluate(result.x_min) >= best
         else:
@@ -753,7 +752,7 @@ class TestSurrogateAttractor:
         archive = archive_from(cloud, values, 6)
 
         result = surrogate_attractor(archive, objective, 1e-9)
-        assert result.used_fallback
+        assert result.fallback_reason != FALLBACK_NONE
         assert result.fallback_reason == FALLBACK_NON_IMPROVING
         # the result carries the evaluated probe, which stays in the basin
         assert result.f_min == objective.evaluate(result.x_min) > 1e-9
@@ -761,7 +760,7 @@ class TestSurrogateAttractor:
 
         # with a weak incumbent the same archive yields an accepted probe
         accepted = surrogate_attractor(archive, objective, 1e9)
-        assert not accepted.used_fallback
+        assert accepted.fallback_reason == FALLBACK_NONE
         assert accepted.f_min == pytest.approx(
             objective.evaluate(accepted.x_min), rel=1e-14
         )
@@ -778,9 +777,9 @@ class TestSurrogateAttractor:
             result = surrogate_attractor(archive, objective, best)
             # The swarm adopts an accepted probe as its global best, and so
             # its attractor, and keeps its global best otherwise.
-            if not result.used_fallback:
+            if result.fallback_reason == FALLBACK_NONE:
                 assert result.f_min < best  # strict when accepted
-            elif result.evaluated:
+            elif result.x_min is not None:
                 assert not result.f_min < best
             else:
                 assert result.f_min is None
@@ -794,8 +793,9 @@ class TestSurrogateAttractor:
             archive = archive_from(pts, [objective.evaluate(p) for p in pts], 6)
             result = surrogate_attractor(archive, objective, archive.best().value)
             assert isinstance(result, SurrogateResult)
-            assert result.evaluated == (result.x_min is not None)
-            if result.evaluated:
+            probed = result.fallback_reason in (FALLBACK_NONE, FALLBACK_NON_IMPROVING)
+            assert (result.x_min is not None) == (result.f_min is not None) == probed
+            if probed:
                 assert np.all(np.isfinite(result.x_min))
 
     def test_empty_archive_falls_back_to_global_best(self):
@@ -827,7 +827,7 @@ class TestSurrogateAttractor:
             for _ in range(3):
                 calls.clear()
                 result = surrogate_attractor(archive, objective, best)
-                assert len(calls) == result.evaluated == (result.x_min is not None)
+                assert len(calls) == (result.x_min is not None) == (result.f_min is not None)
                 seen.add(result.fallback_reason)
         assert seen >= {
             FALLBACK_NONE,
@@ -849,20 +849,29 @@ class TestSurrogateAttractor:
         for p, v in zip(pts, values):
             archive.observe(p, v)
         result = surrogate_attractor(archive, objective, 1e9)
-        assert not result.used_fallback
+        assert result.fallback_reason == FALLBACK_NONE
         assert result.x_min[0] == pytest.approx(10.0)
         assert result.f_min == pytest.approx(objective.evaluate(result.x_min), rel=1e-14)
 
 
-class TestResultValidation:
-    def test_flag_must_mirror_reason(self):
+class TestRecords:
+    def test_the_records_are_tuples_of_their_fields(self):
+        x_min = np.array([1.0, 2.0])
+        result = SurrogateResult(FALLBACK_NONE, x_min, 0.5)
+        assert isinstance(result, tuple)
+        reason, point, value = result
+        assert reason == FALLBACK_NONE and point is x_min is result.x_min and value == 0.5
+        linear, quad = np.zeros(2), np.eye(2)
+        model = QuadraticModel(linear, quad)
+        assert isinstance(model, tuple)
+        first, second = model
+        assert first is linear is model.linear and second is quad is model.quad
+        with pytest.raises(AttributeError):
+            result.x_min = None
+
+    def test_a_result_built_from_a_reason_alone_carries_no_point(self):
         for reason in FALLBACK_REASONS:
-            result = SurrogateResult(reason)
-            assert result.used_fallback == (reason != FALLBACK_NONE)
-            proposed = reason in (FALLBACK_NONE, FALLBACK_NON_IMPROVING)
-            assert result.evaluated == proposed
-        repeated = SurrogateResult(FALLBACK_REPEATED)
-        assert repeated.used_fallback and not repeated.evaluated
+            assert tuple(SurrogateResult(reason)) == (reason, None, None)
         assert FALLBACK_REASONS[-1] == FALLBACK_REPEATED
 
 
@@ -912,7 +921,7 @@ class TestProposalMemo:
         fits = self.counting_fit(monkeypatch)
         weak_best = 1e9
         first = surrogate_attractor(archive, objective, weak_best)
-        assert not first.used_fallback and first.f_min == 1e6
+        assert first.fallback_reason == FALLBACK_NONE and first.f_min == 1e6
         assert np.array_equal(first.x_min, self.fresh_proposal(archive, objective.bounds))
         # The archive refused the accepted probe, whose value is now the
         # incumbent: the stored set makes no second probe.
@@ -989,8 +998,8 @@ class TestProposalMemo:
             assert_no_probe(result, FALLBACK_SINGULAR_SYSTEM)
 
     def test_fallback_is_kept_until_the_archive_changes(self, monkeypatch):
-        # A call that makes no probe reads the memo alone: no fit, no
-        # evaluation, no archive.best() and no new result object.
+        # A call that makes no probe reads the memo alone: the same reason,
+        # no point, no fit, no evaluation and no archive.best().
         objective = make_objective("sphere", 2)
         t = np.linspace(0.1, 1.0, 6)
         pts = np.column_stack([t, t])  # collinear
@@ -1005,12 +1014,14 @@ class TestProposalMemo:
 
         monkeypatch.setattr(Archive, "best", counting_best)
         first, second = (surrogate_attractor(archive, objective, 1e9) for _ in range(2))
-        assert second is first and len(fits) == 1
+        assert len(fits) == 1
         assert_no_probe(first, FALLBACK_SINGULAR_SYSTEM)
+        assert_no_probe(second, FALLBACK_SINGULAR_SYSTEM)
         # A better point on the same line: a new fit, still singular.
         assert archive.observe(np.array([0.05, 0.05]), 0.005)
         third = surrogate_attractor(archive, objective, 1e9)
-        assert third is first and len(fits) == 2
+        assert_no_probe(third, FALLBACK_SINGULAR_SYSTEM)
+        assert len(fits) == 2
         # A refused probe the incumbent does not lose to takes the same path
         # until the archive stores a point.
         archive = self.bowl_archive()
@@ -1019,9 +1030,8 @@ class TestProposalMemo:
         strong = min(archive.sorted_points()[1])
         refused = surrogate_attractor(archive, flat, strong)
         assert refused.fallback_reason == FALLBACK_NON_IMPROVING
-        fourth, fifth, sixth = (surrogate_attractor(archive, flat, strong) for _ in range(3))
-        assert_no_probe(fourth, FALLBACK_REPEATED)
-        assert fifth is fourth and sixth is fourth
+        for _ in range(3):
+            assert_no_probe(surrogate_attractor(archive, flat, strong), FALLBACK_REPEATED)
         assert len(evaluations) == 1 and len(fits) == 3
         assert archive.observe(np.array([1.0, 2.0]), 0.0)
         seventh = surrogate_attractor(archive, flat, 0.0)
@@ -1096,7 +1106,7 @@ class TestProposalMemo:
                 reference_points, reference_values = reference.sorted_points()
                 assert values == reference_values
                 assert np.array(points).tobytes() == np.array(reference_points).tobytes()
-            evaluated += result.evaluated
+            evaluated += result.x_min is not None
             assert len(evaluations) == evaluated
             if reason == FALLBACK_NONE:
                 incumbent = result.f_min
@@ -1169,5 +1179,5 @@ class TestProposalMemo:
                 before = len(fits)
                 result = surrogate_attractor(archive, objective, incumbent)
                 assert len(fits) - before == refit
-                if not result.used_fallback:
+                if result.fallback_reason == FALLBACK_NONE:
                     incumbent = result.f_min

@@ -861,7 +861,7 @@ def reference_step(state, objective, config, k, draws):
     archive = state[6]
     if archive is not None:
         result = surrogate_attractor(archive, state[7], gbest[1])
-        if not result.used_fallback:
+        if result.fallback_reason == FALLBACK_NONE:
             gbest[0] = result.x_min.copy()
             gbest[1] = result.f_min
     attractor = gbest[0]
