@@ -7,7 +7,7 @@ of it; everything else lives in the submodules ``archive``, ``experiments``,
 ``objectives``, ``surrogate`` and ``swarm``."""
 
 from . import archive, experiments, objectives, surrogate, swarm
-from .experiments import BatchError, BatchResult, BatchSpec, StatsSummary, run_batch
+from .experiments import BatchError, BatchResult, BatchSpec, run_batch
 from .objectives import Bounds, Objective, make_objective, objective_names
 from .swarm import VARIANT_STANDARD, VARIANT_SURROGATE, VARIANTS, RunRecord, SwarmConfig, run
 

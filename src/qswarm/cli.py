@@ -190,7 +190,7 @@ def _write_batch(out_dir: Path, spec: BatchSpec, results, suffix: str = "", trac
     if traces:
         for variant in spec.variants:
             label = VARIANT_LABELS[variant]
-            write_trace_csv(out_dir / f"trace{suffix}_{label}.csv", results[variant].summary)
+            write_trace_csv(out_dir / f"trace{suffix}_{label}.csv", results[variant])
 
 
 def cmd_run(args) -> int:
@@ -208,11 +208,11 @@ def cmd_run(args) -> int:
     _write_batch(out_dir, spec, results)
 
     for variant in spec.variants:
-        summary = results[variant].summary
+        result = results[variant]
         print(
             f"{spec.objective} {spec.config.dimension}D [{VARIANT_LABELS[variant]}] "
-            f"runs={summary.n_runs} mean={summary.mean:.6e} median={summary.q50:.6e} "
-            f"log_median={summary.log_median:.6e}"
+            f"runs={len(result.records)} mean={result.mean:.6e} median={result.q50:.6e} "
+            f"log_median={result.log_median:.6e}"
         )
     if len(spec.variants) == 2:
         row = compare(spec, results)

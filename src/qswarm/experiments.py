@@ -22,6 +22,7 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import astuple, dataclass, field, fields, replace
+from itertools import repeat
 from typing import Optional
 
 import numpy as np
@@ -70,10 +71,12 @@ class BatchSpec:
 
 
 @dataclass(eq=False)
-class StatsSummary:
-    """Cross-run statistics of one (objective, variant) batch."""
+class BatchResult:
+    """The runs of one (objective, variant) batch and their cross-run
+    statistics: those of the final values, and per iteration the mean and
+    quartiles of the best-value traces."""
 
-    n_runs: int
+    records: list[RunRecord]
     mean: float
     q25: float
     q50: float
@@ -83,12 +86,6 @@ class StatsSummary:
     mean_trace: np.ndarray
     q25_trace: np.ndarray
     q75_trace: np.ndarray
-
-
-@dataclass(eq=False)
-class BatchResult:
-    records: list[RunRecord]
-    summary: StatsSummary
 
 
 def _quantiles(arr: np.ndarray, probs, axis=None) -> np.ndarray:
@@ -148,17 +145,18 @@ def log_median(values) -> float:
         return float(np.exp(np.median(np.log(arr))))
 
 
-def summarize_records(records: list[RunRecord]) -> StatsSummary:
-    """:func:`summarize` of the final values, and the same per iteration of
-    the traces; a trace column holding both infinities has a NaN mean."""
+def summarize_records(records: list[RunRecord]) -> BatchResult:
+    """The records with :func:`summarize` of their final values, and the same
+    per iteration of their traces; a trace column holding both infinities
+    has a NaN mean."""
     finals = [record.final_value for record in records]
     mean, q25, q50, q75 = summarize(finals)
     traces = np.stack([record.best_value_trace for record in records])
     q25_trace, q75_trace = _quantiles(traces, (0.25, 0.75), axis=0)
     with np.errstate(invalid="ignore"):
         mean_trace = traces.mean(axis=0)
-    return StatsSummary(
-        n_runs=len(records),
+    return BatchResult(
+        records=records,
         mean=mean,
         q25=q25,
         q50=q50,
@@ -171,8 +169,7 @@ def summarize_records(records: list[RunRecord]) -> StatsSummary:
     )
 
 
-def _run_one(args):
-    config, objective, timing = args
+def _run_one(config, objective, timing):
     # ``run`` is looked up when called, so a replacement installed on this
     # module reaches the runs, in forked workers too.
     return run(config, objective, timing)
@@ -216,14 +213,14 @@ def _execute(configs, objective, timing, jobs):
     # Workers receive (config, objective, timing) pickled, so custom
     # objectives must be picklable then; registry objectives are.
     workers = _workers(jobs, len(configs))
-    tasks = [(config, objective, timing) for config in configs]
+    tasks = (configs, repeat(objective), repeat(timing))
     with shared_pool():
         if workers > 1 and workers not in _pools:
             _pools[workers] = ProcessPoolExecutor(max_workers=workers)
         pool = _pools.get(workers)
         records = []
         try:
-            for record in map(_run_one, tasks) if pool is None else pool.map(_run_one, tasks):
+            for record in map(_run_one, *tasks) if pool is None else pool.map(_run_one, *tasks):
                 records.append(record)
         except Exception as err:
             if isinstance(err, BrokenProcessPool):
@@ -258,11 +255,8 @@ def run_batch(
         for j in range(spec.n_runs)
     ]
     records = _execute(configs, objective, timing, spec.jobs)
-    results: dict[str, BatchResult] = {}
-    for k, variant in enumerate(spec.variants):
-        chunk = records[k * spec.n_runs : (k + 1) * spec.n_runs]
-        results[variant] = BatchResult(records=chunk, summary=summarize_records(chunk))
-    return results
+    n = spec.n_runs
+    return {variant: summarize_records(records[k * n : (k + 1) * n]) for k, variant in enumerate(spec.variants)}
 
 
 # -- comparison --------------------------------------------------------------
@@ -308,14 +302,14 @@ def relative_difference_pct(value: float, reference: float) -> Optional[float]:
     return (value / reference - 1.0) * 100.0
 
 
-def _iqr_text(summary: StatsSummary) -> str:
-    return f"({summary.q25:.3e})-({summary.q75:.3e})"
+def _iqr_text(result: BatchResult) -> str:
+    return f"({result.q25:.3e})-({result.q75:.3e})"
 
 
 def compare(spec: BatchSpec, results: dict[str, BatchResult]) -> ComparisonRow:
     """Build the comparison row of a batch that ran both variants."""
-    qs = results[VARIANT_SURROGATE].summary
-    std = results[VARIANT_STANDARD].summary
+    qs = results[VARIANT_SURROGATE]
+    std = results[VARIANT_STANDARD]
     config = spec.config
     return ComparisonRow(
         objective=spec.objective,
@@ -379,10 +373,10 @@ def write_runs_csv(path, spec: BatchSpec, results: dict[str, BatchResult]):
     _write_csv(path, RUNS_HEADER, rows)
 
 
-def write_trace_csv(path, summary: StatsSummary):
+def write_trace_csv(path, result: BatchResult):
     """Per-iteration mean and interquartile band of the best-value traces."""
-    traces = (summary.mean_trace, summary.q25_trace, summary.q75_trace)
-    _write_csv(path, ("iteration", "mean", "q25", "q75"), zip(range(summary.mean_trace.size), *traces))
+    traces = (result.mean_trace, result.q25_trace, result.q75_trace)
+    _write_csv(path, ("iteration", "mean", "q25", "q75"), zip(range(result.mean_trace.size), *traces))
 
 
 def write_comparison_csv(path, rows: list[ComparisonRow]):

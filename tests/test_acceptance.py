@@ -175,8 +175,8 @@ class TestCriterion5DirectionalReproduction:
     def test_median_gate(self, benchmark_batches, row):
         name, dim, particles, limit, op, ratio = row
         batch = benchmark_batches[(name, dim)]
-        median_qs = batch[VARIANT_SURROGATE].summary.q50
-        median_std = batch[VARIANT_STANDARD].summary.q50
+        median_qs = batch[VARIANT_SURROGATE].q50
+        median_std = batch[VARIANT_STANDARD].q50
         bound = ratio * median_std
         ok = median_qs <= bound if op == "le" else median_qs < bound
         sign = "<=" if op == "le" else "<"

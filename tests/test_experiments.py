@@ -190,9 +190,8 @@ class TestRunBatch:
             variants=(VARIANT_STANDARD,),
         )
         result = run_batch(spec, timing=False)[VARIANT_STANDARD]
-        summary = result.summary
         final = result.records[0].final_value
-        assert summary.mean == summary.q25 == summary.q50 == summary.q75 == final
+        assert result.mean == result.q25 == result.q50 == result.q75 == final
 
     def test_injected_finals_from_stub_objective(self):
         per_run_evals = 2 * 3  # particles x iterations, standard variant
@@ -206,9 +205,9 @@ class TestRunBatch:
         result = run_batch(spec, objective=stub, timing=False)[VARIANT_STANDARD]
         finals = [record.final_value for record in result.records]
         assert finals == [1.0, 2.0, 3.0, 4.0]
-        assert result.summary.mean == 2.5
-        assert result.summary.q25 == 1.75
-        assert result.summary.q75 == 3.25
+        assert result.mean == 2.5
+        assert result.q25 == 1.75
+        assert result.q75 == 3.25
 
     def test_inf_only_objective_summarizes_to_inf(self):
         never_finite = Objective(
@@ -223,9 +222,8 @@ class TestRunBatch:
             n_runs=3,
         )
         for result in run_batch(spec, objective=never_finite, timing=False).values():
-            summary = result.summary
-            assert (summary.mean, summary.q25, summary.q50, summary.q75) == (math.inf,) * 4
-            for trace in (summary.mean_trace, summary.q25_trace, summary.q75_trace):
+            assert (result.mean, result.q25, result.q50, result.q75) == (math.inf,) * 4
+            for trace in (result.mean_trace, result.q25_trace, result.q75_trace):
                 assert np.array_equal(trace, np.full(4, math.inf))
 
     def test_seeds_derived_by_xor(self):
@@ -262,16 +260,12 @@ class TestRunBatch:
             results[jobs] = run_batch(spec, timing=False)
         for variant in (VARIANT_STANDARD, VARIANT_SURROGATE):
             a, b = results[1][variant], results[4][variant]
-            assert a.summary.mean == b.summary.mean
-            assert (a.summary.q25, a.summary.q50, a.summary.q75) == (
-                b.summary.q25,
-                b.summary.q50,
-                b.summary.q75,
-            )
-            assert a.summary.mean_wall_time == b.summary.mean_wall_time == 0.0
-            np.testing.assert_array_equal(a.summary.mean_trace, b.summary.mean_trace)
-            np.testing.assert_array_equal(a.summary.q25_trace, b.summary.q25_trace)
-            np.testing.assert_array_equal(a.summary.q75_trace, b.summary.q75_trace)
+            assert a.mean == b.mean
+            assert (a.q25, a.q50, a.q75) == (b.q25, b.q50, b.q75)
+            assert a.mean_wall_time == b.mean_wall_time == 0.0
+            np.testing.assert_array_equal(a.mean_trace, b.mean_trace)
+            np.testing.assert_array_equal(a.q25_trace, b.q25_trace)
+            np.testing.assert_array_equal(a.q75_trace, b.q75_trace)
             for ra, rb in zip(a.records, b.records):
                 np.testing.assert_array_equal(ra.best_value_trace, rb.best_value_trace)
                 assert ra.evaluations == rb.evaluations
@@ -474,13 +468,12 @@ class TestSummaryTraces:
         )
         result = run_batch(spec, timing=False)[VARIANT_SURROGATE]
         traces = np.stack([r.best_value_trace for r in result.records])
-        summary = result.summary
-        assert np.all(summary.mean_trace >= traces.min(axis=0))
-        assert np.all(summary.mean_trace <= traces.max(axis=0))
-        assert np.all(summary.q25_trace <= summary.q75_trace)
+        assert np.all(result.mean_trace >= traces.min(axis=0))
+        assert np.all(result.mean_trace <= traces.max(axis=0))
+        assert np.all(result.q25_trace <= result.q75_trace)
         finals = [r.final_value for r in result.records]
-        assert summary.mean_trace[-1] == pytest.approx(np.mean(finals), rel=1e-15)
-        assert summary.mean == pytest.approx(np.mean(finals), rel=1e-15)
+        assert result.mean_trace[-1] == pytest.approx(np.mean(finals), rel=1e-15)
+        assert result.mean == pytest.approx(np.mean(finals), rel=1e-15)
 
 
 class TestCompare:
@@ -511,8 +504,8 @@ class TestCompare:
         assert row.dimension == 2
         assert row.particles == 6
         assert row.bounds == "[[-10.0, 10.0], [-10.0, 10.0]]"
-        assert row.mean_qs == results[VARIANT_SURROGATE].summary.mean
-        assert row.mean_std == results[VARIANT_STANDARD].summary.mean
+        assert row.mean_qs == results[VARIANT_SURROGATE].mean
+        assert row.mean_std == results[VARIANT_STANDARD].mean
         negative = row.rel_diff_pct is not None and row.rel_diff_pct < 0
         assert negative == (row.mean_qs < row.mean_std)
         assert row.iqr_qs.startswith("(") and ")-(" in row.iqr_qs
@@ -585,17 +578,17 @@ class TestCsvArtifacts:
             n_runs=2,
             variants=(VARIANT_SURROGATE,),
         )
-        summary = run_batch(spec, timing=False)[VARIANT_SURROGATE].summary
+        result = run_batch(spec, timing=False)[VARIANT_SURROGATE]
         path = tmp_path / "trace.csv"
-        write_trace_csv(path, summary)
+        write_trace_csv(path, result)
         with open(path, newline="") as handle:
             parsed = list(csv.DictReader(handle))
         assert len(parsed) == 12
         for k, row in enumerate(parsed):
             assert int(row["iteration"]) == k
-            assert float(row["mean"]) == summary.mean_trace[k]
-            assert float(row["q25"]) == summary.q25_trace[k]
-            assert float(row["q75"]) == summary.q75_trace[k]
+            assert float(row["mean"]) == result.mean_trace[k]
+            assert float(row["q25"]) == result.q25_trace[k]
+            assert float(row["q75"]) == result.q75_trace[k]
 
     def test_comparison_csv_round_trip(self, tmp_path):
         spec = BatchSpec(

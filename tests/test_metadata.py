@@ -4,6 +4,8 @@ source counter counts what it says."""
 import ast
 import dataclasses
 import importlib.util
+import json
+import math
 import os
 import re
 import subprocess
@@ -12,8 +14,9 @@ from pathlib import Path
 
 import pytest
 
+from qswarm.cli import effective_config, load_config_file
 from qswarm.experiments import BatchSpec
-from qswarm.swarm import SwarmConfig
+from qswarm.swarm import VARIANT_STANDARD, VARIANT_SURROGATE, SwarmConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -98,3 +101,37 @@ def test_the_readme_lists_every_export_and_no_other_name():
     listed = re.findall(r"`([^`]+)`", listing)
     assert len(listed) == len(set(listed))
     assert set(listed) == public_names()
+
+
+def readme_blocks(language: str) -> list[str]:
+    """The bodies of the README's fenced blocks in ``language``, in order."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    return re.findall(rf"^```{language}\n(.*?)^```", readme, re.MULTILINE | re.DOTALL)
+
+
+def test_the_readme_code_runs(tmp_path):
+    # The python blocks build on each other, so they run as one script.
+    blocks = readme_blocks("python")
+    assert len(blocks) == 2
+    script = subprocess.run(
+        [sys.executable, "-c", "\n".join(blocks)],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+    assert script.returncode == 0, script.stderr
+    record_line, log_median = script.stdout.splitlines()
+    final_value, evaluations, fallback_counts = record_line.split(" ", 2)
+    assert math.isfinite(float(final_value)) and int(evaluations) > 0
+    assert fallback_counts.startswith("{")
+    assert math.isfinite(float(log_median))
+
+    (config,) = readme_blocks("json")
+    path = tmp_path / "config.json"
+    path.write_text(config, encoding="utf-8")
+    echo, spec = effective_config(load_config_file(str(path)), {})
+    # The example states every key, so the echo adds no default to it.
+    assert echo == json.loads(config)
+    assert (spec.objective, spec.n_runs, spec.config.n_particles) == ("ackley", 400, 6)
+    assert spec.variants == (VARIANT_STANDARD, VARIANT_SURROGATE)

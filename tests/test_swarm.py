@@ -731,6 +731,41 @@ class TestRun:
             assert surrogate.fallback_counts["too_few_points"] == 20
             assert sum(surrogate.fallback_counts.values()) == 20
 
+    @pytest.mark.parametrize("variant", [VARIANT_STANDARD, VARIANT_SURROGATE])
+    @pytest.mark.parametrize(
+        "name, dimension, pairs",
+        [
+            ("sphere", 6, None),
+            ("flower", 5, None),
+            # A box far from the origin, one of whose sides is 1e-6 wide.
+            ("sphere", 2, [[1e5, 1e5 + 1e-6], [-1.0, 1.0]]),
+            # So narrow that the archive, which merges points closer than its
+            # duplicate radius, never holds enough of them to fit.
+            ("ackley", 2, [[-5e-14, 5e-14], [-5e-14, 5e-14]]),
+        ],
+        ids=["sphere_6d", "flower_5d", "sphere_thin_far_box", "ackley_1e-13_box"],
+    )
+    def test_hostile_geometry_keeps_the_run_invariants(self, name, dimension, pairs, variant):
+        # Only invariants: no value or fallback count is pinned.
+        bounds = None if pairs is None else Bounds.from_pairs(pairs)
+        objective = make_objective(name, dimension, bounds)
+        config = SwarmConfig(
+            dimension=dimension,
+            n_particles=required_points(dimension),
+            bounds=objective.bounds,
+            iterations=40,
+            variant=variant,
+            seed=3,
+        )
+        record = run(config, objective, timing=False)
+        trace = record.best_value_trace
+        assert np.all(np.diff(trace) <= 0)
+        assert record.final_value == trace[-1] == float(objective.evaluate(record.final_position))
+        assert np.all(objective.bounds.lo <= record.final_position)
+        assert np.all(record.final_position <= objective.bounds.hi)
+        per_iteration = config.n_particles * config.iterations
+        assert per_iteration <= record.evaluations <= per_iteration + config.iterations
+
     def test_record_wall_time_positive_when_timed(self):
         objective = make_objective("sphere", 2)
         record = run(sphere_config(iterations=5), objective)
