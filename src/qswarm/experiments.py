@@ -18,8 +18,6 @@ from __future__ import annotations
 
 import csv
 import os
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import astuple, dataclass, field, fields, replace
 from itertools import repeat
@@ -175,8 +173,9 @@ def _run_one(config, objective, timing):
     return run(config, objective, timing)
 
 
-# The pools of the open ``shared_pool`` block by worker count; None outside.
-_pools: Optional[dict[int, ProcessPoolExecutor]] = None
+# The process pools of the open ``shared_pool`` block by worker count; None
+# outside.
+_pools: Optional[dict] = None
 
 
 def _workers(jobs: int, tasks: int) -> int:
@@ -216,6 +215,10 @@ def _execute(configs, objective, timing, jobs):
     tasks = (configs, repeat(objective), repeat(timing))
     with shared_pool():
         if workers > 1 and workers not in _pools:
+            # The pool stack (multiprocessing, logging, socket) loads here,
+            # so a process that never pools never loads it.
+            from concurrent.futures import ProcessPoolExecutor
+
             _pools[workers] = ProcessPoolExecutor(max_workers=workers)
         pool = _pools.get(workers)
         records = []
@@ -223,11 +226,14 @@ def _execute(configs, objective, timing, jobs):
             for record in map(_run_one, *tasks) if pool is None else pool.map(_run_one, *tasks):
                 records.append(record)
         except Exception as err:
-            if isinstance(err, BrokenProcessPool):
-                # A worker died and took the pool with it; a later batch of
-                # the block opens a new one.
-                del _pools[workers]
-                pool.shutdown()
+            if pool is not None:
+                from concurrent.futures.process import BrokenProcessPool
+
+                if isinstance(err, BrokenProcessPool):
+                    # A worker died and took the pool with it; a later batch
+                    # of the block opens a new one.
+                    del _pools[workers]
+                    pool.shutdown()
             config = configs[len(records)]
             raise BatchError(
                 f"run failed (seed={config.seed}, variant={config.variant}): {err}"

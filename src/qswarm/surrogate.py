@@ -13,9 +13,10 @@ all the probe needs, so a fitted model keeps ``linear`` and ``quad`` and
 drops ``const``.
 
 Linear systems are solved by dense LU factorization with partial pivoting
-(LAPACK ``getrf``/``getrs``). Singularity is declared deterministically: the
-solve fails when any pivot magnitude drops below ``PIVOT_RTOL`` times the
-largest absolute entry of the matrix. No explicit inverse is ever formed.
+(LAPACK ``gesv``, which factors and solves in one call). Singularity is
+declared deterministically: the solve fails when any pivot magnitude drops
+below ``PIVOT_RTOL`` times the largest absolute entry of the matrix. No
+explicit inverse is ever formed.
 The whitening SVD is LAPACK ``gesdd``, the driver behind ``np.linalg.svd``,
 called directly, and the largest entry comes from ``lange``. SciPy supplies
 these LAPACK routines from its extension module ``scipy.linalg._flapack``,
@@ -26,9 +27,9 @@ scipy.
 
 The fit works on arrays of 3 to 15 rows, where each numpy call costs more
 than its arithmetic, so the kernel makes few of them: a refit that solves
-makes 35 numpy and LAPACK calls, counting every numpy function, method,
+makes 34 numpy and LAPACK calls, counting every numpy function, method,
 operator and index expression and each LAPACK routine, and ``minimize``
-makes 7 more. Scalars it tests (the extents and the pivots) are read out as
+makes 6 more. Scalars it tests (the extents and the pivots) are read out as
 Python floats. It keeps the floating-point operations of the textbook form
 (``mean``, ``np.linalg.svd``, an LU solve of the design matrix) in the same
 order, so its results are those of that form bit for bit.
@@ -77,7 +78,7 @@ class SingularMatrixError(ArithmeticError):
 
 @cache
 def load_lapack():
-    """(dgesdd, dgetrf, dgetrs, dlange) from scipy's f2py LAPACK extension.
+    """(dgesdd, dgesv, dlange) from scipy's f2py LAPACK extension.
 
     The first call imports the top-level ``scipy`` package, which runs
     scipy's own start-up, and then loads the one extension module
@@ -101,7 +102,7 @@ def load_lapack():
         module = module_from_spec(spec)
         sys.modules[name] = module
         spec.loader.exec_module(module)
-    return module.dgesdd, module.dgetrf, module.dgetrs, module.dlange
+    return module.dgesdd, module.dgesv, module.dlange
 
 
 def _solve_in_place(a: np.ndarray, rhs) -> np.ndarray:
@@ -112,18 +113,17 @@ def _solve_in_place(a: np.ndarray, rhs) -> np.ndarray:
     than ``PIVOT_RTOL * max|a|``, which flags collinear or otherwise
     degenerate geometry deterministically.
     """
-    _, dgetrf, dgetrs, dlange = load_lapack()
+    _, dgesv, dlange = load_lapack()
     scale = dlange("M", a)  # max |a_ij|, exactly; NaN when an entry is NaN
     if scale == 0.0 or not math.isfinite(scale):
         raise SingularMatrixError("matrix is zero or non-finite")
-    lu, piv, info = dgetrf(a, overwrite_a=True)
+    # The factorization and the solve are getrf's and getrs's; the solve of
+    # a system the pivot test rejects is discarded.
+    lu, _, x, info = dgesv(a, rhs, overwrite_a=True)
     if info < 0:
-        raise ValueError(f"illegal value in LU factorization argument {-info}")
+        raise ValueError(f"illegal value in LU solve argument {-info}")
     if info > 0 or _pivot_below(lu.diagonal().tolist(), PIVOT_RTOL * scale):
         raise SingularMatrixError("pivot below threshold; system is singular")
-    x, info = dgetrs(lu, piv, rhs)
-    if info != 0:
-        raise ValueError(f"illegal value in triangular solve argument {-info}")
     return x
 
 

@@ -298,10 +298,13 @@ def run(config: SwarmConfig, objective: Objective, timing: bool = True) -> RunRe
     """Execute one full run; deterministic given (config, objective).
 
     ``timing=False`` records a wall time of 0.0 so emitted artifacts can be
-    compared byte-for-byte across environments. A surrogate run loads
-    scipy's LAPACK extension (:func:`load_lapack`) before its clock starts,
-    so the first one in a process does not time that load.
+    compared byte-for-byte across environments. A run loads
+    ``numpy.random``, which numpy imports at its first use, and a surrogate
+    run also scipy's LAPACK extension (:func:`load_lapack`), before its
+    clock starts, so the first run in a process does not time those loads.
     """
+    import numpy.random  # noqa: F401
+
     if config.variant == VARIANT_SURROGATE:
         load_lapack()
     start = time.perf_counter() if timing else 0.0

@@ -5,7 +5,11 @@ import dataclasses
 import inspect
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -563,3 +567,31 @@ class TestDefaults:
         assert cfg["iterations"] == SwarmConfig.iterations
         # So is the seed default of both commands.
         assert cfg["seed"] == build_parser().parse_args(["benchmark"]).seed == SwarmConfig.seed
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+SETUP_PROBE = """
+import runpy, sys
+runpy.run_path("perfbench/probe.py", run_name="__main__")
+names = ("multiprocessing", "concurrent.futures.process", "numpy.random", "scipy")
+print("loaded", *(name in sys.modules for name in names))
+"""
+
+
+def test_the_benchmark_set_up_probe_loads_no_pool_random_or_scipy_stack():
+    # The probe is the set-up path the benchmark times: import the package
+    # through the command-line module, build the first row's objective and
+    # configuration. None of that needs a process pool, a random generator
+    # or LAPACK.
+    path = os.pathsep.join(filter(None, ["src", os.environ.get("PYTHONPATH")]))
+    words = subprocess.run(
+        [sys.executable, "-c", SETUP_PROBE],
+        cwd=ROOT,
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout.split()
+    assert words[0] == "ready" and float(words[1]) > 0
+    assert words[2:] == ["loaded", "False", "False", "False", "False"]

@@ -1,5 +1,6 @@
 """Batch running, statistics, comparison rows, and CSV artifacts."""
 
+import concurrent.futures
 import csv
 import dataclasses
 import math
@@ -330,7 +331,7 @@ def pool_sizes(monkeypatch):
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(qswarm.experiments, "ProcessPoolExecutor", RecordingExecutor)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     return sizes
 
@@ -378,7 +379,7 @@ class TestPoolSize:
 
     def test_a_block_keeps_one_pool_per_size_until_it_exits(self, pool_sizes):
         spec = BatchSpec("sphere", SPHERE_2D, 3, variants=(VARIANT_STANDARD,))
-        shut = qswarm.experiments.ProcessPoolExecutor.shut
+        shut = concurrent.futures.ProcessPoolExecutor.shut
         with shared_pool():
             for jobs in (2, 8, 2):
                 run_batch(dataclasses.replace(spec, jobs=jobs), timing=False)
@@ -394,7 +395,7 @@ class TestPoolSize:
         with pytest.raises(KeyError), shared_pool():
             run_batch(spec, timing=False)
             raise KeyError("after the batch")
-        assert qswarm.experiments.ProcessPoolExecutor.shut == [2]
+        assert concurrent.futures.ProcessPoolExecutor.shut == [2]
         run_batch(spec, timing=False)
         assert pool_sizes == [2, 2]
 

@@ -145,10 +145,16 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 SCIPY_PROBE = """
 import sys
 import qswarm.cli
-from qswarm import VARIANT_STANDARD, VARIANT_SURROGATE, SwarmConfig, make_objective, run
+from qswarm import (
+    VARIANT_STANDARD, VARIANT_SURROGATE, BatchSpec, SwarmConfig, make_objective, run, run_batch
+)
 
 def loaded():
-    return [name in sys.modules for name in ("scipy", "scipy.linalg", "scipy.linalg._flapack")]
+    names = (
+        "scipy", "scipy.linalg", "scipy.linalg._flapack",
+        "multiprocessing", "concurrent.futures.process",
+    )
+    return [name in sys.modules for name in names]
 
 print("import", *loaded())
 objective = make_objective("sphere", 2)
@@ -158,6 +164,8 @@ for variant in (VARIANT_STANDARD, VARIANT_SURROGATE):
     )
     run(config, objective)
     print(variant, *loaded())
+run_batch(BatchSpec("sphere", config, n_runs=2, jobs=1))
+print("batch", *loaded())
 """
 
 
@@ -172,27 +180,34 @@ def _fresh_python(code: str, *args: str) -> list[str]:
 
 
 def test_scipy_loads_at_the_first_surrogate_fit():
-    # Columns: scipy, scipy.linalg, scipy.linalg._flapack. A surrogate run
-    # loads the LAPACK extension alone, never the scipy.linalg package.
+    # Columns: scipy, scipy.linalg, scipy.linalg._flapack, multiprocessing,
+    # concurrent.futures.process. A surrogate run loads the LAPACK extension
+    # alone, never the scipy.linalg package, and a batch that runs in
+    # process loads no part of the process-pool stack.
     assert _fresh_python(SCIPY_PROBE) == [
-        "import", "False", "False", "False",
-        VARIANT_STANDARD, "False", "False", "False",
-        VARIANT_SURROGATE, "True", "False", "True",
+        "import", "False", "False", "False", "False", "False",
+        VARIANT_STANDARD, "False", "False", "False", "False", "False",
+        VARIANT_SURROGATE, "True", "False", "True", "False", "False",
+        "batch", "True", "False", "True", "False", "False",
     ]
 
 
 FIRST_RUN_PROBE = """
 import sys, time, types
 import qswarm.swarm
-from qswarm import VARIANT_SURROGATE, SwarmConfig, make_objective, run
+from qswarm import VARIANT_STANDARD, VARIANT_SURROGATE, SwarmConfig, make_objective, run
 
 def watched_clock():
-    names = ("scipy", "scipy.linalg._flapack", "scipy.linalg")
+    names = ("numpy.random", "scipy", "scipy.linalg._flapack", "scipy.linalg")
     print("clock", *(name in sys.modules for name in names))
     return time.perf_counter()
 
 qswarm.swarm.time = types.SimpleNamespace(perf_counter=watched_clock)
 objective = make_objective("ackley", 2)
+config = SwarmConfig(
+    dimension=2, n_particles=20, bounds=objective.bounds, variant=VARIANT_STANDARD
+)
+run(config, objective)
 config = SwarmConfig(
     dimension=2, n_particles=20, bounds=objective.bounds, variant=VARIANT_SURROGATE
 )
@@ -204,10 +219,15 @@ print("walls", first, second)
 
 def test_first_timed_surrogate_run_does_not_time_the_scipy_import():
     words = _fresh_python(FIRST_RUN_PROBE)
-    # Each timed run reads the clock twice; scipy and its LAPACK extension are
-    # in place at the first read, and the scipy.linalg package is not loaded.
-    assert words[:16] == ["clock", "True", "True", "False"] * 4
-    first, second = (float(w) for w in words[17:])
+    # Each timed run reads the clock twice. Columns: numpy.random, scipy,
+    # scipy.linalg._flapack, scipy.linalg. numpy.random, which numpy loads
+    # at its first use, is in place at the first read of the first run, a
+    # standard one that loads nothing of scipy. At the surrogate runs scipy
+    # and its LAPACK extension are in place too, and the scipy.linalg
+    # package is not loaded.
+    assert words[:10] == ["clock", "True", "False", "False", "False"] * 2
+    assert words[10:30] == ["clock", "True", "True", "True", "False"] * 4
+    first, second = (float(w) for w in words[31:])
     # Loading the extension takes some 15 ms (importing scipy.linalg took
     # some 0.3 s); a run of this size takes some 0.05 s.
     assert first < 2 * second + 0.1
@@ -223,7 +243,7 @@ from scipy.linalg import lapack
 print(*(mine is getattr(lapack, name) for mine, name in zip(routines, sys.argv[2:])))
 """
 
-ROUTINES = ("dgesdd", "dgetrf", "dgetrs", "dlange")
+ROUTINES = ("dgesdd", "dgesv", "dlange")
 
 
 @pytest.mark.parametrize("scipy_linalg", ["before", "after"])
@@ -292,8 +312,8 @@ class TestSolvePivoted:
     @pytest.mark.parametrize("kind", OVERFLOWING_LU)
     def test_overflowing_lu_keeps_the_numpy_pivot_decision(self, kind):
         a = np.array(self.OVERFLOWING_LU[kind], order="F")
-        _, dgetrf, _, dlange = surrogate.load_lapack()
-        diagonal = dgetrf(a.copy(order="F"))[0].diagonal()
+        _, dgesv, dlange = surrogate.load_lapack()
+        diagonal = dgesv(a.copy(order="F"), np.ones(len(a)))[0].diagonal()
         assert math.isinf(diagonal[1]) and math.isnan(diagonal[-1]) == (kind == "nan")
         threshold = surrogate.PIVOT_RTOL * dlange("M", a)
         singular = bool(np.minimum.reduce(np.abs(diagonal)) < threshold)
@@ -413,8 +433,26 @@ class TestLapackEquivalence:
         )
         assert same, NUMERICS_BROKEN.format(what="fit and its textbook form")
 
+    @settings(max_examples=200, deadline=None)
+    @given(cloud=clouds, value_seed=st.integers(0, 2**32 - 1))
+    def test_gesv_returns_the_bytes_of_getrf_and_getrs(self, cloud, value_seed):
+        # The kernel's one gesv call does the work of the textbook form's
+        # getrf and getrs; its solution counts only where getrf found no
+        # exactly zero pivot.
+        from scipy.linalg import lapack
+
+        pts = point_cloud(*cloud)
+        a = surrogate._design_matrix(pts - pts.mean(axis=0))
+        rhs = np.random.default_rng(value_seed).normal(size=len(pts))
+        lu, piv, x, info = surrogate.load_lapack()[1](a.copy(order="F"), rhs)
+        f_lu, f_piv, f_info = lapack.dgetrf(a.copy(order="F"))
+        same = lu.tobytes() == f_lu.tobytes() and piv.tobytes() == f_piv.tobytes() and info == f_info
+        if same and info == 0:
+            same = x.tobytes() == lapack.dgetrs(f_lu, f_piv, rhs)[0].tobytes()
+        assert same, NUMERICS_BROKEN.format(what="scipy's dgesv and dgetrf + dgetrs")
+
     def test_dlange_is_the_largest_magnitude(self):
-        dlange = surrogate.load_lapack()[3]
+        dlange = surrogate.load_lapack()[2]
         rng = np.random.default_rng(9)
         for shape in CLOUD_SHAPES:
             count = shape[0]
