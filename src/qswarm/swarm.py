@@ -43,9 +43,15 @@ one (2, n_particles, n) anchor buffer: row 0 holds the personal best
 positions, row 1 the global best position after the step's probe. So both
 pulls come from one subtraction of the positions and one multiply by block
 k of the pull table, and are added to the inertia term in the order of the
-formula. The positions array moves in place: the archive stores its own
-copy of each point, and the personal and global bests are copied out of
-the array.
+formula. The positions and velocities arrays move in place, so a caller
+who keeps either copies it: the archive stores its own copy of each point,
+and the personal and global bests are copied out of the array.
+``gbest_position`` is a fresh array each time it moves, so a kept one keeps
+its bits. A step makes no numpy object per particle: it walks row views of
+the positions and of the personal bests, made once and again only when
+``positions`` is rebound, and forms the inertia term in the velocities and
+the pulls in one swarm-owned buffer. The attractor row is written only when
+the gbest has moved.
 
 The swarm keeps one record of particle values: iteration k appends the list
 of its particles' values, a non-finite value stored as ``inf``, so the
@@ -184,6 +190,13 @@ class Swarm:
         # Row 0: the personal best positions; row 1: the global best position.
         self._anchors = np.empty((2, n_particles, n))
         self._anchors[0] = self.positions
+        # The gbest_position object last written into the attractor row.
+        self._attracted = None
+        # (i, position row, personal best row) per particle, and the
+        # positions array they view.
+        self._rows_of = None
+        self._rows = []
+        self._pull = np.empty((2, n_particles, n))
         self.pbest_values = [math.inf] * n_particles
         self.gbest_position = self.positions[0].copy()
         self.gbest_value = math.inf
@@ -199,6 +212,10 @@ class Swarm:
         self.trace: list[float] = []
         self.fallback_counts = {reason: 0 for reason in FALLBACK_REASONS}
 
+    def __getstate__(self):
+        # A copy makes its own row views: copied views would not view its arrays.
+        return {**self.__dict__, "_rows_of": None, "_rows": []}
+
     def step(self):
         """One full iteration: evaluate, update bests, attract, move."""
         config = self.config
@@ -211,7 +228,10 @@ class Swarm:
         evaluate = self.objective.evaluate
 
         anchors = self._anchors
-        pbest_positions = anchors[0]
+        if self._rows_of is not positions:
+            self._rows_of = positions
+            self._rows = [(i, x, best) for i, (x, best) in enumerate(zip(positions, anchors[0]))]
+        rows = self._rows
         pbest_values = self.pbest_values
         lookback = config.lookback
         # The values of iteration k - lookback; none before k reaches it.
@@ -224,14 +244,14 @@ class Swarm:
         admission = -math.inf if archive is None else archive.admission
         values = []
         isfinite = math.isfinite
-        for i, x in enumerate(positions):
+        for i, x, best in rows:
             value = float(evaluate(x))
             if not isfinite(value):
                 value = math.inf
             values.append(value)
             if value < pbest_values[i]:
                 pbest_values[i] = value
-                pbest_positions[i] = x
+                best[...] = x
             if value < admission:
                 archive.observe(x, value)
                 admission = archive.admission
@@ -257,7 +277,7 @@ class Swarm:
         best = min(values)
         if best < self.gbest_value:
             self.gbest_value = best
-            self.gbest_position = positions[values.index(best)].copy()
+            self.gbest_position = rows[values.index(best)][1].copy()
 
         if archive is not None:
             probe = surrogate_attractor(archive, self.objective, self.gbest_value)
@@ -273,20 +293,20 @@ class Swarm:
         # particle is stagnant (always before k reaches the lookback) the scale
         # is all ones, and omega_k * 1 is omega_k exactly.
         omega = self._omega[k]
+        velocities = self.velocities
         if stagnant:
-            inertia = np.array([omega * m for m in scale])[:, None]
-            velocities = inertia * self.velocities
+            velocities *= np.array([omega * m for m in scale])[:, None]
         else:
-            velocities = omega * self.velocities
-        anchors[1] = self.gbest_position
-        pull = anchors - positions
+            velocities *= omega
+        if self.gbest_position is not self._attracted:
+            self._attracted = anchors[1] = self.gbest_position
+        pull = np.subtract(anchors, positions, out=self._pull)
         pull *= self._pulls[k]
         velocities += pull[0]
         velocities += pull[1]
         vmax = self._vmax[k]
         np.maximum(velocities, -vmax, out=velocities)
         np.minimum(velocities, vmax, out=velocities)
-        self.velocities = velocities
         positions += velocities
         np.maximum(positions, self._lo, out=positions)
         np.minimum(positions, self._hi, out=positions)

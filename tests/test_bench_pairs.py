@@ -77,6 +77,68 @@ def test_a_larger_failed_share_is_worse_at_equal_failed_counts(bench_pairs):
     assert bench_pairs.verdict("m", "higher", summary["m"], wins["m"], pairs).endswith(": PASS")
 
 
+
+def claim(bench_pairs, better, parent, change, change_failed=0):
+    """The ``--claim`` verdict line for one metric ``m`` over the given
+    per-pair values, with ten attempted runs per side and pair."""
+    pairs = {
+        str(j): {
+            "parent": {"attempted": 10, "failed": 0, "m": p},
+            "change": {"attempted": 10, "failed": change_failed if j == 0 else 0, "m": c},
+        }
+        for j, (p, c) in enumerate(zip(parent, change))
+    }
+    summary, wins, _ = bench_pairs.summarize(pairs, {"m": better}, {"m": 0.25})
+    return bench_pairs.verdict("m", better, summary["m"], wins["m"], pairs)
+
+
+# Parent values 100..109: median 104.5, quartiles 102.25 and 106.75, so a
+# quartile spread of 4.5.
+CLAIM_PARENT = [100.0 + j for j in range(10)]
+
+
+def test_claim_passes_at_nine_of_ten_wins_beyond_the_spread(bench_pairs):
+    change = [p + 10.0 for p in CLAIM_PARENT[:9]] + [CLAIM_PARENT[9] - 1.0]
+    text = claim(bench_pairs, "higher", CLAIM_PARENT, change)
+    assert "better in 9 of 10 pairs; median difference 9 against the parent's quartile spread 4.5" in text
+    assert text.endswith(": PASS")
+
+
+def test_claim_fails_at_eight_of_ten_wins(bench_pairs):
+    change = [p + 10.0 for p in CLAIM_PARENT[:8]] + [p - 1.0 for p in CLAIM_PARENT[8:]]
+    text = claim(bench_pairs, "higher", CLAIM_PARENT, change)
+    # the medians still differ by 8, well beyond the spread
+    assert "better in 8 of 10 pairs; median difference 8 against" in text
+    assert text.endswith(": FAIL")
+
+
+def test_claim_fails_when_the_gain_is_within_the_spread(bench_pairs):
+    text = claim(bench_pairs, "higher", CLAIM_PARENT, [p + 4.0 for p in CLAIM_PARENT])
+    assert "better in 10 of 10 pairs; median difference 4 against the parent's quartile spread 4.5" in text
+    assert text.endswith(": FAIL")
+
+
+def test_claim_fails_when_the_change_fails_a_larger_share(bench_pairs):
+    change = [p + 10.0 for p in CLAIM_PARENT]
+    assert claim(bench_pairs, "higher", CLAIM_PARENT, change).endswith("failed share 0.00% -> 0.00%: PASS")
+    # one failed run in the change's 100 attempted
+    assert claim(bench_pairs, "higher", CLAIM_PARENT, change, change_failed=1).endswith(
+        "failed share 0.00% -> 1.00%: FAIL"
+    )
+
+
+def test_claim_on_a_lower_is_better_metric_counts_a_drop_as_the_gain(bench_pairs):
+    # run_ms_p50-like values: the change is 1 ms faster in nine pairs
+    parent = [10.0 + 0.1 * j for j in range(10)]
+    change = [p - 1.0 for p in parent[:9]] + [parent[9] + 0.1]
+    text = claim(bench_pairs, "lower", parent, change)
+    assert text.startswith("m 10.45 -> 9.45 (+9.6%), better in 9 of 10 pairs")
+    assert text.endswith(": PASS")
+    # read as higher-is-better, the same pairs are a loss in nine of ten
+    text = claim(bench_pairs, "higher", parent, change)
+    assert "(-9.6%), better in 1 of 10 pairs; median difference -1 against" in text
+    assert text.endswith(": FAIL")
+
 # A perfbench/run.py stand-in: one result line; at the seed named, exit 1,
 # or exit 0 after printing the line given instead of the result.
 STUB_RUN = """

@@ -629,6 +629,84 @@ class TestParticleView:
         assert swarm.positions[3, 0] != 99.0
 
 
+def assert_same_state(swarm: Swarm, twin: Swarm):
+    np.testing.assert_array_equal(swarm.positions, twin.positions)
+    np.testing.assert_array_equal(swarm.velocities, twin.velocities)
+    np.testing.assert_array_equal(pbest_positions(swarm), pbest_positions(twin))
+    np.testing.assert_array_equal(swarm.gbest_position, twin.gbest_position)
+    assert swarm.trace == twin.trace
+    assert swarm.evaluations == twin.evaluations
+    assert swarm.fallback_counts == twin.fallback_counts
+
+
+class TestStateAliasing:
+    """The step moves ``positions`` and ``velocities`` in place and makes
+    ``gbest_position`` a fresh array each time it moves. A caller may rebind
+    either state array, and the step then works on the new one."""
+
+    @pytest.mark.parametrize("variant", [VARIANT_STANDARD, VARIANT_SURROGATE])
+    def test_rebound_state_traces_as_an_untouched_twin(self, variant):
+        objective = make_objective("griewank", 2)
+        config = sphere_config(bounds=objective.bounds, iterations=120, variant=variant, seed=31)
+        swarm, twin = Swarm(config, objective), Swarm(config, objective)
+        for k in range(config.iterations):
+            if k % 3 == 0:
+                swarm.positions = swarm.positions.copy()
+            if k % 4 == 0:
+                swarm.velocities = swarm.velocities.copy()
+            swarm.step()
+            twin.step()
+            assert_same_state(swarm, twin)
+
+    @pytest.mark.parametrize("variant", [VARIANT_STANDARD, VARIANT_SURROGATE])
+    def test_held_gbest_positions_keep_their_bits(self, variant):
+        objective = make_objective("ackley", 2)
+        config = sphere_config(bounds=objective.bounds, iterations=80, variant=variant, seed=32)
+        swarm = Swarm(config, objective)
+        held = []
+        velocities = swarm.velocities
+        for _ in range(config.iterations):
+            swarm.step()
+            if not held or swarm.gbest_position is not held[-1][0]:
+                held.append((swarm.gbest_position, swarm.gbest_position.copy()))
+        assert len(held) > 5
+        for position, bits in held:
+            np.testing.assert_array_equal(position, bits)
+        # the velocities move in place, so a caller keeping them copies them
+        assert swarm.velocities is velocities
+        record = run(config, objective, timing=False)
+        final = record.final_position.copy()
+        np.testing.assert_array_equal(record.final_position, swarm.gbest_position)
+        run(config, objective, timing=False)
+        np.testing.assert_array_equal(record.final_position, final)
+
+    @pytest.mark.parametrize("variant", [VARIANT_STANDARD, VARIANT_SURROGATE])
+    def test_copy_of_a_dropped_swarm_rebinds_to_a_recycled_array(self, variant):
+        # The copy outlives the swarm it was made from, and its positions
+        # are rebound to a new array, which CPython often places at the
+        # address (the id) of the dropped swarm's positions array.
+        objective = make_objective("sphere", 2)
+        config = sphere_config(iterations=20, variant=variant, seed=33)
+        swarm, twin = Swarm(config, objective), Swarm(config, objective)
+        for _ in range(3):
+            swarm.step()
+            twin.step()
+        copied = copy.deepcopy(swarm)
+        dropped = id(swarm.positions)
+        del swarm
+        spare = []
+        for _ in range(1000):
+            spare.append(np.empty_like(copied.positions))
+            if id(spare[-1]) == dropped:
+                break
+        spare[-1][...] = copied.positions
+        copied.positions = spare[-1]
+        for _ in range(config.iterations - 3):
+            copied.step()
+            twin.step()
+            assert_same_state(copied, twin)
+
+
 class TestRun:
     def test_same_seed_is_bit_identical(self):
         objective = make_objective("griewank", 2)
