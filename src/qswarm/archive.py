@@ -26,16 +26,14 @@ its own instance.
 
 ``admission`` is the value an offer must beat to be stored: the worst
 stored value once the store is full, else ``inf``. An offer at or above it
-is refused, so a caller may skip it without changing the archive. ``memo``
-is one slot for a consumer's note on the stored set; every stored offer
-sets it to None and a refused offer leaves it as it is, so a note stands
-exactly while the set it describes does (the surrogate keeps there why the
-set makes no further probe).
+is refused, so a caller may skip it without changing the archive.
+``observe`` returns True exactly when it stores the offer, so a caller that
+keeps a note on the stored set (the swarm's probe memo) drops it then.
 
-The surrogate reads the stored set through ``sorted_points()`` alone;
-``best()`` serves callers that inspect an archive. An empty archive has no
-best entry: ``best()`` raises :class:`IndexError`, a :class:`LookupError`,
-and ``sorted_points()`` returns two empty lists.
+The swarm reads the stored set through ``sorted_points()`` alone; the
+callers of ``best()`` are tests and ``perfbench``'s tracer. An empty
+archive has no best entry: ``best()`` raises :class:`IndexError`, a
+:class:`LookupError`, and ``sorted_points()`` returns two empty lists.
 """
 
 from __future__ import annotations
@@ -63,7 +61,6 @@ class Archive:
         require_int("capacity", capacity, minimum=1)
         self.capacity = int(capacity)
         self.admission = math.inf  # worst stored value once full, else inf
-        self.memo = None  # consumer-owned note on the stored set; a store clears it
         self._values: list[float] = []
         self._points: list[tuple[float, ...]] = []  # the positions, as math.dist takes them
 
@@ -95,7 +92,6 @@ class Archive:
         self._points.insert(i, point)
         if len(values) >= self.capacity:
             self.admission = values[-1]
-        self.memo = None
         return True
 
     def best(self) -> ArchiveEntry:

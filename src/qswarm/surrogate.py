@@ -47,8 +47,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .archive import Archive
-from .objectives import Objective, clip_to_bounds, require_int
+from .objectives import Bounds, clip_to_bounds, require_int
 
 # Scaled pivot threshold for declaring a matrix singular.
 PIVOT_RTOL = 1e-10
@@ -151,21 +150,6 @@ class QuadraticModel(NamedTuple):
 
     linear: np.ndarray
     quad: np.ndarray
-
-
-class SurrogateResult(NamedTuple):
-    """One iteration's quadratic probe: why it was or was not accepted, and
-    the point it evaluated.
-
-    A result carries a point and a value exactly when the call evaluated a
-    probe: ``x_min`` is the clipped minimizer and ``f_min`` its actual
-    objective value, never the surrogate prediction. Both are None when the
-    call made no probe. Only the reason ``none`` marks an accepted probe.
-    """
-
-    fallback_reason: str
-    x_min: Optional[np.ndarray] = None
-    f_min: Optional[float] = None
 
 
 @cache
@@ -271,53 +255,24 @@ def minimize(model: QuadraticModel) -> np.ndarray:
     return -0.5 * y
 
 
-def surrogate_attractor(
-    archive: Archive, objective: Objective, gbest_value: float
-) -> SurrogateResult:
-    """Make the iteration's quadratic probe from the archived best samples.
+def surrogate_attractor(points, values, bounds: Bounds) -> tuple[str, Optional[np.ndarray]]:
+    """Propose the iteration's probe point from the stored samples alone.
 
-    Once the archive is full, fit the quadratic to all its points, minimize
-    it analytically, clip the minimizer to the bounds, and evaluate the
-    actual objective there once; a non-finite value counts as ``inf``, as a
-    particle's does. The probe is offered to the archive. It is accepted
-    (``none``) only when its value strictly improves on ``gbest_value``, and
-    the caller then makes it the global best; otherwise it is
-    ``non_improving``. No probe is made while the archive is not full
-    (``too_few_points``, an empty archive included) or when the fit is
-    degenerate (``singular_system``, ``singular_quadratic``). None of these
-    is an error. A full archive whose capacity is not
-    ``required_points(objective.dimension)`` is: :func:`fit` raises
-    :class:`ValueError` naming both counts.
-
-    Each stored set is probed at most once. ``archive.memo`` is None while
-    the current set has made no probe, and otherwise names why it makes
-    none: ``singular_system`` or ``singular_quadratic`` after a degenerate
-    fit, ``repeated`` once its probe was evaluated. The archive clears the
-    memo whenever it stores a point, the probe included, so a probe the
-    archive refused is not evaluated again. For a caller whose
-    ``gbest_value`` never rises, as a swarm's does not, that evaluation
-    could only return ``non_improving``: the probe's value did not beat
-    ``gbest_value`` then, or was accepted and so became it. The memo keys
-    on neither the objective, its bounds nor an evaluation count, so an
-    archive must serve one deterministic objective.
+    Fits the quadratic through ``points`` and ``values``, best first, so
+    ``points[0]`` is the best stored point; takes its stationary point and
+    clips it to ``bounds``. Returns ``("none", point)``, or
+    ``("singular_system", None)`` when the fit is degenerate and
+    ``("singular_quadratic", None)`` when its quadratic term is singular.
+    Neither is an error; a point count other than ``required_points(n)``
+    is: :func:`fit` raises :class:`ValueError` naming both counts. The
+    proposal evaluates nothing and leaves its inputs unchanged, so equal
+    inputs propose the same bits; the swarm evaluates, memoizes and
+    accepts the point (see :mod:`qswarm.swarm`).
     """
-    if archive.size < archive.capacity:
-        return SurrogateResult(FALLBACK_TOO_FEW_POINTS)
-    if archive.memo is not None:
-        return SurrogateResult(archive.memo)
-    points, values = archive.sorted_points()
     reason = FALLBACK_SINGULAR_SYSTEM
     try:
-        model = fit(np.array(points), values)
+        model = fit(points, values)
         reason = FALLBACK_SINGULAR_QUADRATIC
-        x_min = clip_to_bounds(minimize(model), objective.bounds)
+        return FALLBACK_NONE, clip_to_bounds(minimize(model), bounds)
     except SingularMatrixError:
-        archive.memo = reason
-        return SurrogateResult(reason)
-    archive.memo = FALLBACK_REPEATED
-    f_min = float(objective.evaluate(x_min))
-    if not math.isfinite(f_min):
-        f_min = math.inf
-    archive.observe(x_min, f_min)
-    reason = FALLBACK_NONE if f_min < gbest_value else FALLBACK_NON_IMPROVING
-    return SurrogateResult(reason, x_min, f_min)
+        return reason, None

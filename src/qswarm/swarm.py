@@ -14,7 +14,27 @@ that gbest swarm plus one elitist quadratic probe per iteration: after the
 particles are evaluated, it evaluates the minimizer of a quadratic
 interpolated through the archived best samples, and the probe becomes the
 global best, and so the attractor, only when its actual objective value
-improves on it (see :mod:`qswarm.surrogate`).
+improves on it.
+
+The probe. While the archive is not full, an empty one included, the step
+makes none (``too_few_points``). Once it is full, the step hands its stored
+set, best first, to :func:`~qswarm.surrogate.surrogate_attractor`, a pure
+function of that set and the bounds, which proposes a point or names a
+degenerate fit (``singular_system``, ``singular_quadratic``). The step
+evaluates a proposed point once, a non-finite value counting as ``inf`` as
+a particle's does, counts the evaluation and offers the point to the
+archive. The probe is accepted (``none``) and becomes the global best only
+when its value is below the global best value; otherwise it is
+``non_improving``. Each stored set is probed at most once: the swarm's memo
+is None while the current set has made no probe, and otherwise names why it
+makes none, the degenerate reason or ``repeated`` once its probe was
+evaluated. Every offer the archive stores (``observe`` returns True), a
+particle's or the probe's, clears it (a store made on the archive outside
+the step does not), so a probe the archive refused is not evaluated again.
+That evaluation could only return ``non_improving``: the global best never
+rises, so the probe's value did not beat it then, or was accepted and so
+became it. The memo keys on neither the objective nor an evaluation count,
+so a swarm's objective must be deterministic.
 
 Coefficients follow linear ramps over the run: the inertia weight and the
 cognitive coefficient decay, the social coefficient grows, and the speed cap
@@ -75,7 +95,8 @@ import numpy as np
 
 from .archive import Archive
 from .objectives import Bounds, Objective, require_finite, require_int
-from .surrogate import FALLBACK_NONE, FALLBACK_REASONS, load_lapack, required_points, surrogate_attractor
+from .surrogate import FALLBACK_NON_IMPROVING, FALLBACK_REASONS, FALLBACK_REPEATED, FALLBACK_TOO_FEW_POINTS
+from .surrogate import load_lapack, required_points, surrogate_attractor
 
 VARIANT_STANDARD = "standard"
 VARIANT_SURROGATE = "quadratic_surrogate"
@@ -207,6 +228,8 @@ class Swarm:
             self.archive: Optional[Archive] = Archive(required_points(n))
         else:
             self.archive = None
+        # Why the stored set makes no further probe; None until it has made one.
+        self._memo: Optional[str] = None
 
         self.evaluations = 0
         self.trace: list[float] = []
@@ -242,6 +265,7 @@ class Swarm:
         # An offer the archive would refuse is not made: the stored set and
         # the memo are those of offering every particle.
         admission = -math.inf if archive is None else archive.admission
+        memo = self._memo
         values = []
         isfinite = math.isfinite
         for i, x, best in rows:
@@ -253,7 +277,8 @@ class Swarm:
                 pbest_values[i] = value
                 best[...] = x
             if value < admission:
-                archive.observe(x, value)
+                if archive.observe(x, value):
+                    memo = None
                 admission = archive.admission
             if past is not None:
                 # The stagnation safeguard, with gamma = |f_now - f_then| /
@@ -280,13 +305,24 @@ class Swarm:
             self.gbest_position = rows[values.index(best)][1].copy()
 
         if archive is not None:
-            probe = surrogate_attractor(archive, self.objective, self.gbest_value)
-            if probe.x_min is not None:
-                self.evaluations += 1
-            self.fallback_counts[probe.fallback_reason] += 1
-            if probe.fallback_reason == FALLBACK_NONE:
-                self.gbest_value = probe.f_min
-                self.gbest_position = probe.x_min
+            reason = memo if archive.size >= archive.capacity else FALLBACK_TOO_FEW_POINTS
+            if reason is None:
+                points, stored = archive.sorted_points()
+                reason, probe = surrogate_attractor(points, stored, self.objective.bounds)
+                memo = reason
+                if probe is not None:
+                    value = float(evaluate(probe))
+                    if not isfinite(value):
+                        value = math.inf
+                    self.evaluations += 1
+                    memo = None if archive.observe(probe, value) else FALLBACK_REPEATED
+                    if value < self.gbest_value:
+                        self.gbest_value = value
+                        self.gbest_position = probe
+                    else:
+                        reason = FALLBACK_NON_IMPROVING
+            self._memo = memo
+            self.fallback_counts[reason] += 1
 
         # omega_k * scale * v + (c1_k * r1) * (pbest - x) + (c2_k * r2) * (a - x),
         # with the same operations in the same order as the formula. While no

@@ -73,31 +73,31 @@ class TestObserve:
 
 
 class TestMemo:
+    """``observe`` returns True exactly when it stores the offer; the swarm's
+    probe memo keys on that result."""
+
     def test_every_stored_offer_clears_it_while_filling_and_replacing(self):
         archive = Archive(3)
-        assert archive.memo is None
         for i, v in enumerate([5.0, 4.0, 3.0, 2.0, 1.0]):
-            archive.memo = "note"
             assert archive.observe((float(i), 0.0), v)
-            assert archive.memo is None
+            assert archive.sorted_points()[1][0] == v
 
     def test_rejected_offers_leave_it_unchanged(self):
         archive = fill(Archive(3), [1.0, 2.0, 3.0])
-        archive.memo = "note"
+        state = archive.sorted_points()
         assert not archive.observe((9.0, 9.0), 3.0)  # ties the worst
         assert not archive.observe((9.0, 9.0), 7.0)  # worse than the worst
         for bad in (math.nan, math.inf, -math.inf):
             assert not archive.observe((9.0, 9.0), bad)
         assert not archive.observe((0.0, 1e-13), 0.5)  # near-duplicate of (0, 0)
-        assert archive.memo == "note"
+        assert archive.sorted_points() == state
 
     def test_near_duplicate_rejected_while_filling(self):
         archive = Archive(3)
         archive.observe((1.0, 1.0), 5.0)
-        archive.memo = "note"
         assert not archive.observe((1.0, 1.0), 0.5)
         assert not archive.observe((2.0, 2.0), math.nan)
-        assert archive.memo == "note"
+        assert archive.sorted_points() == ([(1.0, 1.0)], [5.0])
 
 
 class TestOwnsItsPoints:
@@ -251,10 +251,11 @@ class TestAgainstOracle:
         archive = Archive(capacity)
         oracle = _OracleArchive(capacity)
         for x, fx in offers:
-            archive.memo = "note"
+            before = archive.sorted_points()
             stored = archive.observe(x, fx)
             assert stored == oracle.observe(x, fx)
-            assert archive.memo == (None if stored else "note")
+            # True exactly when the stored set changes.
+            assert stored == (archive.sorted_points() != before)
             if not oracle.entries:
                 with pytest.raises(LookupError):
                     archive.best()
@@ -277,11 +278,10 @@ class TestAgainstOracle:
             full = len(oracle.entries) == capacity
             assert archive.admission == (oracle.worst()[0] if full else math.inf)
             admission, state = archive.admission, archive.sorted_points()
-            archive.memo = "note"
             stored = archive.observe(x, fx)
             assert stored == oracle.observe(x, fx)
             if not fx < admission:
-                assert not stored and archive.memo == "note"
+                assert not stored
                 assert archive.sorted_points() == state
 
 

@@ -119,8 +119,9 @@ def test_the_hooks_the_benchmark_times_are_reached(tmp_path, monkeypatch):
 
 def test_the_surrogate_layers_the_tracer_wraps_are_reached(monkeypatch):
     """perfbench's ``surrogate.fit`` and ``surrogate.minimize`` spans come from
-    wrappers on these module globals. A refit must reach each once and a memo
-    hit neither, or ``--trace 1`` would time nothing or the wrong thing."""
+    wrappers on these module globals. A step that refits must reach each once
+    and a memo hit neither, or ``--trace 1`` would time nothing or the wrong
+    thing."""
     calls = {"fit": 0, "minimize": 0}
 
     def count(name):
@@ -138,46 +139,54 @@ def test_the_surrogate_layers_the_tracer_wraps_are_reached(monkeypatch):
     for x, y in [(0, 0), (1, 0), (0, 1), (-1, 0.5), (0.5, -1), (1, 1)]:
         archive.observe(np.array([x, y], dtype=float), float(x * x + y * y))
     bounds = Bounds.symmetric(10.0, 2)
-    # A probe value above every archived one is never stored, so the second
-    # call finds the archive unchanged and hits the memo.
+    # A value above every archived one is never stored: the particle's
+    # offers and the first step's probe leave the archive unchanged, so the
+    # second step hits the memo.
     objective = Objective("flat", 2, bounds, lambda x: 1e6)
-    weak_best = 1e9
-    qswarm.surrogate.surrogate_attractor(archive, objective, weak_best)
+    config = qswarm.SwarmConfig(2, 1, bounds, iterations=2, variant=qswarm.VARIANT_SURROGATE)
+    swarm = qswarm.swarm.Swarm(config, objective)
+    swarm.archive = archive
+    swarm.step()
     assert calls == {"fit": 1, "minimize": 1}
-    qswarm.surrogate.surrogate_attractor(archive, objective, weak_best)
+    swarm.step()
     assert calls == {"fit": 1, "minimize": 1}
+    assert swarm.fallback_counts["non_improving"] == swarm.fallback_counts["repeated"] == 1
 
 
 def test_a_surrogate_step_still_offers_particles_to_the_archive(monkeypatch):
     """perfbench's ``archive.*`` metrics come from a wrapper on
     ``Archive.observe``. The step skips only offers the archive would refuse,
-    so a surrogate run must still reach ``observe`` from ``Swarm.step``
-    itself, not only from the attractor, and some of those offers are stored."""
-    inside = {"step": 0, "attractor": 0}
-    from_step = []
+    so a surrogate run must still offer particles, some of them stored,
+    besides the probe. The step offers the particles before it asks for the
+    proposal and the probe after it, one offer per evaluated probe."""
+    phase = {"step": False, "proposed": False}
+    particle_offers, probe_offers = [], []
 
-    def entered(name, real):
-        def wrapper(*args, **kwargs):
-            inside[name] += 1
-            try:
-                return real(*args, **kwargs)
-            finally:
-                inside[name] -= 1
+    def step(self):
+        phase.update(step=True, proposed=False)
+        try:
+            return real_step(self)
+        finally:
+            phase["step"] = False
 
-        return wrapper
-
-    real_observe = Archive.observe
+    def proposal(*args, **kwargs):
+        result = real_proposal(*args, **kwargs)
+        phase["proposed"] = True
+        return result
 
     def recording_observe(self, x, fx):
         stored = real_observe(self, x, fx)
-        if inside["step"] and not inside["attractor"]:
-            from_step.append(stored)
+        assert phase["step"]
+        (probe_offers if phase["proposed"] else particle_offers).append(stored)
         return stored
 
-    monkeypatch.setattr(qswarm.swarm.Swarm, "step", entered("step", qswarm.swarm.Swarm.step))
-    monkeypatch.setattr(
-        qswarm.swarm, "surrogate_attractor", entered("attractor", qswarm.swarm.surrogate_attractor)
+    real_step, real_proposal, real_observe = (
+        qswarm.swarm.Swarm.step,
+        qswarm.swarm.surrogate_attractor,
+        Archive.observe,
     )
+    monkeypatch.setattr(qswarm.swarm.Swarm, "step", step)
+    monkeypatch.setattr(qswarm.swarm, "surrogate_attractor", proposal)
     monkeypatch.setattr(Archive, "observe", recording_observe)
     objective = qswarm.make_objective("sphere", 2)
     config = qswarm.SwarmConfig(
@@ -187,8 +196,10 @@ def test_a_surrogate_step_still_offers_particles_to_the_archive(monkeypatch):
         iterations=30,
         variant=qswarm.VARIANT_SURROGATE,
     )
-    qswarm.run(config, objective, timing=False)
-    assert any(from_step)
+    record = qswarm.run(config, objective, timing=False)
+    assert any(particle_offers)
+    counts = record.fallback_counts
+    assert len(probe_offers) == counts["none"] + counts["non_improving"] > 0
 
 
 def test_the_benchmark_checks_pass_on_runs_of_every_row():

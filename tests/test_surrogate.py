@@ -1,5 +1,7 @@
 """Quadratic fitting, analytic minimization, and the attractor policy."""
 
+import dataclasses
+import inspect
 import math
 import os
 import re
@@ -16,7 +18,7 @@ from hypothesis import strategies as st
 from qswarm import surrogate
 from qswarm.archive import Archive
 from qswarm.objectives import Bounds, Objective, clip_to_bounds, make_objective
-from qswarm.swarm import VARIANT_STANDARD, VARIANT_SURROGATE
+from qswarm.swarm import VARIANT_STANDARD, VARIANT_SURROGATE, Swarm, SwarmConfig
 from qswarm.surrogate import (
     FALLBACK_NON_IMPROVING,
     FALLBACK_NONE,
@@ -27,7 +29,6 @@ from qswarm.surrogate import (
     FALLBACK_TOO_FEW_POINTS,
     QuadraticModel,
     SingularMatrixError,
-    SurrogateResult,
     fit,
     minimize,
     required_points,
@@ -516,22 +517,19 @@ class TestHostileInput:
 
     def test_failed_svd_falls_back_as_singular_system(self, monkeypatch):
         pts, values = self.bowl()
-        archive = archive_from(pts, values, 6)
         self.stub_gesdd(monkeypatch, 2)
-        objective = make_objective("sphere", 2)
-        result = surrogate_attractor(archive, objective, math.inf)
-        assert_no_probe(result, FALLBACK_SINGULAR_SYSTEM)
+        result = surrogate_attractor(pts, values, Bounds.symmetric(10.0, 2))
+        assert_no_proposal(result, FALLBACK_SINGULAR_SYSTEM)
 
     def test_nan_point_falls_back_as_singular_system(self):
         pts, values = self.bowl()
         pts[4] = math.nan  # the archive takes any position with a finite value
         archive = archive_from(pts, values, 6)
         assert archive.size == 6
-        objective = make_objective("sphere", 2)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            result = surrogate_attractor(archive, objective, math.inf)
-        assert_no_probe(result, FALLBACK_SINGULAR_SYSTEM)
+            result = propose(archive, Bounds.symmetric(10.0, 2))
+        assert_no_proposal(result, FALLBACK_SINGULAR_SYSTEM)
 
 
 class TestFit:
@@ -694,17 +692,62 @@ def archive_from(points, values, capacity):
     return archive
 
 
-def assert_no_probe(result, reason):
-    """A call that made no probe carries its reason and no point or value."""
-    assert result.fallback_reason == reason != FALLBACK_NONE
-    assert result.x_min is None and result.f_min is None
+def propose(archive, bounds):
+    """The proposal for an archive's stored set."""
+    points, values = archive.sorted_points()
+    return surrogate_attractor(points, values, bounds)
 
 
-def probe_bytes(result):
-    """The bits of the probe a result carries, or None."""
-    if result.x_min is None:
-        return None
-    return result.x_min.tobytes(), np.float64(result.f_min).tobytes()
+def assert_no_proposal(result, reason):
+    """A degenerate fit names its reason and proposes no point."""
+    assert result[0] == reason != FALLBACK_NONE
+    assert result[1] is None
+
+
+class ProbingSwarm:
+    """A surrogate swarm on a given archive whose particles offer only what a
+    test queues.
+
+    A particle evaluates to the next queued value (``offer``), or to inf,
+    which is never stored and never the global best, so by default a step
+    reaches the archive and the global best through its probe alone. The
+    objective is called for probes only; ``evaluated`` lists the (point,
+    value) pairs the probes evaluated.
+    """
+
+    def __init__(self, archive, objective, gbest_value=math.inf, n_particles=1):
+        config = SwarmConfig(
+            objective.dimension, n_particles, objective.bounds, iterations=100, variant=VARIANT_SURROGATE
+        )
+        self.swarm = swarm = Swarm(config, objective)
+        swarm.archive = archive
+        swarm.gbest_value = gbest_value
+        self.queued = []
+        self.evaluated = []
+
+        def evaluate(x):
+            if np.shares_memory(x, swarm.positions):
+                return self.queued.pop(0) if self.queued else math.inf
+            value = objective.evaluate(x)
+            self.evaluated.append((x.copy(), value))
+            return value
+
+        swarm.objective = dataclasses.replace(objective, evaluate=evaluate)
+
+    def offer(self, x, value):
+        """Have the next unqueued particle of the next step evaluate to
+        ``value`` at ``x``."""
+        self.swarm.positions[len(self.queued)] = x
+        self.queued.append(value)
+
+    def step(self):
+        """Run one step; its fallback reason."""
+        counts = self.swarm.fallback_counts
+        before = dict(counts)
+        self.swarm.step()
+        assert not self.queued
+        (reason,) = [r for r in FALLBACK_REASONS if counts[r] != before[r]]
+        return reason
 
 
 class TestSurrogateAttractor:
@@ -713,22 +756,26 @@ class TestSurrogateAttractor:
         objective = make_objective("sphere", 2)
         pts = sample_points(rng, 2, 6) * 5.0
         archive = archive_from(pts, [objective.evaluate(p) for p in pts], 6)
-        worst = max(archive.sorted_points()[1])
-        result = surrogate_attractor(archive, objective, worst)
-        assert result.fallback_reason == FALLBACK_NONE
-        assert result.fallback_reason == FALLBACK_NONE
-        np.testing.assert_allclose(result.x_min, np.zeros(2), atol=1e-8)
-        assert result.f_min == pytest.approx(0.0, abs=1e-14)
-        # the evaluated point was offered back to the archive
-        assert archive.best().value == result.f_min
+        reason, point = propose(archive, objective.bounds)
+        assert reason == FALLBACK_NONE
+        np.testing.assert_allclose(point, np.zeros(2), atol=1e-8)
+        # The step evaluates that point, accepts it and offers it back to
+        # the archive.
+        probing = ProbingSwarm(archive, objective, max(archive.sorted_points()[1]))
+        assert probing.step() == FALLBACK_NONE
+        swarm = probing.swarm
+        assert swarm.gbest_position.tobytes() == point.tobytes()
+        assert swarm.gbest_value == objective.evaluate(point) == pytest.approx(0.0, abs=1e-14)
+        assert archive.best().value == swarm.gbest_value
 
     def test_too_few_points_falls_back_to_global_best(self):
         # No probe: the swarm keeps its global best as the attractor.
         objective = make_objective("sphere", 2)
         pts = [np.array([float(i), 1.0]) for i in range(5)]
         archive = archive_from(pts, [objective.evaluate(p) for p in pts], 6)
-        result = surrogate_attractor(archive, objective, 0.5)
-        assert_no_probe(result, FALLBACK_TOO_FEW_POINTS)
+        probing = ProbingSwarm(archive, objective, 0.5)
+        assert probing.step() == FALLBACK_TOO_FEW_POINTS
+        assert not probing.evaluated and probing.swarm.gbest_value == 0.5
 
     def test_partially_filled_large_capacity_falls_back(self):
         # capacity above the observation count forces the fallback even when
@@ -737,8 +784,9 @@ class TestSurrogateAttractor:
         rng = np.random.default_rng(71)
         pts = rng.uniform(-1.0, 1.0, size=(10, 2))
         archive = archive_from(pts, [objective.evaluate(p) for p in pts], 1000)
-        result = surrogate_attractor(archive, objective, archive.best().value)
-        assert_no_probe(result, FALLBACK_TOO_FEW_POINTS)
+        probing = ProbingSwarm(archive, objective, archive.best().value)
+        assert probing.step() == FALLBACK_TOO_FEW_POINTS
+        assert not probing.evaluated
 
     @pytest.mark.parametrize("capacity", [5, 7])
     def test_full_archive_of_another_capacity_is_an_error(self, capacity):
@@ -750,15 +798,19 @@ class TestSurrogateAttractor:
         assert archive.size == capacity
         expected = f"expected 6 points for dimension 2, got {capacity}"
         with pytest.raises(ValueError, match=expected):
-            surrogate_attractor(archive, objective, math.inf)
+            propose(archive, objective.bounds)
+        with pytest.raises(ValueError, match=expected):
+            ProbingSwarm(archive, objective).step()
 
     def test_singular_geometry_falls_back_without_a_probe(self):
         objective = make_objective("sphere", 2)
         t = np.linspace(0.1, 1.0, 6)
         pts = np.column_stack([t, t])  # collinear
         archive = archive_from(pts, [objective.evaluate(p) for p in pts], 6)
-        result = surrogate_attractor(archive, objective, archive.best().value)
-        assert_no_probe(result, FALLBACK_SINGULAR_SYSTEM)
+        assert_no_proposal(propose(archive, objective.bounds), FALLBACK_SINGULAR_SYSTEM)
+        probing = ProbingSwarm(archive, objective, archive.best().value)
+        assert probing.step() == FALLBACK_SINGULAR_SYSTEM
+        assert not probing.evaluated
 
     def test_affine_archive_values_are_not_accepted(self):
         # Affine samples leave no usable curvature: the fitted quadratic term
@@ -772,12 +824,15 @@ class TestSurrogateAttractor:
         for p, v in zip(pts, values):
             archive.observe(p, v)
         best = archive.best().value
-        result = surrogate_attractor(archive, objective, best)
-        if result.x_min is not None:
-            assert result.fallback_reason == FALLBACK_NON_IMPROVING
-            assert result.f_min == objective.evaluate(result.x_min) >= best
+        probing = ProbingSwarm(archive, objective, best)
+        reason = probing.step()
+        if probing.evaluated:
+            assert reason == FALLBACK_NON_IMPROVING
+            ((point, value),) = probing.evaluated
+            assert value == objective.evaluate(point) >= best
         else:
-            assert_no_probe(result, FALLBACK_SINGULAR_QUADRATIC)
+            assert reason == FALLBACK_SINGULAR_QUADRATIC
+        assert probing.swarm.gbest_value == best
 
     def test_non_improving_branch_on_local_basin(self):
         # Archive clustered in a Ackley local basin away from the origin: the
@@ -787,22 +842,20 @@ class TestSurrogateAttractor:
         objective = make_objective("ackley", 2)
         cloud = rng.uniform(1.6, 2.4, size=(200, 2))
         values = [objective.evaluate(p) for p in cloud]
-        archive = archive_from(cloud, values, 6)
 
-        result = surrogate_attractor(archive, objective, 1e-9)
-        assert result.fallback_reason != FALLBACK_NONE
-        assert result.fallback_reason == FALLBACK_NON_IMPROVING
-        # the result carries the evaluated probe, which stays in the basin
-        assert result.f_min == objective.evaluate(result.x_min) > 1e-9
-        assert np.all((1.0 < result.x_min) & (result.x_min < 3.0))
+        probing = ProbingSwarm(archive_from(cloud, values, 6), objective, 1e-9)
+        assert probing.step() == FALLBACK_NON_IMPROVING
+        # the step evaluated a probe that stays in the basin
+        ((point, value),) = probing.evaluated
+        assert value > 1e-9 == probing.swarm.gbest_value
+        assert np.all((1.0 < point) & (point < 3.0))
 
         # with a weak incumbent the same archive yields an accepted probe
-        accepted = surrogate_attractor(archive, objective, 1e9)
-        assert accepted.fallback_reason == FALLBACK_NONE
-        assert accepted.f_min == pytest.approx(
-            objective.evaluate(accepted.x_min), rel=1e-14
-        )
-        assert accepted.f_min < 1e9
+        probing = ProbingSwarm(archive_from(cloud, values, 6), objective, 1e9)
+        assert probing.step() == FALLBACK_NONE
+        ((accepted, value),) = probing.evaluated
+        assert probing.swarm.gbest_value == value < 1e9
+        assert probing.swarm.gbest_position.tobytes() == accepted.tobytes()
 
     def test_attractor_value_never_exceeds_global_best(self):
         rng = np.random.default_rng(74)
@@ -812,15 +865,19 @@ class TestSurrogateAttractor:
             pts = rng.uniform(-100, 100, size=(count, 2))
             archive = archive_from(pts, [objective.evaluate(p) for p in pts], 6)
             best = archive.best().value
-            result = surrogate_attractor(archive, objective, best)
+            probing = ProbingSwarm(archive, objective, best)
+            reason = probing.step()
             # The swarm adopts an accepted probe as its global best, and so
             # its attractor, and keeps its global best otherwise.
-            if result.fallback_reason == FALLBACK_NONE:
-                assert result.f_min < best  # strict when accepted
-            elif result.x_min is not None:
-                assert not result.f_min < best
+            if reason == FALLBACK_NONE:
+                ((point, value),) = probing.evaluated
+                assert probing.swarm.gbest_value == value < best  # strict when accepted
+            elif probing.evaluated:
+                ((point, value),) = probing.evaluated
+                assert not value < best
+                assert probing.swarm.gbest_value == best
             else:
-                assert result.f_min is None
+                assert probing.swarm.gbest_value == best
 
     def test_total_on_any_nonempty_archive(self):
         rng = np.random.default_rng(75)
@@ -829,19 +886,24 @@ class TestSurrogateAttractor:
             count = int(rng.integers(1, 15))
             pts = rng.uniform(-100, 100, size=(count, 2))
             archive = archive_from(pts, [objective.evaluate(p) for p in pts], 6)
-            result = surrogate_attractor(archive, objective, archive.best().value)
-            assert isinstance(result, SurrogateResult)
-            probed = result.fallback_reason in (FALLBACK_NONE, FALLBACK_NON_IMPROVING)
-            assert (result.x_min is not None) == (result.f_min is not None) == probed
+            if archive.size == 6:
+                reason, point = propose(archive, objective.bounds)
+                assert reason in (FALLBACK_NONE, FALLBACK_SINGULAR_SYSTEM, FALLBACK_SINGULAR_QUADRATIC)
+                assert (point is None) == (reason != FALLBACK_NONE)
+            probing = ProbingSwarm(archive, objective, archive.best().value)
+            reason = probing.step()
+            probed = reason in (FALLBACK_NONE, FALLBACK_NON_IMPROVING)
+            assert len(probing.evaluated) == probed
             if probed:
-                assert np.all(np.isfinite(result.x_min))
+                point = probing.evaluated[0][0]
+                assert np.all(np.isfinite(point)) and objective.bounds.contains(point)
 
     def test_empty_archive_falls_back_to_global_best(self):
         objective = make_objective("sphere", 2)
         archive = Archive(6)
-        result = surrogate_attractor(archive, objective, 3.0)
-        assert_no_probe(result, FALLBACK_TOO_FEW_POINTS)
-        assert archive.size == 0
+        probing = ProbingSwarm(archive, objective, 3.0)
+        assert probing.step() == FALLBACK_TOO_FEW_POINTS
+        assert archive.size == 0 and probing.swarm.gbest_value == 3.0
 
     def test_evaluated_matches_the_objective_calls(self):
         rng = np.random.default_rng(77)
@@ -859,14 +921,15 @@ class TestSurrogateAttractor:
             pts = rng.uniform(-5, 5, size=(count, 2)) * (1.0, trial % 3 != 0)
             archive = archive_from(pts, [p @ p for p in pts], 6)
             # The sphere fit is exact, so only a negative best rejects it.
-            best = float(rng.uniform(-5, 50))
+            probing = ProbingSwarm(archive, objective, float(rng.uniform(-5, 50)))
             # A probe the archive stores moves the next proposal; one it
             # refuses (a duplicate of the stored one, here) comes back.
-            for _ in range(3):
+            for steps in range(1, 4):
                 calls.clear()
-                result = surrogate_attractor(archive, objective, best)
-                assert len(calls) == (result.x_min is not None) == (result.f_min is not None)
-                seen.add(result.fallback_reason)
+                reason = probing.step()
+                assert len(calls) == (reason in (FALLBACK_NONE, FALLBACK_NON_IMPROVING))
+                assert probing.swarm.evaluations == steps + len(probing.evaluated)
+                seen.add(reason)
         assert seen >= {
             FALLBACK_NONE,
             FALLBACK_TOO_FEW_POINTS,
@@ -886,37 +949,85 @@ class TestSurrogateAttractor:
         archive = Archive(6)
         for p, v in zip(pts, values):
             archive.observe(p, v)
-        result = surrogate_attractor(archive, objective, 1e9)
-        assert result.fallback_reason == FALLBACK_NONE
-        assert result.x_min[0] == pytest.approx(10.0)
-        assert result.f_min == pytest.approx(objective.evaluate(result.x_min), rel=1e-14)
+        reason, point = propose(archive, objective.bounds)
+        assert reason == FALLBACK_NONE
+        assert point[0] == 10.0
+        probing = ProbingSwarm(archive, objective, 1e9)
+        assert probing.step() == FALLBACK_NONE
+        ((evaluated, value),) = probing.evaluated
+        assert evaluated.tobytes() == point.tobytes()
+        assert probing.swarm.gbest_value == value == objective.evaluate(point)
+
+    def test_proposal_calls_no_objective_and_leaves_its_inputs_unchanged(self):
+        # The proposal takes the stored set and the bounds, nothing it could
+        # evaluate, and its module binds neither the archive nor the
+        # objective type.
+        assert list(inspect.signature(surrogate_attractor).parameters) == ["points", "values", "bounds"]
+        assert not hasattr(surrogate, "Archive") and not hasattr(surrogate, "Objective")
+        rng = np.random.default_rng(78)
+        bounds = Bounds.symmetric(10.0, 2)
+        for trial in range(20):
+            pts = sample_points(rng, 2, 6) * (1.0, trial % 4 != 0)
+            values = [float(p @ p) for p in pts]
+            kept = pts.tobytes(), list(values), bounds.lo.tobytes(), bounds.hi.tobytes()
+            as_array = surrogate_attractor(pts, values, bounds)
+            as_lists = surrogate_attractor([tuple(p) for p in pts.tolist()], values, bounds)
+            assert (pts.tobytes(), values, bounds.lo.tobytes(), bounds.hi.tobytes()) == kept
+            assert as_array[0] == as_lists[0]
+            if as_array[1] is not None:
+                assert as_array[1].tobytes() == as_lists[1].tobytes()
+
+    # Offers on a coarse grid; stored sets of distinct points and values do
+    # not depend on the order of the offers.
+    GRID = st.integers(-4, 4).map(lambda k: k / 2.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_equal_stored_sets_propose_the_same_bits(self, data):
+        points = data.draw(st.lists(st.tuples(self.GRID, self.GRID), min_size=6, max_size=14, unique=True))
+        values = data.draw(
+            st.lists(
+                st.floats(-10.0, 10.0, allow_subnormal=False),
+                min_size=len(points),
+                max_size=len(points),
+                unique=True,
+            )
+        )
+        order = data.draw(st.permutations(range(len(points))))
+        bounds = Bounds.symmetric(2.0, 2)
+        first, second = Archive(6), Archive(6)
+        for p, v in zip(points, values):
+            first.observe(np.array(p), v)
+        # Another history: another order, with refused offers (non-finite
+        # values, then duplicates of every stored point) mixed in.
+        for i in order:
+            second.observe(np.array(points[i]), math.nan)
+            second.observe(np.array(points[i]), values[i])
+        for p in second.sorted_points()[0]:
+            assert not second.observe(np.array(p), -100.0)
+        assert first.sorted_points() == second.sorted_points()
+        proposals = [propose(archive, bounds) for archive in (first, second, first)]
+        reasons = {reason for reason, _ in proposals}
+        assert len(reasons) == 1
+        points_bits = {None if point is None else point.tobytes() for _, point in proposals}
+        assert len(points_bits) == 1
 
 
 class TestRecords:
     def test_the_records_are_tuples_of_their_fields(self):
-        x_min = np.array([1.0, 2.0])
-        result = SurrogateResult(FALLBACK_NONE, x_min, 0.5)
-        assert isinstance(result, tuple)
-        reason, point, value = result
-        assert reason == FALLBACK_NONE and point is x_min is result.x_min and value == 0.5
         linear, quad = np.zeros(2), np.eye(2)
         model = QuadraticModel(linear, quad)
         assert isinstance(model, tuple)
         first, second = model
         assert first is linear is model.linear and second is quad is model.quad
         with pytest.raises(AttributeError):
-            result.x_min = None
-
-    def test_a_result_built_from_a_reason_alone_carries_no_point(self):
-        for reason in FALLBACK_REASONS:
-            assert tuple(SurrogateResult(reason)) == (reason, None, None)
-        assert FALLBACK_REASONS[-1] == FALLBACK_REPEATED
+            model.linear = None
 
 
 class TestProposalMemo:
-    """Each stored set is fitted and probed at most once: the archive's memo
-    names why the set makes no further probe, and a store clears it. A probe
-    reproduces a fresh fit bit for bit."""
+    """Each stored set is fitted and probed at most once: the swarm's memo
+    names why the set makes no further probe, and a store the swarm makes
+    clears it. A probe reproduces a fresh fit bit for bit."""
 
     @staticmethod
     def bowl_archive():
@@ -927,13 +1038,9 @@ class TestProposalMemo:
         return archive_from(pts, [float((p - center) @ (p - center)) for p in pts], 6)
 
     @staticmethod
-    def flat_objective(bounds, evaluations):
+    def flat_objective(bounds):
         # a probe value far above every archived value is never stored
-        def evaluate(x):
-            evaluations.append(np.array(x))
-            return 1e6
-
-        return Objective("flat", bounds.dimension, bounds, evaluate)
+        return Objective("flat", bounds.dimension, bounds, lambda x: 1e6)
 
     @staticmethod
     def counting_fit(monkeypatch):
@@ -954,75 +1061,69 @@ class TestProposalMemo:
 
     def test_hit_skips_fit_and_matches_fresh_fit(self, monkeypatch):
         archive = self.bowl_archive()
-        evaluations = []
-        objective = self.flat_objective(Bounds.symmetric(10.0, 2), evaluations)
+        objective = self.flat_objective(Bounds.symmetric(10.0, 2))
         fits = self.counting_fit(monkeypatch)
-        weak_best = 1e9
-        first = surrogate_attractor(archive, objective, weak_best)
-        assert first.fallback_reason == FALLBACK_NONE and first.f_min == 1e6
-        assert np.array_equal(first.x_min, self.fresh_proposal(archive, objective.bounds))
+        probing = ProbingSwarm(archive, objective, 1e9)
+        swarm = probing.swarm
+        assert probing.step() == FALLBACK_NONE and swarm.gbest_value == 1e6
+        assert np.array_equal(swarm.gbest_position, self.fresh_proposal(archive, objective.bounds))
         # The archive refused the accepted probe, whose value is now the
-        # incumbent: the stored set makes no second probe.
-        assert archive.memo == FALLBACK_REPEATED
-        second = surrogate_attractor(archive, objective, first.f_min)
-        assert_no_probe(second, FALLBACK_REPEATED)
+        # global best: the stored set makes no second probe.
+        assert swarm._memo == FALLBACK_REPEATED
+        assert probing.step() == FALLBACK_REPEATED
         assert len(fits) == 1
-        assert len(evaluations) == 1
+        assert len(probing.evaluated) == 1
+        assert swarm.evaluations == 2 + 1
 
     def test_stored_observation_invalidates(self, monkeypatch):
         archive = self.bowl_archive()
-        objective = self.flat_objective(Bounds.symmetric(10.0, 2), [])
+        objective = self.flat_objective(Bounds.symmetric(10.0, 2))
         fits = self.counting_fit(monkeypatch)
-        weak_best = 1e9
-        first = surrogate_attractor(archive, objective, weak_best)
-        assert archive.observe(np.array([1.5, 2.5]), 0.0)
-        second = surrogate_attractor(archive, objective, weak_best)
+        probing = ProbingSwarm(archive, objective, 1e9)
+        probing.step()
+        # A particle the archive stores clears the memo.
+        probing.offer(np.array([1.5, 2.5]), 0.0)
+        size, admission = archive.size, archive.admission
+        assert probing.step() == FALLBACK_NON_IMPROVING
+        assert archive.size == size and archive.admission < admission
         assert len(fits) == 2
-        assert np.array_equal(second.x_min, self.fresh_proposal(archive, objective.bounds))
-        assert not np.array_equal(second.x_min, first.x_min)
+        first, second = (point for point, _ in probing.evaluated)
+        assert np.array_equal(second, self.fresh_proposal(archive, objective.bounds))
+        assert not np.array_equal(second, first)
 
     def test_refused_probe_is_not_evaluated_again(self, monkeypatch):
         archive = self.bowl_archive()
-        evaluations = []
-        objective = self.flat_objective(Bounds.symmetric(10.0, 2), evaluations)
+        objective = self.flat_objective(Bounds.symmetric(10.0, 2))
         fits = self.counting_fit(monkeypatch)
         strong_best = archive.best().value  # the probe's 1e6 does not beat it
-        first = surrogate_attractor(archive, objective, strong_best)
-        assert first.fallback_reason == FALLBACK_NON_IMPROVING
-        assert len(evaluations) == 1
+        probing = ProbingSwarm(archive, objective, strong_best)
+        assert probing.step() == FALLBACK_NON_IMPROVING
+        assert len(probing.evaluated) == 1
         points, values = archive.sorted_points()
-        second = surrogate_attractor(archive, objective, strong_best)
-        assert_no_probe(second, FALLBACK_REPEATED)
-        assert len(evaluations) == 1
+        assert probing.step() == FALLBACK_REPEATED
+        assert len(probing.evaluated) == 1
         assert len(fits) == 1
         assert archive.sorted_points() == (points, values)
-        # The skipped probe is the one evaluated: without the memo, the call
+        # The skipped probe is the one evaluated: without the memo, the step
         # evaluates it again, and it is refused again.
-        archive.memo = None
-        third = surrogate_attractor(archive, objective, strong_best)
-        assert third.fallback_reason == FALLBACK_NON_IMPROVING
-        assert probe_bytes(third) == probe_bytes(first)
+        probing.swarm._memo = None
+        assert probing.step() == FALLBACK_NON_IMPROVING
+        first, third = (point.tobytes() for point, _ in probing.evaluated)
+        assert third == first
         assert archive.sorted_points() == (points, values)
-        assert archive.memo == FALLBACK_REPEATED
+        assert probing.swarm._memo == FALLBACK_REPEATED
 
     @pytest.mark.parametrize("bad", [-math.inf, math.nan, math.inf])
     def test_non_finite_probe_value_counts_as_inf(self, bad):
         archive = self.bowl_archive()
-        calls = []
-
-        def evaluate(x):
-            calls.append(1)
-            return bad
-
-        objective = Objective("holed", 2, Bounds.symmetric(10.0, 2), evaluate)
-        weak_best = 1e9
-        first = surrogate_attractor(archive, objective, weak_best)
-        assert first.fallback_reason == FALLBACK_NON_IMPROVING
-        assert first.f_min == math.inf
-        assert archive.memo == FALLBACK_REPEATED  # the archive refused it
-        second = surrogate_attractor(archive, objective, math.inf)
-        assert_no_probe(second, FALLBACK_REPEATED)
-        assert len(calls) == 1
+        objective = Objective("holed", 2, Bounds.symmetric(10.0, 2), lambda x: bad)
+        probing = ProbingSwarm(archive, objective, 1e9)
+        swarm = probing.swarm
+        assert probing.step() == FALLBACK_NON_IMPROVING
+        assert swarm.gbest_value == 1e9 and swarm.trace == [1e9]
+        assert swarm._memo == FALLBACK_REPEATED  # the archive refused it
+        assert probing.step() == FALLBACK_REPEATED
+        assert len(probing.evaluated) == 1
 
     def test_cached_singular_reason_makes_no_probe(self, monkeypatch):
         objective = make_objective("sphere", 2)
@@ -1030,14 +1131,14 @@ class TestProposalMemo:
         pts = np.column_stack([t, t])  # collinear
         archive = archive_from(pts, [objective.evaluate(p) for p in pts], 6)
         fits = self.counting_fit(monkeypatch)
-        results = [surrogate_attractor(archive, objective, 1e9) for _ in range(2)]
+        probing = ProbingSwarm(archive, objective, 1e9)
+        assert [probing.step() for _ in range(2)] == [FALLBACK_SINGULAR_SYSTEM] * 2
         assert len(fits) == 1
-        for result in results:
-            assert_no_probe(result, FALLBACK_SINGULAR_SYSTEM)
+        assert not probing.evaluated
 
     def test_fallback_is_kept_until_the_archive_changes(self, monkeypatch):
-        # A call that makes no probe reads the memo alone: the same reason,
-        # no point, no fit, no evaluation and no archive.best().
+        # A step whose stored set made no probe reads the memo alone: the
+        # same reason, no fit, no evaluation and no archive.best().
         objective = make_objective("sphere", 2)
         t = np.linspace(0.1, 1.0, 6)
         pts = np.column_stack([t, t])  # collinear
@@ -1051,36 +1152,32 @@ class TestProposalMemo:
             return real_best(self)
 
         monkeypatch.setattr(Archive, "best", counting_best)
-        first, second = (surrogate_attractor(archive, objective, 1e9) for _ in range(2))
+        probing = ProbingSwarm(archive, objective, 1e9)
+        assert [probing.step() for _ in range(2)] == [FALLBACK_SINGULAR_SYSTEM] * 2
         assert len(fits) == 1
-        assert_no_probe(first, FALLBACK_SINGULAR_SYSTEM)
-        assert_no_probe(second, FALLBACK_SINGULAR_SYSTEM)
         # A better point on the same line: a new fit, still singular.
-        assert archive.observe(np.array([0.05, 0.05]), 0.005)
-        third = surrogate_attractor(archive, objective, 1e9)
-        assert_no_probe(third, FALLBACK_SINGULAR_SYSTEM)
-        assert len(fits) == 2
-        # A refused probe the incumbent does not lose to takes the same path
-        # until the archive stores a point.
+        probing.offer(np.array([0.05, 0.05]), 0.005)
+        assert probing.step() == FALLBACK_SINGULAR_SYSTEM
+        assert archive.sorted_points()[1][0] == 0.005
+        assert len(fits) == 2 and not probing.evaluated
+        # A refused probe the global best does not lose to takes the same
+        # path until the archive stores a point.
         archive = self.bowl_archive()
-        evaluations = []
-        flat = self.flat_objective(Bounds.symmetric(10.0, 2), evaluations)
-        strong = min(archive.sorted_points()[1])
-        refused = surrogate_attractor(archive, flat, strong)
-        assert refused.fallback_reason == FALLBACK_NON_IMPROVING
+        probing = ProbingSwarm(archive, self.flat_objective(Bounds.symmetric(10.0, 2)), min(archive.sorted_points()[1]))
+        assert probing.step() == FALLBACK_NON_IMPROVING
         for _ in range(3):
-            assert_no_probe(surrogate_attractor(archive, flat, strong), FALLBACK_REPEATED)
-        assert len(evaluations) == 1 and len(fits) == 3
-        assert archive.observe(np.array([1.0, 2.0]), 0.0)
-        seventh = surrogate_attractor(archive, flat, 0.0)
-        assert seventh.fallback_reason == FALLBACK_NON_IMPROVING
-        assert seventh.f_min == 1e6 and len(evaluations) == 2 and len(fits) == 4
+            assert probing.step() == FALLBACK_REPEATED
+        assert len(probing.evaluated) == 1 and len(fits) == 3
+        probing.offer(np.array([1.0, 2.0]), 0.0)
+        assert probing.step() == FALLBACK_NON_IMPROVING
+        assert probing.swarm.gbest_value == 0.0
+        assert probing.evaluated[-1][1] == 1e6 and len(probing.evaluated) == 2 and len(fits) == 4
         assert not bests
 
     # Offered values: a bowl (probes often accepted), a constant (the fitted
     # quadratic term is exactly zero: singular_quadratic; a sloped plane
     # leaves rounding noise there) and a rippled bowl (probes often refused,
-    # so later calls meet them again).
+    # so later steps meet them again).
     MEMO_OBJECTIVES = (
         lambda x: float((x[0] - 0.3) ** 2 + 2.0 * (x[1] + 0.2) ** 2),
         lambda x: 2.0,
@@ -1088,76 +1185,83 @@ class TestProposalMemo:
     )
 
     def memo_sequence(self, seed, reasons):
-        """Drive a memo archive and a reference archive, whose memo is
-        cleared before every call, through one random sequence of offers
-        and calls with a nonincreasing incumbent, as a swarm's is; every
-        result and every stored point must agree, and only a stored offer
-        clears the memo."""
+        """Drive a swarm and a reference archive, which fits and evaluates
+        the probe at every step, through one random sequence of particle
+        offers and steps; the global best never rises, as a swarm's does
+        not. Every reason, probe, stored point and global best must agree,
+        and the memo stands exactly while its stored set does."""
         rng = np.random.default_rng(seed)
         f = self.MEMO_OBJECTIVES[seed % 3]
-        evaluations = []
-
-        def counted(x):
-            evaluations.append(1)
-            return f(x)
-
         bounds = Bounds.symmetric(2.0, 2)
-        memo_objective = Objective("memo", 2, bounds, counted)
-        reference_objective = Objective("reference", 2, bounds, f)
         capacity = required_points(2)
-        memo, reference = Archive(capacity), Archive(capacity)
+        particles = 3
+        reference = Archive(capacity)
+        probing = ProbingSwarm(Archive(capacity), Objective("memo", 2, bounds, f), n_particles=particles)
+        swarm = probing.swarm
         collinear = rng.random() < 0.25  # every offer on one line: singular_system
         direction = rng.normal(size=2)
         incumbent = math.inf
-        offered, evaluated = [], 0
-        for _ in range(40):
-            if rng.random() < (0.8 if memo.size < capacity else 0.3):
+        offered, probes = [], 0
+        for steps in range(1, 21):
+            for _ in range(particles):
                 if offered and rng.random() < 0.15:
                     x = offered[int(rng.integers(len(offered)))]  # a duplicate
                 elif collinear:
                     x = 0.2 + rng.uniform(-1.0, 1.0) * direction
                 else:
                     x = rng.uniform(-2.0, 2.0, size=2)
-                value = f(x) if rng.random() < 0.9 else float(rng.choice([math.inf, math.nan, 50.0]))
+                full = reference.size == capacity
+                if rng.random() < (0.8 if not full else 0.3):
+                    value = f(x) if rng.random() < 0.9 else float(rng.choice([math.inf, math.nan, 50.0]))
+                else:
+                    value = math.inf  # no offer
                 offered.append(x)
-                before = memo.memo
-                stored = memo.observe(x, value)
-                assert stored == reference.observe(x, value)
-                assert memo.memo == (None if stored else before)
+                probing.offer(x, value)
+                reference.observe(x, value)
                 if math.isfinite(value):
                     incumbent = min(incumbent, value)
-                continue
-            result = surrogate_attractor(memo, memo_objective, incumbent)
-            reference.memo = None
-            expected = surrogate_attractor(reference, reference_objective, incumbent)
-            reason = result.fallback_reason
+            reason = probing.step()
             reasons.add(reason)
+            expected, point, stored = FALLBACK_TOO_FEW_POINTS, None, False
+            if reference.size == capacity:
+                expected, point = propose(reference, bounds)
+            if point is not None:
+                value = f(point)
+                stored = reference.observe(point, value)
+                if value < incumbent:
+                    incumbent = value
+                else:
+                    expected = FALLBACK_NON_IMPROVING
             if reason == FALLBACK_REPEATED:
                 # Evaluating the skipped probe would have it refused again.
-                assert expected.fallback_reason == FALLBACK_NON_IMPROVING
-                assert_no_probe(result, reason)
+                assert expected == FALLBACK_NON_IMPROVING and not stored
             else:
-                assert expected.fallback_reason == reason
-                assert probe_bytes(result) == probe_bytes(expected)
-            if reference.size:
-                points, values = memo.sorted_points()
-                reference_points, reference_values = reference.sorted_points()
-                assert values == reference_values
-                assert np.array(points).tobytes() == np.array(reference_points).tobytes()
-            evaluated += result.x_min is not None
-            assert len(evaluations) == evaluated
-            if reason == FALLBACK_NONE:
-                incumbent = result.f_min
+                assert reason == expected
+                if point is not None:
+                    probes += 1
+                    assert probing.evaluated[-1][0].tobytes() == point.tobytes()
+            assert swarm._memo == {
+                FALLBACK_TOO_FEW_POINTS: None,
+                FALLBACK_SINGULAR_SYSTEM: FALLBACK_SINGULAR_SYSTEM,
+                FALLBACK_SINGULAR_QUADRATIC: FALLBACK_SINGULAR_QUADRATIC,
+            }.get(reason, None if stored else FALLBACK_REPEATED)
+            points, values = swarm.archive.sorted_points()
+            reference_points, reference_values = reference.sorted_points()
+            assert values == reference_values
+            assert np.array(points).tobytes() == np.array(reference_points).tobytes()
+            assert swarm.gbest_value == incumbent
+            assert len(probing.evaluated) == probes
+            assert swarm.evaluations == particles * steps + probes
 
     def test_memo_matches_refitting_and_evaluating_every_call(self):
         reasons = set()
         for seed in range(200):
             self.memo_sequence(seed, reasons)
-        assert reasons >= set(FALLBACK_REASONS) - {FALLBACK_TOO_FEW_POINTS}
+        assert reasons == set(FALLBACK_REASONS)
 
-    # A stream of offers ("offer", x, value) and probe calls ("call",
-    # incumbent). Points on a coarse grid repeat often, so some offers are
-    # duplicates and some layouts singular.
+    # A stream of particle offers ("offer", x, value) and bare steps
+    # ("call", global best). Points on a coarse grid repeat often, so some
+    # offers are duplicates and some layouts singular.
     STREAM = st.lists(
         st.one_of(
             st.tuples(
@@ -1174,14 +1278,18 @@ class TestProposalMemo:
     @given(stream=STREAM)
     def test_fit_runs_exactly_when_the_full_archive_stored_a_point(self, stream):
         # Stores are seen through observe's return value, the probe's
-        # included; fits through the module global, where the probe looks
-        # fit up. The incumbent never rises, as a swarm's does not.
+        # included; fits through the module global, where the proposal looks
+        # fit up. Each stream entry is one step, which offers the entry's
+        # point, if any, and then probes; the global best never rises.
         fits = []
         stored = True  # the archive stored a point since the last fit
         probed = False  # the objective was evaluated on the current stored set
         real_fit = surrogate.fit
 
         def counting(points, values):
+            nonlocal stored
+            assert stored and archive.size == archive.capacity
+            stored = False
             fits.append(1)
             return real_fit(points, values)
 
@@ -1202,20 +1310,20 @@ class TestProposalMemo:
             stored, probed = True, False
             return True
 
-        incumbent = math.inf
+        probing = ProbingSwarm(archive, objective)
+        swarm = probing.swarm
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(surrogate, "fit", counting)
             patch.setattr(archive, "observe", observe)
             for kind, *args in stream:
                 if kind == "offer":
-                    archive.observe(np.array(args[0]), args[1])
-                    continue
-                incumbent = min(incumbent, args[0])
-                refit = archive.size == archive.capacity and stored
-                if refit:
-                    stored = False
+                    probing.offer(np.array(args[0]), args[1])
+                else:
+                    swarm.gbest_value = min(swarm.gbest_value, args[0])
                 before = len(fits)
-                result = surrogate_attractor(archive, objective, incumbent)
-                assert len(fits) - before == refit
-                if result.fallback_reason == FALLBACK_NONE:
-                    incumbent = result.f_min
+                swarm.step()
+                assert len(fits) - before in (0, 1)
+                if len(fits) == before:
+                    # No fit, so no probe: the stored set is not full, or
+                    # the step's offer left it as it was at the last fit.
+                    assert not (archive.size == archive.capacity and stored)

@@ -972,11 +972,18 @@ def reference_step(state, objective, config, k, draws):
         gbest[0] = positions[best_i].copy()
         gbest[1] = values[best_i]
     archive = state[6]
-    if archive is not None:
-        result = surrogate_attractor(archive, state[7], gbest[1])
-        if result.fallback_reason == FALLBACK_NONE:
-            gbest[0] = result.x_min.copy()
-            gbest[1] = result.f_min
+    if archive is not None and archive.size == archive.capacity:
+        # The stored set's probe, fitted and evaluated at every step: no memo.
+        points, stored = archive.sorted_points()
+        _, probe = surrogate_attractor(points, stored, config.bounds)
+        if probe is not None:
+            value = float(state[7].evaluate(probe))
+            if not math.isfinite(value):
+                value = math.inf
+            archive.observe(probe, value)
+            if value < gbest[1]:
+                gbest[0] = probe.copy()
+                gbest[1] = value
     attractor = gbest[0]
     new_velocities = []
     new_positions = []
