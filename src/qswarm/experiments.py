@@ -180,8 +180,14 @@ _pools: Optional[dict] = None
 
 def _workers(jobs: int, tasks: int) -> int:
     # A pool starts all its workers at once, so it gets no more than there
-    # are tasks or cores.
-    return min(jobs, tasks, os.cpu_count() or 1)
+    # are tasks or cores this process may run on: its CPU affinity mask
+    # where the platform has one (the host's count overstates it under
+    # ``taskset``).
+    if hasattr(os, "sched_getaffinity"):
+        cores = len(os.sched_getaffinity(0))
+    else:
+        cores = os.cpu_count() or 1
+    return min(jobs, tasks, cores)
 
 
 @contextmanager

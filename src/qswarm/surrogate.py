@@ -21,9 +21,9 @@ The whitening SVD is LAPACK ``gesdd``, the driver behind ``np.linalg.svd``,
 called directly, and the largest entry comes from ``lange``. SciPy supplies
 these LAPACK routines from its extension module ``scipy.linalg._flapack``,
 which :func:`load_lapack` loads on first use without importing the
-``scipy.linalg`` package: a surrogate run calls it before its clock starts,
-so importing the package, and any run of the standard variant, never loads
-scipy.
+``scipy`` or ``scipy.linalg`` packages: a surrogate run calls it before its
+clock starts, so importing the package, and any run of the standard variant,
+never loads scipy.
 
 The fit works on arrays of 3 to 15 rows, where each numpy call costs more
 than its arithmetic, so the kernel makes few of them: a refit that solves
@@ -42,7 +42,7 @@ import os
 import sys
 from functools import cache
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
-from importlib.util import module_from_spec
+from importlib.util import find_spec, module_from_spec
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -79,21 +79,24 @@ class SingularMatrixError(ArithmeticError):
 def load_lapack():
     """(dgesdd, dgesv, dlange) from scipy's f2py LAPACK extension.
 
-    The first call imports the top-level ``scipy`` package, which runs
-    scipy's own start-up, and then loads the one extension module
-    ``scipy.linalg._flapack`` under its canonical name, without the
-    ``scipy.linalg`` package. An entry already in ``sys.modules`` is reused,
-    so the routines are the objects ``scipy.linalg.lapack`` exports, in
-    either import order (a ``scipy.linalg`` imported later lacks only the
-    private attribute ``_flapack``). Raises :class:`ImportError` naming the
-    folder searched when the extension is not there.
+    The first call finds scipy's folder through the import system's spec
+    lookup, which executes no part of the ``scipy`` package, and loads the
+    one extension module ``scipy.linalg._flapack`` from it under its
+    canonical name; the extension needs only numpy. An entry already in
+    ``sys.modules`` is reused, so the routines are the objects
+    ``scipy.linalg.lapack`` exports, in either import order (a
+    ``scipy.linalg`` imported later lacks only the private attribute
+    ``_flapack``). Raises :class:`ImportError` naming ``scipy`` when it is
+    not installed, and naming the folder searched when the extension is not
+    there.
     """
-    import scipy
-
     name = "scipy.linalg._flapack"
     module = sys.modules.get(name)
     if module is None:
-        folder = os.path.join(scipy.__path__[0], "linalg")
+        package = find_spec("scipy")
+        if package is None:
+            raise ImportError("no scipy package to load LAPACK from", name="scipy")
+        folder = os.path.join(package.submodule_search_locations[0], "linalg")
         loader = (ExtensionFileLoader, EXTENSION_SUFFIXES)
         spec = FileFinder(folder, loader).find_spec(name)
         if spec is None:

@@ -354,10 +354,11 @@ def run(config: SwarmConfig, objective: Objective, timing: bool = True) -> RunRe
     """Execute one full run; deterministic given (config, objective).
 
     ``timing=False`` records a wall time of 0.0 so emitted artifacts can be
-    compared byte-for-byte across environments. A run loads
-    ``numpy.random``, which numpy imports at its first use, and a surrogate
-    run also scipy's LAPACK extension (:func:`load_lapack`), before its
-    clock starts, so the first run in a process does not time those loads.
+    compared byte-for-byte across environments. Before its clock starts, a
+    run loads ``numpy.random``, which numpy imports at its first use, and a
+    surrogate run also scipy's LAPACK extension alone, without the ``scipy``
+    package (:func:`load_lapack`), so the first run in a process does not
+    time those loads.
     """
     import numpy.random  # noqa: F401
 

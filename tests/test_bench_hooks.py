@@ -85,7 +85,7 @@ def test_a_run_replaced_before_main_reaches_every_pooled_run(tmp_path, monkeypat
 
     monkeypatch.setattr(qswarm.experiments, "run", tagged_run)
     monkeypatch.setattr(qswarm.cli, "run_batch", recording_batch)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     argv = ["benchmark", "--runs", "1", "--jobs", "2", "--no-timing", "--out", str(tmp_path)]
     assert qswarm.cli.main(argv) == 0
     assert len(records) == 2 * len(qswarm.cli.BENCHMARK_ROWS)

@@ -314,8 +314,8 @@ class TestRunBatch:
 @pytest.fixture
 def pool_sizes(monkeypatch):
     """Pool sizes asked of a stand-in executor that runs every task in this
-    process, so no worker starts; the host reports 4 cores. The stand-in
-    class lists the sizes of the pools shut down in ``shut``."""
+    process, so no worker starts; the process may run on 4 cores. The
+    stand-in class lists the sizes of the pools shut down in ``shut``."""
     sizes = []
 
     class RecordingExecutor:
@@ -332,7 +332,7 @@ def pool_sizes(monkeypatch):
             return map(fn, *iterables)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
     return sizes
 
 
@@ -356,7 +356,23 @@ class TestPoolSize:
         for a, b in zip(pooled, serial[VARIANT_STANDARD].records, strict=True):
             np.testing.assert_array_equal(a.best_value_trace, b.best_value_trace)
 
+    def test_affinity_mask_caps_workers_below_the_host_count(self, pool_sizes, monkeypatch):
+        # Under ``taskset -c 0`` the host still reports all its cores.
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        spec = BatchSpec("sphere", SPHERE_2D, 4, variants=(VARIANT_STANDARD,), jobs=2)
+        assert len(run_batch(spec, timing=False)[VARIANT_STANDARD].records) == 4
+        assert pool_sizes == []
+
+    def test_without_an_affinity_mask_the_host_count_caps_workers(self, pool_sizes, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        spec = BatchSpec("sphere", SPHERE_2D, 4, variants=(VARIANT_STANDARD,), jobs=4)
+        assert len(run_batch(spec, timing=False)[VARIANT_STANDARD].records) == 4
+        assert pool_sizes == [3]
+
     def test_unknown_core_count_runs_in_process(self, pool_sizes, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         spec = BatchSpec("sphere", SPHERE_2D, 4, variants=(VARIANT_STANDARD,), jobs=4)
         assert len(run_batch(spec, timing=False)[VARIANT_STANDARD].records) == 4
@@ -434,7 +450,7 @@ class TestWorkerDeath:
     @pytest.fixture(autouse=True)
     def dying_workers(self, monkeypatch):
         monkeypatch.setattr(qswarm.experiments, "run", _exit_in_worker)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
 
     def test_batch_error_names_a_seed(self):
         spec = BatchSpec(

@@ -47,7 +47,7 @@ def test_every_third_party_module_the_tests_import_is_declared():
     project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
     requirements = project["dependencies"] + project["optional-dependencies"]["test"]
     declared = {re.match(r"[A-Za-z0-9._-]+", req).group().lower().replace("-", "_") for req in requirements}
-    imported = imported_top_level_modules(ROOT / "tests")
+    imported = set().union(*(imported_top_level_modules(ROOT / folder) for folder in ("src", "tests", "tools")))
     third_party = imported - set(sys.stdlib_module_names) - {"qswarm"}
     assert {"numpy", "pytest", "hypothesis"} <= third_party
     assert third_party <= declared, sorted(third_party - declared)

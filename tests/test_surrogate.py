@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import warnings
+from importlib.machinery import ModuleSpec
 from pathlib import Path
 
 import numpy as np
@@ -183,13 +184,13 @@ def _fresh_python(code: str, *args: str) -> list[str]:
 def test_scipy_loads_at_the_first_surrogate_fit():
     # Columns: scipy, scipy.linalg, scipy.linalg._flapack, multiprocessing,
     # concurrent.futures.process. A surrogate run loads the LAPACK extension
-    # alone, never the scipy.linalg package, and a batch that runs in
-    # process loads no part of the process-pool stack.
+    # alone, never the scipy or scipy.linalg packages, and a batch that runs
+    # in process loads no part of the process-pool stack.
     assert _fresh_python(SCIPY_PROBE) == [
         "import", "False", "False", "False", "False", "False",
         VARIANT_STANDARD, "False", "False", "False", "False", "False",
-        VARIANT_SURROGATE, "True", "False", "True", "False", "False",
-        "batch", "True", "False", "True", "False", "False",
+        VARIANT_SURROGATE, "False", "False", "True", "False", "False",
+        "batch", "False", "False", "True", "False", "False",
     ]
 
 
@@ -223,13 +224,13 @@ def test_first_timed_surrogate_run_does_not_time_the_scipy_import():
     # Each timed run reads the clock twice. Columns: numpy.random, scipy,
     # scipy.linalg._flapack, scipy.linalg. numpy.random, which numpy loads
     # at its first use, is in place at the first read of the first run, a
-    # standard one that loads nothing of scipy. At the surrogate runs scipy
-    # and its LAPACK extension are in place too, and the scipy.linalg
-    # package is not loaded.
+    # standard one that loads nothing of scipy. At the surrogate runs the
+    # LAPACK extension is in place too, and neither the scipy package nor
+    # scipy.linalg is loaded.
     assert words[:10] == ["clock", "True", "False", "False", "False"] * 2
-    assert words[10:30] == ["clock", "True", "True", "True", "False"] * 4
+    assert words[10:30] == ["clock", "True", "False", "True", "False"] * 4
     first, second = (float(w) for w in words[31:])
-    # Loading the extension takes some 15 ms (importing scipy.linalg took
+    # Loading the extension takes some 4 ms (importing scipy.linalg took
     # some 0.3 s); a run of this size takes some 0.05 s.
     assert first < 2 * second + 0.1
 
@@ -255,19 +256,31 @@ def test_load_lapack_returns_the_routines_of_scipy_linalg_lapack(scipy_linalg):
     assert words == ["True"] * len(ROUTINES)
 
 
-def test_missing_lapack_extension_names_the_folder(tmp_path, monkeypatch):
-    import scipy
-
-    (tmp_path / "linalg").mkdir()
-    monkeypatch.setattr(scipy, "__path__", [str(tmp_path)])
+def _load_lapack_with_scipy_spec(monkeypatch, spec):
+    """Call a fresh ``load_lapack`` whose lookup of scipy finds ``spec``,
+    with no LAPACK extension loaded yet."""
+    monkeypatch.setattr(surrogate, "find_spec", lambda name: spec if name == "scipy" else None)
     monkeypatch.delitem(sys.modules, "scipy.linalg._flapack", raising=False)
     surrogate.load_lapack.cache_clear()
     try:
-        with pytest.raises(ImportError, match=re.escape(str(tmp_path / "linalg"))):
-            surrogate.load_lapack()
-        assert "scipy.linalg._flapack" not in sys.modules
+        return surrogate.load_lapack()
     finally:
         surrogate.load_lapack.cache_clear()
+        assert "scipy.linalg._flapack" not in sys.modules
+
+
+def test_missing_lapack_extension_names_the_folder(tmp_path, monkeypatch):
+    (tmp_path / "linalg").mkdir()
+    spec = ModuleSpec("scipy", None, is_package=True)
+    spec.submodule_search_locations = [str(tmp_path)]
+    with pytest.raises(ImportError, match=re.escape(str(tmp_path / "linalg"))):
+        _load_lapack_with_scipy_spec(monkeypatch, spec)
+
+
+def test_missing_scipy_names_scipy(monkeypatch):
+    with pytest.raises(ImportError, match=r"\bscipy\b") as raised:
+        _load_lapack_with_scipy_spec(monkeypatch, None)
+    assert raised.value.name == "scipy"
 
 
 class TestSolvePivoted:
