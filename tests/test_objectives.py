@@ -9,6 +9,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qswarm.archive import Archive
 from qswarm.experiments import BatchSpec
@@ -130,6 +132,28 @@ class TestOracleAgreement:
             value = eval_griewank(x)
             assert value >= 0.0
             assert value == pytest.approx(oracle_griewank(x.tolist()), rel=1e-12)
+
+
+class TestCoordinateReads:
+    """Each evaluator reads an ndarray with ``tolist`` and any other
+    sequence item by item, and both reads give the same floats."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.floats(min_value=-1e300, max_value=1e300, allow_nan=False, width=64),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    @pytest.mark.parametrize("func", [eval_sphere, eval_flower, eval_ackley, eval_griewank])
+    def test_row_view_list_and_tuple_give_the_same_bits(self, func, xs):
+        rows = np.array([[0.0] * len(xs), xs])
+        view = rows[1]
+        assert view.base is rows
+        values = [func(view), func(list(xs)), func(tuple(xs))]
+        assert all(type(value) is float for value in values)
+        assert len({value.hex() for value in values}) == 1
 
 
 class TestLandscapeProperties:

@@ -7,6 +7,7 @@ defined here.
 
 import copy
 import math
+import pickle
 from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
@@ -31,6 +32,7 @@ from qswarm.swarm import (
     VARIANT_SURROGATE,
     Swarm,
     SwarmConfig,
+    _clip,
     _ramps,
     run,
 )
@@ -581,14 +583,17 @@ class TestRunTables:
         velocities = rng.uniform(-v0, v0, size=shape)
         assert swarm.positions.tobytes() == positions.tobytes()
         assert swarm.velocities.tobytes() == velocities.tobytes()
-        assert len(swarm._omega) == len(swarm._vmax) == len(swarm._pulls) == 37
+        assert len(swarm._vmax) == 37
+        assert swarm._coefs.shape == (37, 3, *shape)
         for k in range(config.iterations):
             sched = schedule(k, config)
-            assert swarm._omega[k] == sched.omega
             assert swarm._vmax[k] == sched.vmax
+            inertia, cognitive, social = swarm._coefs[k]
+            # Row 0 of block k is the inertia weight in every entry.
+            assert inertia.tobytes() == np.full(shape, sched.omega).tobytes()
             r = rng.uniform(size=(2, config.n_particles, 1))
-            # The tables spread a shared draw over the dimensions.
-            for table, expected in zip(swarm._pulls[k], (sched.c1 * r[0], sched.c2 * r[1])):
+            # The pull rows spread a shared draw over the dimensions.
+            for table, expected in zip((cognitive, social), (sched.c1 * r[0], sched.c2 * r[1])):
                 expected = np.broadcast_to(expected, shape)
                 assert table.tobytes() == np.ascontiguousarray(expected).tobytes()
 
@@ -642,7 +647,11 @@ def assert_same_state(swarm: Swarm, twin: Swarm):
 class TestStateAliasing:
     """The step moves ``positions`` and ``velocities`` in place and makes
     ``gbest_position`` a fresh array each time it moves. A caller may rebind
-    either state array, and the step then works on the new one."""
+    either state array. A rebound ``positions`` gets fresh row views and the
+    step moves it. The velocities are row 0 of the swarm's work buffer, so a
+    rebound ``velocities``, or one that a ``copy`` or ``pickle`` carries, is
+    adopted: the step copies it into a new work buffer, whose row 0 becomes
+    ``velocities``."""
 
     @pytest.mark.parametrize("variant", [VARIANT_STANDARD, VARIANT_SURROGATE])
     def test_rebound_state_traces_as_an_untouched_twin(self, variant):
@@ -657,6 +666,30 @@ class TestStateAliasing:
             swarm.step()
             twin.step()
             assert_same_state(swarm, twin)
+
+    @pytest.mark.parametrize("variant", [VARIANT_STANDARD, VARIANT_SURROGATE])
+    def test_copies_taken_while_a_particle_stagnates_trace_as_an_untouched_twin(self, variant):
+        # A stagnant step writes omega_k * scale into its block of the
+        # coefficient table, and the copies carry the table and velocities
+        # that view no work buffer of theirs.
+        objective = make_objective("sphere", 2)
+        config = sphere_config(lookback=4, iterations=40, seed=2, vmax0=1e6, variant=variant)
+        swarm, twin = Swarm(config, objective), Swarm(config, objective)
+        copies, stagnant_steps = [], 0
+        for k in range(config.iterations):
+            for each in (twin, swarm, *copies):
+                each.step()
+                assert_same_state(each, twin)
+            scales = [particle_view(twin, i).omega_scale for i in range(config.n_particles)]
+            if copies:
+                stagnant_steps += config.tau in scales
+            elif config.tau in scales:
+                copies = [copy.deepcopy(swarm), pickle.loads(pickle.dumps(swarm))]
+                # A copy carries no work buffer, so its next step adopts.
+                assert all(each._work is None for each in copies)
+        assert copies and stagnant_steps > 0
+        for each in copies:
+            assert each.velocities.base is not swarm.velocities.base
 
     @pytest.mark.parametrize("variant", [VARIANT_STANDARD, VARIANT_SURROGATE])
     def test_held_gbest_positions_keep_their_bits(self, variant):
@@ -705,6 +738,69 @@ class TestStateAliasing:
             copied.step()
             twin.step()
             assert_same_state(copied, twin)
+
+
+def clamp_pair(x, lo, hi):
+    """The clamp as a ``np.maximum``/``np.minimum`` pair, in place."""
+    np.maximum(x, lo, out=x)
+    return np.minimum(x, hi, out=x)
+
+
+# Edge coordinates: zeros of both signs, the smallest subnormals, the
+# largest subnormal and the smallest normal, and values around 1 and 2.
+TINY = float(np.finfo(float).smallest_subnormal)
+SUBNORMAL_TOP = float(np.nextafter(np.finfo(float).tiny, 0.0))
+EDGES = [0.0, -0.0, TINY, -TINY, 3 * TINY, SUBNORMAL_TOP, -SUBNORMAL_TOP, float(np.finfo(float).tiny)]
+EDGES += [1.0, -1.0, 2.0, -2.0, math.nextafter(2.0, 3.0), math.nextafter(-2.0, -3.0), 1e300, -1e300]
+
+
+def edge_arrays(values, shape):
+    """Arrays of ``shape`` filled from ``values`` and their negations, once
+    for each start in the list, so that each value reaches each entry of a
+    small array, also in Fortran order."""
+    for j in range(len(values)):
+        x = np.resize(np.roll(values, j), shape)
+        yield from (x, -x, np.asfortranarray(x))
+
+
+class TestClamps:
+    """The step clamps with numpy's ``clip`` ufunc, whose bits equal the
+    ``np.maximum``/``np.minimum`` pair's on non-NaN values in the forms the
+    step calls it: the velocities against the Python floats -vmax and vmax,
+    the positions against (P, n) arrays of the box ends, zero ends included.
+    Against a scalar zero bound, and on a lone coordinate, the ufunc can keep
+    a -0.0 that the pair turns into 0.0 (numpy 2.4): no speed cap is zero,
+    and a swarm of one coordinate clamps its positions with the pair."""
+
+    @pytest.mark.parametrize("shape", [(1, 1), (6, 2), (10, 3), (21, 5), (91, 12)])
+    @pytest.mark.parametrize("vmax", [2.0 * math.e, 2.0, 1.0, SUBNORMAL_TOP, TINY])
+    def test_velocity_clamp_against_float_caps(self, shape, vmax):
+        for x in edge_arrays(EDGES + [vmax, -vmax], shape):
+            expected = clamp_pair(x.copy(), -vmax, vmax)
+            clipped = x.copy()
+            _clip(clipped, -vmax, vmax, out=clipped)
+            assert clipped.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 2), (2, 1), (6, 2), (10, 3), (21, 5), (91, 12)])
+    @pytest.mark.parametrize(
+        "lo,hi", [(0.0, 1.0), (-0.0, 2.0), (-1.0, 0.0), (-2.0, -0.0), (0.0, TINY), (-TINY, 0.0), (-2.0, 2.0)]
+    )
+    def test_position_clamp_against_bound_arrays(self, shape, lo, hi):
+        n_particles, n = shape
+        bounds = Bounds(np.full(n, lo), np.full(n, hi))
+        swarm = Swarm(
+            SwarmConfig(dimension=n, n_particles=n_particles, bounds=bounds, iterations=1),
+            Objective("zero", n, bounds, lambda x: 0.0),
+        )
+        for x in edge_arrays(EDGES + [lo, hi], shape):
+            expected = clamp_pair(x.copy(), swarm._lo, swarm._hi)
+            clipped = x.copy()
+            swarm._clamp(clipped, swarm._lo, swarm._hi, out=clipped)
+            assert clipped.tobytes() == expected.tobytes()
+
+    def test_every_speed_cap_is_positive(self):
+        swarm = Swarm(sphere_config(vmax0=TINY), make_objective("sphere", 2))
+        assert min(swarm._vmax) >= TINY
 
 
 class TestRun:

@@ -10,7 +10,9 @@ Each side runs its own ``perfbench/run.py`` from its own directory.
         --workload std_suite --seeds 101 102 103 --seconds 25 \\
         --label lean_iteration --claim runs_per_s
 
-The seeds must differ. The pairs go into ``BENCH_<label>.json``
+The seeds must differ. Before the first pair, both checkouts' ``src/``
+trees are compiled to bytecode, so neither side pays for a stale
+``__pycache__``. The pairs go into ``BENCH_<label>.json``
 (``--out`` names another file) in the schema of the committed
 ``BENCH_*.json`` files: under
 ``workloads.<workload>`` the seeds, per end-to-end metric the parent and
@@ -49,6 +51,7 @@ code is 1.
 from __future__ import annotations
 
 import argparse
+import compileall
 import datetime
 import json
 import math
@@ -101,8 +104,26 @@ def run_side(checkout: Path, workload: str, seed: int, seconds: float, trace: in
     return flat
 
 
+def usable_cores() -> int:
+    """The cores this process may run on: its CPU affinity mask where the
+    platform has one (the host's count overstates it under ``taskset``)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count()
+
+
+def compile_sources(checkout: Path) -> None:
+    """Write the bytecode of the checkout's ``src/`` tree. Where the
+    environment sets ``PYTHONDONTWRITEBYTECODE``, imports never refresh a
+    stale ``__pycache__``, so every execution recompiles each module whose
+    cached bytecode is stale, which reads as a slower start-up."""
+    src = checkout / "src"
+    if src.is_dir():
+        compileall.compile_dir(str(src), quiet=1)
+
+
 def machine() -> dict:
-    info = {"nproc": os.cpu_count(), "cpu_model": platform.processor() or None, "python": platform.python_version()}
+    info = {"nproc": usable_cores(), "cpu_model": platform.processor() or None, "python": platform.python_version()}
     try:
         for line in Path("/proc/cpuinfo").read_text().splitlines():
             if line.startswith("model name"):
@@ -218,6 +239,8 @@ def main(argv=None) -> int:
         "command", f"python3 perfbench/run.py --workload <w> --seed <s> --seconds {args.seconds:g} --trace 0"
     )
 
+    for checkout in (args.parent, args.change):
+        compile_sources(checkout)
     pairs, failure = {}, None
     for j, seed in enumerate(args.seeds):
         parent_first = j % 2 == 0
